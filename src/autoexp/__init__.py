@@ -24,7 +24,7 @@ from .expsums import (IntervalProgression, SweepReport, check_gcd_lemma,
 from .modring import (FactoredModulus, IntPoly, RationalFunction, add_linear,
                       crt_combine, eval_phase, factorize, is_well_defined,
                       mod_inverse, parse_rational_function, phase_fraction,
-                      rational_gcd, reduce_fraction, reduces_to_quadratic_poly,
+                      rational_gcd, reduces_to_quadratic_poly,
                       shift_scale, squarefree_cofactor)
 from .presets import RunConfig, preset
 from .vandercorput import (ScalarTransducer, WeylReport, carry_violation_count,

@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .exact import Cyclotomic, as_exact
+from .exact import Cyclotomic, as_exact, term_table
 
 OutputValue = Union[int, Fraction, Cyclotomic, complex, float]
 
@@ -364,7 +364,6 @@ def find_synchronizing_word(dfao: Dfao) -> Optional[Tuple[int, ...]]:
 
 
 def sync_failure_count(dfao: Dfao, y: int, x: int, lam: int,
-                       workers: int = 1,
                        _dense_limit: int = 100_000_000) -> int:
     """#{n in (y, y+x] : some start state reads (n)_k and (n)_k truncated to
     lam digits into different states}; direct enumeration over all starts."""
@@ -383,20 +382,13 @@ def sync_failure_count(dfao: Dfao, y: int, x: int, lam: int,
             st = dfao.state_table(n_top, start=s)
             mism |= st[ns] != st[low]
         return int(mism.sum())
-    # fallback for huge offsets: plain digit walks, optionally in worker threads
-    def count_chunk(lo: int, hi: int) -> int:
-        c = 0
-        for m in range(lo, hi):
-            full = [dfao.walk(s, base_digits(m, k)) for s in range(dfao.n_states)]
-            trun = [dfao.walk(s, base_digits(m % kl, k)) for s in range(dfao.n_states)]
-            c += full != trun
-        return c
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        bounds = np.linspace(y + 1, y + x + 1, workers + 1, dtype=np.int64)
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            return sum(ex.map(count_chunk, bounds[:-1], bounds[1:]))
-    return count_chunk(y + 1, y + x + 1)
+    # fallback for huge offsets: plain digit walks
+    c = 0
+    for m in range(y + 1, y + x + 1):
+        full = [dfao.walk(s, base_digits(m, k)) for s in range(dfao.n_states)]
+        trun = [dfao.walk(s, base_digits(m % kl, k)) for s in range(dfao.n_states)]
+        c += full != trun
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -450,11 +442,9 @@ def block_decompose_sum(dfao: Dfao, g: Callable[[int], object], y: int, x: int,
     g_vals = [g(int(n)) for n in n_all]
     exact_g = [as_exact(v) for v in g_vals]
     exact_mode = dfao.outputs_exact and all(v is not None for v in exact_g)
-    gv = exact_g if exact_mode else [complex(v) for v in g_vals]
 
     rows: List[BlockRow] = []
-    pairs: List[Tuple] = []
-    float_terms: List[complex] = []
+    block_states = []
     for r in range((y + 1) // K, (y + x) // K + 1):
         digits_r = base_digits(r, k)
         entry = dfao.walk(dfao.initial, digits_r)
@@ -463,29 +453,32 @@ def block_decompose_sum(dfao: Dfao, g: Callable[[int], object], y: int, x: int,
         rows.append(BlockRow(r, in_R, entry))
         lo = max(0, y + 1 - r * K)
         hi = min(K - 1, y + x - r * K)
-        states = pad[entry, lo:hi + 1]
-        for off, st in enumerate(states):
-            idx = r * K + lo + off - (y + 1)
-            out_v = dfao.outputs[st]
-            if exact_mode:
-                pairs.extend((out_v * gv[idx]).iter_terms())
-            else:
-                float_terms.append(complex(out_v) * gv[idx])
+        block_states.append(pad[entry, lo:hi + 1])
+    block_states = np.concatenate(block_states)
+    direct_states = np.array([dfao.state_at(int(n)) for n in n_all], dtype=np.int32)
 
     if exact_mode:
-        total: Union[Cyclotomic, complex] = Cyclotomic.from_terms(pairs)
-        direct_pairs: List[Tuple] = []
-        for i, n in enumerate(n_all):
-            direct_pairs.extend((dfao.evaluate(int(n)) * gv[i]).iter_terms())
-        direct: Union[Cyclotomic, complex] = Cyclotomic.from_terms(direct_pairs)
+        # sum over n of outputs[states[n]] * g(n), term by term
+        W, exps, nums, den = term_table(list(dfao.outputs) + exact_g)
+        S = dfao.n_states
+
+        def weighted(states: np.ndarray) -> Cyclotomic:
+            shifted = exps[states][:, :, None] + exps[S:][:, None, :]
+            prods = nums[states][:, :, None] * nums[S:][:, None, :]
+            return Cyclotomic.from_int_histogram(W, prods.ravel(), Fraction(1, den * den),
+                                                 exps=shifted.ravel())
+
+        total: Union[Cyclotomic, complex] = weighted(block_states)
+        direct: Union[Cyclotomic, complex] = weighted(direct_states)
         if total != direct:
             raise AssertionError("block regrouping failed to match the direct sum")
     else:
-        total = complex(math.fsum(t.real for t in float_terms),
-                        math.fsum(t.imag for t in float_terms))
-        dts = [complex(dfao.evaluate(int(n))) * gv[i] for i, n in enumerate(n_all)]
-        direct = complex(math.fsum(t.real for t in dts),
-                         math.fsum(t.imag for t in dts))
+        outs = np.array([complex(v) for v in dfao.outputs])
+        gv = np.array([complex(v) for v in g_vals])
+        tts = (outs[block_states] * gv).tolist()
+        dts = (outs[direct_states] * gv).tolist()
+        total = complex(math.fsum(t.real for t in tts), math.fsum(t.imag for t in tts))
+        direct = complex(math.fsum(t.real for t in dts), math.fsum(t.imag for t in dts))
         if abs(total - direct) > 1e-12 * max(1.0, abs(direct)):
             raise AssertionError("block regrouping failed to match the direct sum")
     return BlockDecomposition(total, direct, rows, sigma)

@@ -228,11 +228,10 @@ def cmd_carry_scan(args: Dict) -> SweepReport:
 def cmd_sync_scan(args: Dict) -> SweepReport:
     dfao = _load_automaton(str(args["auto"]))
     x = int(args["x"])
-    workers = int(args.get("threads") or 1)
     rows = []
     for lam in _parse_int_list(args["lam_list"]):
         rows.append((lam, automata.sync_failure_count(dfao, int(args.get("y", 0)),
-                                                      x, lam, workers=workers)))
+                                                      x, lam)))
     return SweepReport(("lam", "count"), rows,
                        {"automaton": dfao.name or "dfao", "x": x})
 
@@ -283,12 +282,7 @@ def cmd_sync_word(args: Dict) -> SweepReport:
 
 def cmd_block_decompose(args: Dict) -> SweepReport:
     dfao = _load_automaton(str(args["auto"]))
-    g = _g_from_args(args)
-
-    def g_complexable(n):
-        return g(n)
-
-    res = automata.block_decompose_sum(dfao, g_complexable,
+    res = automata.block_decompose_sum(dfao, _g_from_args(args),
                                        int(args.get("y", 0)), int(args["x"]),
                                        int(args["sigma"]))
     rows = [(row.r, int(row.in_final_set), row.entry_state) for row in res.rows]
@@ -322,8 +316,7 @@ def cmd_check(args: Dict) -> SweepReport:
 def cmd_preset(args: Dict) -> SweepReport:
     cfg = presets.preset(str(args["name"]))
     if args.get("run"):
-        return _HANDLERS[cfg.command]({**cfg.args,
-                                       "threads": args.get("threads")})
+        return _HANDLERS[cfg.command](dict(cfg.args))
     return SweepReport(("command", "args"),
                        [(cfg.command, json.dumps(cfg.args, sort_keys=True))],
                        {"preset": str(args["name"])})
@@ -369,7 +362,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--json", action="store_true", help="emit JSON, not CSV")
         p.add_argument("--out", help="write output to this path")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
         p.add_argument("--timestamp", action="store_true",
                        help="include a timestamp in JSON metadata")
 

@@ -1,21 +1,30 @@
 """Exact complex arithmetic on finite sums of roots of unity.
 
-A Cyclotomic value is a formal rational combination  sum_i c_i * e(t_i)
-with e(t) = exp(2*pi*i*t), c_i in Q and t_i in Q mod 1.  Phases are
-canonicalized into [0, 1/2) through e(t + 1/2) = -e(t), so products,
-conjugates and sums built along different groupings of the same terms land
-in the same representation; equality of representations is then meaningful
-(it can never be spuriously true) and is exactly the "bit-for-bit" notion
-the regrouping identities need.  Rational extraction uses Ramanujan sums
-over Galois orbits (on the raw histogram for count-backed sums) and returns
-None when the stored form does not decide the question.
+A Cyclotomic value is a rational combination  sum_i (c_i / d) * e(a_i / L)
+with e(t) = exp(2*pi*i*t), stored in one normal form:
+
+- the half-turn e(t + 1/2) = -e(t) folds every phase into [0, 1/2), so the
+  exponents are distinct, sorted and satisfy 0 <= 2*a_i < L;
+- the numerators c_i are nonzero integers over one positive denominator d,
+  with gcd(d, c_1, c_2, ...) = 1;
+- L is the least modulus that carries the exponents (1 for a rational).
+
+Exponents and numerators are int64 arrays while every magnitude is below
+2^62 and arrays of Python integers (dtype=object) beyond that; the data
+decide, not an option.  Sums, products and conjugates built along different
+groupings of the same terms reach the same normal form, so equality of
+normal forms can never be spuriously true and is exactly the "bit-for-bit"
+notion the regrouping identities need.  exact_rational() reads the normal
+form alone (it undoes the fold and sums Galois orbits as Ramanujan sums), so
+its answer does not depend on how a value was built; None still means
+"undecided here", not "irrational".
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -23,69 +32,118 @@ Rational = Union[int, Fraction]
 
 _HALF = Fraction(1, 2)
 _TWO_PI = 2.0 * math.pi
+_BIG = 1 << 62      # int64 entries stay below this, so one sum cannot overflow
+_NARROW = 1 << 31   # term_table numerators below this multiply safely in int64
 
 
-def _trial_factor(n: int) -> dict:
-    """Prime factorization by trial division (fine for the modest moduli here)."""
-    out: dict = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+def _peak(arr: np.ndarray) -> int:
+    """Largest magnitude in an integer array (0 when empty)."""
+    return int(np.abs(arr).max()) if arr.size else 0
 
 
-def _moebius(n: int) -> int:
-    f = _trial_factor(n)
-    if any(e > 1 for e in f.values()):
-        return 0
-    return -1 if len(f) % 2 else 1
+def _fit(values) -> np.ndarray:
+    """Exact integer array in the dtype its data need: int64 or Python ints."""
+    # from a list, numpy would turn ints in [2^63, 2^64) into floats
+    arr = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    if _peak(arr) < _BIG:
+        return arr.astype(np.int64, copy=False)
+    return arr.astype(object, copy=False)
 
 
-def _euler_phi(n: int) -> int:
-    out = n
-    for p in _trial_factor(n):
-        out = out // p * (p - 1)
-    return out
+def _narrow(arr: np.ndarray) -> np.ndarray:
+    """_fit for an array whose int64 entries are already below 2^62."""
+    return _fit(arr) if arr.dtype == object else arr
+
+
+def _scalar(v: int) -> np.ndarray:
+    return np.array([v], dtype=np.int64 if -_BIG < v < _BIG else object)
+
+
+def _over(arr: np.ndarray, d: int) -> np.ndarray:
+    """arr / d as floats, correctly rounded for a divisor of any size."""
+    if d >= _BIG:       # Python-int division: no int64 or float conversion of d
+        arr = arr.astype(object)
+    return (arr / d).astype(np.float64, copy=False)
+
+
+def _times(arr: np.ndarray, k: int) -> np.ndarray:
+    """arr * k exactly, widening to Python ints where int64 could overflow."""
+    if k == 1:
+        return arr
+    if arr.dtype != object and abs(k) * max(_peak(arr), 1) >= _BIG:
+        arr = arr.astype(object)
+    return arr * k
 
 
 class Cyclotomic:
     """Immutable exact sum of rational multiples of roots of unity."""
 
-    __slots__ = ("_terms", "_counts", "_counts_mod")
+    __slots__ = ("_mod", "_exps", "_nums", "_den")
 
-    def __init__(self, terms: Optional[dict] = None):
-        # terms: phase Fraction in [0,1) -> nonzero Fraction coefficient,
-        # already folded (no phase 0 other than the rational slot, no 1/2).
-        self._terms = {} if terms is None else terms
-        self._counts = None
-        self._counts_mod = 0
+    def __init__(self, modulus: int, exps: np.ndarray, nums: np.ndarray, den: int = 1):
+        # the arrays must already be in normal form; build values through the
+        # static constructors below
+        self._mod = modulus
+        self._exps = exps
+        self._nums = nums
+        self._den = den
+
+    @staticmethod
+    def _normal(modulus: int, exps: np.ndarray, nums: np.ndarray,
+                den: int = 1) -> "Cyclotomic":
+        """Normal form of sum_i nums[i]/den * e(exps[i]/modulus); exponents
+        may repeat and lie anywhere in Z."""
+        if 2 * modulus >= _BIG:
+            exps = exps.astype(object)
+        if modulus % 2:     # the half-turn needs an even modulus
+            exps = exps % modulus * 2
+            modulus *= 2
+        # a = q * L/2 + r with 0 <= r < L/2, so e(a/L) = (-1)^q * e(r/L)
+        turns, exps = exps // (modulus // 2), exps % (modulus // 2)
+        nums = np.where(turns & 1, -nums, nums)
+        if exps.size > 1:   # sort, then merge repeated exponents
+            order = exps.argsort(kind="stable")
+            exps, nums = exps[order], nums[order]
+            cuts = np.flatnonzero(exps[1:] != exps[:-1]) + 1
+            if cuts.size + 1 < exps.size:
+                if nums.dtype != object and _peak(nums) * nums.size >= _BIG:
+                    nums = nums.astype(object)
+                starts = np.concatenate([[0], cuts])
+                exps, nums = exps[starts], np.add.reduceat(nums, starts)
+        if not nums.all():
+            keep = nums != 0
+            exps, nums = exps[keep], nums[keep]
+        g = math.gcd(modulus, int(np.gcd.reduce(exps)))
+        k = math.gcd(den, int(np.gcd.reduce(nums))) if den > 1 else 1
+        exps = exps // g if g > 1 else exps
+        nums = nums // k if k > 1 else nums
+        return Cyclotomic(modulus // g, _narrow(exps), _narrow(nums), den // k)
 
     # -- construction -------------------------------------------------
 
     @staticmethod
     def zero() -> "Cyclotomic":
-        return Cyclotomic({})
+        return Cyclotomic(1, _EMPTY, _EMPTY, 1)
 
     @staticmethod
     def one() -> "Cyclotomic":
-        return Cyclotomic({Fraction(0): Fraction(1)})
+        return Cyclotomic.from_rational(1)
 
     @staticmethod
     def from_rational(c: Rational) -> "Cyclotomic":
         c = Fraction(c)
-        return Cyclotomic({Fraction(0): c} if c else {})
+        if not c:
+            return Cyclotomic.zero()
+        return Cyclotomic(1, _scalar(0), _scalar(c.numerator), c.denominator)
 
     @staticmethod
     def from_phase(t: Rational, coeff: Rational = 1) -> "Cyclotomic":
         """coeff * e(t)."""
-        out = Cyclotomic({})
-        out._add_term(Fraction(t), Fraction(coeff))
-        return out
+        t, c = Fraction(t), Fraction(coeff)
+        if not c:
+            return Cyclotomic.zero()
+        return Cyclotomic._normal(t.denominator, _scalar(t.numerator),
+                                  _scalar(c.numerator), c.denominator)
 
     @staticmethod
     def root_of_unity(a: int, m: int) -> "Cyclotomic":
@@ -96,167 +154,126 @@ class Cyclotomic:
 
     @staticmethod
     def from_terms(pairs: Iterable) -> "Cyclotomic":
-        out = Cyclotomic({})
-        for t, c in pairs:
-            out._add_term(Fraction(t), Fraction(c))
-        return out
+        """sum of c * e(t) over (t, c) pairs of rationals."""
+        pairs = [(Fraction(t), Fraction(c)) for t, c in pairs]
+        modulus = math.lcm(1, *(t.denominator for t, _ in pairs))
+        den = math.lcm(1, *(c.denominator for _, c in pairs))
+        exps = _fit([t.numerator * (modulus // t.denominator) for t, _ in pairs])
+        nums = _fit([c.numerator * (den // c.denominator) for _, c in pairs])
+        return Cyclotomic._normal(modulus, exps, nums, den)
 
     @staticmethod
-    def from_int_histogram(modulus: int, hist, scale: Rational = 1) -> "Cyclotomic":
-        """sum over a of hist[a] * scale * e(a/modulus); hist is a mapping or array."""
-        out = Cyclotomic({})
+    def from_int_histogram(modulus: int, hist, scale: Rational = 1,
+                           exps=None) -> "Cyclotomic":
+        """sum over i of hist[i] * scale * e(exps[i] / modulus).
+
+        hist is a mapping {exponent: integer count} or an integer array; for
+        an array, exps gives each entry's exponent (default: its index) and
+        may repeat.
+        """
         scale = Fraction(scale)
-        items = hist.items() if hasattr(hist, "items") else enumerate(hist)
-        for a, c in items:
-            if c:
-                out._add_term(Fraction(int(a), modulus), c * scale)
-        return out
+        if hasattr(hist, "items"):
+            exps, hist = list(hist.keys()), list(hist.values())
+        nums = _fit(hist)
+        nz = nums.nonzero()[0]
+        exps = nz if exps is None else _fit(exps)[nz]
+        return Cyclotomic._normal(int(modulus), exps,
+                                  _times(nums[nz], scale.numerator),
+                                  scale.denominator)
 
-    @staticmethod
-    def _from_counts(modulus: int, counts: np.ndarray) -> "Cyclotomic":
-        """Lazy variant backed by an integer count per phase a/modulus."""
-        out = Cyclotomic(None)
-        out._terms = None
-        out._counts = counts
-        out._counts_mod = modulus
-        return out
-
-    # -- internals ----------------------------------------------------
-
-    def _add_term(self, t: Fraction, c: Fraction) -> None:
-        if not c:
-            return
-        t %= 1
-        if t >= _HALF:
-            t, c = t - _HALF, -c
-        cur = self._terms.get(t)
-        new = c if cur is None else cur + c
-        if new:
-            self._terms[t] = new
-        elif cur is not None:
-            del self._terms[t]
-
-    def _materialize(self) -> dict:
-        if self._terms is None:
-            terms: dict = {}
-            m = self._counts_mod
-            tmp = Cyclotomic(terms)
-            for a, c in enumerate(self._counts):
-                if c:
-                    tmp._add_term(Fraction(int(a), m), Fraction(int(c)))
-            self._terms = terms
-            self._counts = None
-        return self._terms
+    def _lift(self, modulus: int, den: int) -> Tuple[np.ndarray, np.ndarray]:
+        """(exponents, numerators) over a multiple of the modulus and of the
+        denominator."""
+        return (_times(self._exps, modulus // self._mod),
+                _times(self._nums, den // self._den))
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Cyclotomic.from_rational(other)
-        if not isinstance(other, Cyclotomic):
+        other = as_exact(other)
+        if other is None:
             return NotImplemented
-        out = Cyclotomic(dict(self._materialize()))
-        for t, c in other._materialize().items():
-            out._add_term(t, c)
-        return out
+        modulus = math.lcm(self._mod, other._mod)
+        den = math.lcm(self._den, other._den)
+        (a1, c1), (a2, c2) = self._lift(modulus, den), other._lift(modulus, den)
+        return Cyclotomic._normal(modulus, np.concatenate([a1, a2]),
+                                  np.concatenate([c1, c2]), den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic({t: -c for t, c in self._materialize().items()})
+        return Cyclotomic(self._mod, self._exps, -self._nums, self._den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Cyclotomic.from_rational(other)
-        if not isinstance(other, Cyclotomic):
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return Cyclotomic.zero()
-            return Cyclotomic({t: v * c for t, v in self._materialize().items()})
-        if not isinstance(other, Cyclotomic):
+        other = as_exact(other)
+        if other is None:
             return NotImplemented
-        a, b = self._materialize(), other._materialize()
-        if len(a) > len(b):
-            a, b = b, a
-        out = Cyclotomic({})
-        for t1, c1 in a.items():
-            for t2, c2 in b.items():
-                out._add_term(t1 + t2, c1 * c2)
-        return out
+        modulus = math.lcm(self._mod, other._mod)
+        a1, c1 = self._lift(modulus, self._den)
+        a2, c2 = other._lift(modulus, other._den)
+        if c1.dtype != object and _peak(c1) * _peak(c2) >= _BIG:
+            c1 = c1.astype(object)
+        return Cyclotomic._normal(modulus, np.add.outer(a1, a2).ravel(),
+                                  np.multiply.outer(c1, c2).ravel(),
+                                  self._den * other._den)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "Cyclotomic":
-        out = Cyclotomic({})
-        for t, c in self._materialize().items():
-            out._add_term(-t, c)
-        return out
+        return Cyclotomic._normal(self._mod, -self._exps, self._nums, self._den)
 
     # -- queries --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        if self._terms is None:
-            return not self._counts.any()
-        return not self._terms
+        return not self._nums.size
 
     def __bool__(self):
         return not self.is_zero()
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Cyclotomic.from_rational(other)
-        if not isinstance(other, Cyclotomic):
+        other = as_exact(other)
+        if other is None:
             return NotImplemented
-        return self._materialize() == other._materialize()
+        return (self._mod == other._mod and self._den == other._den
+                and np.array_equal(self._exps, other._exps)
+                and np.array_equal(self._nums, other._nums))
 
     def __hash__(self):
-        return hash(frozenset(self._materialize().items()))
+        return hash((self._mod, self._den, tuple(self._exps.tolist()),
+                     tuple(self._nums.tolist())))
 
     def iter_terms(self) -> Iterator:
-        """Yield (phase, coefficient) pairs; phase 0 carries the rational part."""
-        return iter(self._materialize().items())
+        """Yield (phase, coefficient) pairs by increasing phase in [0, 1/2);
+        phase 0 carries the rational part."""
+        m, d = self._mod, self._den
+        return ((Fraction(a, m), Fraction(c, d))
+                for a, c in zip(self._exps.tolist(), self._nums.tolist()))
 
     def unit_phase(self) -> Optional[Fraction]:
         """Phase t if the value is exactly e(t) or -e(t) (as e(t +- 1/2)); None otherwise.
         Zero also returns None."""
-        terms = self._materialize()
-        if len(terms) != 1:
+        if self._nums.size != 1 or self._den != 1:
             return None
-        (t, c), = terms.items()
+        t = Fraction(int(self._exps[0]), self._mod)
+        c = int(self._nums[0])
         if c == 1:
             return t
         if c == -1:
-            return (t + _HALF) % 1
+            return t + _HALF
         return None
 
     def to_complex(self) -> complex:
-        if self._terms is None:
-            m = self._counts_mod
-            idx = np.nonzero(self._counts)[0]
-            if idx.size == 0:
-                return 0j
-            ang = (_TWO_PI / m) * idx
-            w = self._counts[idx].astype(np.float64)
-            return complex(np.dot(w, np.cos(ang)), np.dot(w, np.sin(ang)))
-        terms = self._terms
-        if len(terms) > 512:
-            t = np.array([float(k) for k in terms], dtype=np.float64)
-            c = np.array([float(v) for v in terms.values()], dtype=np.float64)
-            ang = _TWO_PI * t
-            return complex(np.dot(c, np.cos(ang)), np.dot(c, np.sin(ang)))
-        re = math.fsum(float(c) * math.cos(_TWO_PI * float(t))
-                       for t, c in terms.items())
-        im = math.fsum(float(c) * math.sin(_TWO_PI * float(t))
-                       for t, c in terms.items())
-        return complex(re, im)
+        if not self._nums.size:
+            return 0j
+        ang = _TWO_PI * _over(self._exps, self._mod)
+        w = _over(self._nums, self._den)
+        return complex(np.dot(w, np.cos(ang)), np.dot(w, np.sin(ang)))
 
     def __complex__(self):
         return self.to_complex()
@@ -265,69 +282,65 @@ class Cyclotomic:
         return abs(self.to_complex())
 
     def exact_rational(self) -> Optional[Fraction]:
-        """The exact rational value, when the stored form decides it.
+        """The exact rational value, when the normal form decides it.
 
-        Works whenever the coefficient vector over e(a/L) is constant on the
-        Galois orbits {a : gcd(a, L) = d} (each orbit sums to a Ramanujan sum
-        mu(L/d)).  Returns None otherwise -- which means "undecided here",
-        not "irrational".
+        Undoing the half-turn fold (a negative coefficient at e(t) becomes a
+        positive one at e(t + 1/2)) gives a positive coefficient vector over
+        e(a/W).  The value is decided whenever that vector is constant on
+        every Galois orbit {a : gcd(a, W) = d}, each orbit summing to the
+        Ramanujan sum mu(W/d).  Returns None otherwise -- which means
+        "undecided here", not "irrational".
         """
-        if self._terms is None:
-            m = self._counts_mod
-            counts = self._counts
-            g = np.gcd(np.arange(m, dtype=np.int64), m) if m > 1 else np.zeros(1, dtype=np.int64)
-            total = Fraction(0)
-            if m == 1:
-                return Fraction(int(counts[0]))
-            for d in sorted(set(int(v) for v in np.unique(g))):
-                vals = counts[g == d]
-                first = int(vals[0])
-                if not (vals == first).all():
-                    return None
-                if first:
-                    total += Fraction(first) * _moebius(m // d)
-            return total
-        terms = self._materialize()
-        if not terms:
-            return Fraction(0)
-        # undo the half-turn canonicalization: negative coefficients move back
-        # to phase t + 1/2, giving an all-positive vector of e(a/L) entries
-        unfolded = {}
-        for t, c in terms.items():
-            if c < 0:
-                t, c = (t + _HALF) % 1, -c
-            unfolded[t] = c
-        rat = unfolded.pop(Fraction(0), Fraction(0))
-        if not unfolded:
-            return rat
-        lcm = 1
-        for t in unfolded:
-            lcm = lcm * t.denominator // math.gcd(lcm, t.denominator)
-        by_class: dict = {}
-        for t, c in unfolded.items():
-            a = t.numerator * (lcm // t.denominator)
-            d = math.gcd(a, lcm)
-            by_class.setdefault(d, []).append(c)
-        total = rat
-        for d, coeffs in by_class.items():
-            first = coeffs[0]
-            if any(c != first for c in coeffs):
+        from .modring import factorize
+
+        modulus = self._mod * (1 + self._mod % 2)   # even: t + 1/2 has an exponent
+        k, half = modulus // self._mod, modulus // 2
+        unfolded = [(a * k + half, -c) if c < 0 else (a * k, c)
+                    for a, c in zip(self._exps.tolist(), self._nums.tolist())]
+        g = math.gcd(modulus, *(a for a, _ in unfolded))
+        modulus //= g
+        orbits: dict = {}
+        for a, c in unfolded:
+            orbits.setdefault(math.gcd(a // g, modulus), []).append(c)
+        total = 0
+        for d, coeffs in orbits.items():
+            factors = factorize(modulus // d)
+            phi = math.prod(p ** (e - 1) * (p - 1) for p, e in factors)
+            if len(coeffs) != phi or any(c != coeffs[0] for c in coeffs):
                 return None
-            if len(coeffs) != _euler_phi(lcm // d):
-                # missing entries of the orbit are zero coefficients
-                return None
-            total += first * _moebius(lcm // d)
-        return total
+            if all(e == 1 for _, e in factors):
+                total += coeffs[0] * (-1) ** len(factors)
+        return Fraction(total, self._den)
 
     def __repr__(self):
-        terms = self._materialize()
-        if not terms:
+        if self.is_zero():
             return "Cyclotomic(0)"
-        bits = []
-        for t in sorted(terms):
-            c = terms[t]
-            bits.append(f"{c}" if t == 0 else f"{c}*e({t})")
+        bits = [f"{c}" if t == 0 else f"{c}*e({t})" for t, c in self.iter_terms()]
         return "Cyclotomic(" + " + ".join(bits) + ")"
+
+
+_EMPTY = np.zeros(0, dtype=np.int64)
+
+
+def term_table(values: Sequence[Cyclotomic],
+               modulus: int = 1) -> Tuple[int, np.ndarray, np.ndarray, int]:
+    """Write exact values over one modulus W (a multiple of modulus) and one
+    denominator d, for element-wise sums over arrays of indices.
+
+    Returns (W, exps, nums, d): row i of the 2-D integer arrays holds the
+    terms of values[i] as nums/d * e(exps/W), padded with zero numerators.
+    Numerators stay in int64 only below 2^31, so the product of two entries
+    cannot overflow.
+    """
+    W = math.lcm(modulus, *(v._mod for v in values))
+    den = math.lcm(1, *(v._den for v in values))
+    width = max([1] + [v._nums.size for v in values])
+    peak = max([0] + [_peak(v._nums) * (den // v._den) for v in values])
+    exps = np.zeros((len(values), width), dtype=np.int64 if W < _BIG else object)
+    nums = np.zeros((len(values), width), dtype=np.int64 if peak < _NARROW else object)
+    for i, v in enumerate(values):
+        exps[i, :v._nums.size], nums[i, :v._nums.size] = v._lift(W, den)
+    return W, exps, nums, den
 
 
 def as_exact(value) -> Optional[Cyclotomic]:
@@ -336,8 +349,6 @@ def as_exact(value) -> Optional[Cyclotomic]:
         return value
     if isinstance(value, (int, Fraction)):
         return Cyclotomic.from_rational(value)
-    if isinstance(value, bool):
-        return Cyclotomic.from_rational(int(value))
     return None
 
 

@@ -17,7 +17,7 @@ from typing import Callable, Dict, Iterable, List, Sequence, Tuple, Union
 import numpy as np
 
 from .automata import Dfao
-from .exact import Cyclotomic
+from .exact import Cyclotomic, term_table
 from .modring import (FactoredModulus, RationalFunction, mod_inverse,
                       phase_numerators, rational_gcd, reduces_to_quadratic_poly,
                       shift_scale, squarefree_cofactor)
@@ -60,8 +60,7 @@ def complete_sum(f: RationalFunction, q: Union[int, FactoredModulus]) -> Cycloto
     fq = FactoredModulus.of(q)
     qv = fq.value
     phases = phase_numerators(f, fq, np.arange(qv, dtype=np.int64))
-    counts = np.bincount(phases[phases >= 0].astype(np.int64), minlength=qv)
-    return Cyclotomic._from_counts(qv, counts.astype(np.int64))
+    return Cyclotomic.from_int_histogram(qv, np.bincount(phases[phases >= 0], minlength=qv))
 
 
 def weighted_sum(dfao: Dfao, f: RationalFunction, q: Union[int, FactoredModulus],
@@ -78,17 +77,13 @@ def weighted_sum(dfao: Dfao, f: RationalFunction, q: Union[int, FactoredModulus]
     phases = phase_numerators(f, fq, ns)
     states = dfao.states_at(ns)
     if dfao.outputs_exact:
-        key = states.astype(np.int64) * (qv + 1) + (phases + 1)
-        uniq, cnt = np.unique(key, return_counts=True)
-        pairs: List[Tuple[Fraction, Fraction]] = []
-        for u, c in zip(uniq.tolist(), cnt.tolist()):
-            st, ph = divmod(u, qv + 1)
-            if ph == 0:
-                continue
-            term = dfao.outputs[st] * Fraction(c)
-            for t, coeff in term.iter_terms():
-                pairs.append(((t + Fraction(ph - 1, qv)) % 1, coeff))
-        return Cyclotomic.from_terms(pairs)
+        # term by term: a_n's terms shifted by the phase of n, poles dropped
+        W, exps, nums, den = term_table(dfao.outputs, qv)
+        live = phases >= 0
+        st = states[live]
+        shifted = exps[st] + (phases[live] * (W // qv))[:, None]
+        return Cyclotomic.from_int_histogram(W, nums[st].ravel(), Fraction(1, den),
+                                             exps=shifted.ravel())
     vals = np.array([complex(dfao.outputs[s]) for s in states])
     ang = 2.0 * np.pi * phases / qv
     z = np.where(phases >= 0, np.exp(1j * ang), 0j) * vals
@@ -118,12 +113,8 @@ def difference_sum(f: RationalFunction, q: Union[int, FactoredModulus], r: int,
     if ns.size == 0:
         return Cyclotomic.zero()
     phases = phase_numerators(diff, fq, ns)
-    hist: Dict[int, int] = {}
-    uniq, cnt = np.unique(phases, return_counts=True)
-    for u, c in zip(uniq.tolist(), cnt.tolist()):
-        if u >= 0:
-            hist[u] = c
-    return Cyclotomic.from_int_histogram(qv, hist)
+    uniq, cnt = np.unique(phases[phases >= 0], return_counts=True)
+    return Cyclotomic.from_int_histogram(qv, cnt, exps=uniq)
 
 
 # ---------------------------------------------------------------------------

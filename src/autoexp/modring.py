@@ -290,11 +290,6 @@ class RationalFunction:
         return f"RationalFunction({self})"
 
 
-def reduce_fraction(p_raw, q_raw) -> RationalFunction:
-    """Reduced form of p_raw/q_raw (cancels the rational gcd and the content)."""
-    return RationalFunction(p_raw, q_raw)
-
-
 def shift_scale(f: RationalFunction, a: int, s: int, r: int) -> RationalFunction:
     """f(a + sX + r) - f(a + sX), exact and reduced."""
     return f.compose_affine(a + r, s) - f.compose_affine(a, s)
@@ -451,7 +446,7 @@ def factorize(n: int) -> Tuple[Tuple[int, int], ...]:
             out[p] = out.get(p, 0) + 1
             n //= p
     stack = [n] if n > 1 else []
-    rng = random.Random(0xA07E)
+    rng = None      # seeded on first use; most inputs never reach rho
     while stack:
         m = stack.pop()
         if m == 1:
@@ -467,6 +462,7 @@ def factorize(n: int) -> Tuple[Tuple[int, int], ...]:
                 break
             d += 2
         else:
+            rng = rng or random.Random(0xA07E)
             d = _pollard_rho(m, rng)
             stack += [d, m // d]
     return tuple(sorted(out.items()))

@@ -21,7 +21,7 @@ import numpy as np
 
 from .automata import Dfao, base_digits, find_synchronizing_word, sync_failure_count
 from .budget import BudgetError, enumeration_budget
-from .exact import Cyclotomic, as_exact
+from .exact import Cyclotomic, as_exact, term_table
 
 StageValue = Union[Cyclotomic, complex]
 
@@ -305,17 +305,21 @@ def _classify_g(values: List) -> Tuple[bool, Optional[List[Optional[Fraction]]]]
     return True, phases
 
 
-def _group_hist(buckets: np.ndarray, phases: np.ndarray, mod: int) -> Dict[int, Dict[int, int]]:
-    """bucket -> {phase numerator -> count}, skipping the pole marker -1."""
-    key = buckets.astype(np.int64) * (mod + 1) + (phases + 1)
-    uniq, cnt = np.unique(key, return_counts=True)
-    out: Dict[int, Dict[int, int]] = {}
-    for u, c in zip(uniq.tolist(), cnt.tolist()):
-        b, ph = divmod(u, mod + 1)
-        if ph == 0:
-            continue
-        out.setdefault(b, {})[ph - 1] = c
-    return out
+def _bucket_sums(buckets: np.ndarray, phases: np.ndarray, mod: int,
+                 weights: Optional[np.ndarray] = None) -> Dict[int, Cyclotomic]:
+    """bucket -> exact sum of weight * e(phase/mod) over its elements (weights
+    default to 1), skipping the pole marker -1; a bucket appears when it
+    holds at least one element off the poles."""
+    live = phases >= 0
+    b, ph = buckets[live], phases[live]
+    w = np.ones(b.size, dtype=np.int64) if weights is None else weights[live]
+    if not b.size:
+        return {}
+    order = np.argsort(b, kind="stable")
+    b, ph, w = b[order], ph[order], w[order]
+    cuts = np.flatnonzero(b[1:] != b[:-1]) + 1
+    return {int(bb[0]): Cyclotomic.from_int_histogram(mod, ww, exps=pp)
+            for bb, pp, ww in zip(np.split(b, cuts), np.split(ph, cuts), np.split(w, cuts))}
 
 
 def decompose_weyl(tr: ScalarTransducer, tau: Callable[[Cyclotomic, int], object],
@@ -406,17 +410,16 @@ def decompose_weyl(tr: ScalarTransducer, tau: Callable[[Cyclotomic, int], object
 
     # ---- S_0 directly, and S_1 per (weight value, end state)
     if exact:
-        pairs: List[Tuple[Fraction, Fraction]] = []
-        for i in range(x):
-            if g_n[i] < 0:
-                continue
-            tv = tau_table[(int(j_n[i]), int(q_n[i]))]
-            gt = Fraction(int(g_n[i]), Lg)
-            for t, c in tv.iter_terms():
-                pairs.append((t + gt, c))
-        s0: StageValue = Cyclotomic.from_terms(pairs)
-        s1 = {(b // S, b % S): Cyclotomic.from_int_histogram(Lg, h)
-              for b, h in _group_hist(j_n * S + q_n, g_n, Lg).items()}
+        # S_0 term by term: the terms of tau at n shifted by the phase of g(n)
+        W0, t_exps, t_nums, t_den = term_table(
+            [tau_table[(j, q)] for j in range(D) for q in range(S)], Lg)
+        live = g_n >= 0
+        key = (j_n * S + q_n)[live]
+        shifted = t_exps[key] + (g_n[live] * (W0 // Lg))[:, None]
+        s0: StageValue = Cyclotomic.from_int_histogram(
+            W0, t_nums[key].ravel(), Fraction(1, t_den), exps=shifted.ravel())
+        s1 = {(b // S, b % S): v
+              for b, v in _bucket_sums(j_n * S + q_n, g_n, Lg).items()}
     else:
         tauc = np.array([[complex(tau_table[(j, q)]) for q in range(S)]
                          for j in range(D)])
@@ -432,16 +435,14 @@ def decompose_weyl(tr: ScalarTransducer, tau: Callable[[Cyclotomic, int], object
 
     # ---- S_2 per (residue mod M, weight value); S_1 from S_2 + sync failures
     if exact:
-        s2 = {(b // D, b % D): Cyclotomic.from_int_histogram(Lg, h)
-              for b, h in _group_hist(m_n * D + j_n, g_n, Lg).items()}
-        corr: Dict[Tuple[int, int], List] = {}
-        for i in np.nonzero(sync_mask)[0]:
-            if g_n[i] < 0:
-                continue
-            gt = Fraction(int(g_n[i]), Lg)
-            corr.setdefault((int(j_n[i]), int(q_n[i])), []).append((gt, Fraction(1)))
-            corr.setdefault((int(j_n[i]), int(trunc_q[i])), []).append((gt, Fraction(-1)))
-        corr_val = {key: Cyclotomic.from_terms(terms) for key, terms in corr.items()}
+        s2 = {(b // D, b % D): v
+              for b, v in _bucket_sums(m_n * D + j_n, g_n, Lg).items()}
+        # each failing n moves g(n) from (j, truncated end state) to (j, q_n)
+        bad = np.flatnonzero(sync_mask & (g_n >= 0))
+        corr = _bucket_sums(
+            np.concatenate([j_n[bad] * S + q_n[bad], j_n[bad] * S + trunc_q[bad]]),
+            np.tile(g_n[bad], 2), Lg, np.repeat(np.array([1, -1]), bad.size))
+        corr_val = {(b // S, b % S): v for b, v in corr.items()}
     else:
         acc = np.zeros((M, D), dtype=complex)
         np.add.at(acc, (m_n, j_n), z_n)
@@ -472,8 +473,8 @@ def decompose_weyl(tr: ScalarTransducer, tau: Callable[[Cyclotomic, int], object
             comb = np.where(g_n >= 0,
                             (t * j_n % D * (LL // D) + g_n * (LL // Lg)) % LL,
                             np.int64(-1))
-            for m, h in _group_hist(m_n, comb, LL).items():
-                s3[(m, t)] = Cyclotomic.from_int_histogram(LL, h)
+            for m, v in _bucket_sums(m_n, comb, LL).items():
+                s3[(m, t)] = v
         else:
             wz = np.exp(2j * np.pi * (t * j_n % D) / D)
             acc = np.zeros(M, dtype=complex)
@@ -508,8 +509,8 @@ def decompose_weyl(tr: ScalarTransducer, tau: Callable[[Cyclotomic, int], object
             g2 = gp(ns + shift)
             pole = (g_n < 0) | (g2 < 0)
             gc = np.where(pole, np.int64(-1), (g_n - g2) % Lg)
-            for b, h in _group_hist(mprime_n, gc, Lg).items():
-                s5[(b, r)] = Cyclotomic.from_int_histogram(Lg, h)
+            for b, v in _bucket_sums(mprime_n, gc, Lg).items():
+                s5[(b, r)] = v
         else:
             zc = z_n * np.conj(gz(ns + shift))
             acc5 = np.zeros(RM2, dtype=complex)
@@ -522,20 +523,16 @@ def decompose_weyl(tr: ScalarTransducer, tau: Callable[[Cyclotomic, int], object
                 comb = np.where(gc >= 0,
                                 (t * dval % D * (LL // D) + gc * (LL // Lg)) % LL,
                                 np.int64(-1))
-                for m, h in _group_hist(m_n, comb, LL).items():
-                    s4[(m, t, r)] = Cyclotomic.from_int_histogram(LL, h)
-                fail_corr: Dict[int, List] = {}
-                for i in np.nonzero(fail_mask)[0]:
-                    if gc[i] < 0:
-                        continue
-                    gt = Fraction(int(gc[i]), Lg)
-                    m = int(m_n[i])
-                    fail_corr.setdefault(m, []).append(
-                        ((Fraction(t * int(dval[i]), D) + gt) % 1, Fraction(1)))
-                    fail_corr.setdefault(m, []).append(
-                        ((Fraction(t * int(vt[i]), D) + gt) % 1, Fraction(-1)))
-                corr4 = {m: Cyclotomic.from_terms(terms)
-                         for m, terms in fail_corr.items()}
+                for m, v in _bucket_sums(m_n, comb, LL).items():
+                    s4[(m, t, r)] = v
+                # each carry failure swaps the truncated weight for the full one
+                bad = np.flatnonzero(fail_mask & (gc >= 0))
+                gl = gc[bad] * (LL // Lg)
+                corr4 = _bucket_sums(
+                    np.tile(m_n[bad], 2),
+                    np.concatenate([t * dval[bad] % D * (LL // D) + gl,
+                                    t * vt[bad] % D * (LL // D) + gl]) % LL,
+                    LL, np.repeat(np.array([1, -1]), bad.size))
             else:
                 wq = np.exp(2j * np.pi * (t * dval % D) / D)
                 acc4 = np.zeros(M, dtype=complex)

@@ -4,8 +4,20 @@ import sys
 
 import pytest
 
+try:
+    from hypothesis import settings
+except ImportError:     # the property tests skip themselves without it
+    settings = None
+
 HERE = pathlib.Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))  # makes `import oracles` work from anywhere
+
+# one deterministic Hypothesis profile for the whole suite: the same examples
+# on every run, no wall-clock deadline, no example database
+if settings is not None:
+    settings.register_profile("autoexp", derandomize=True, deadline=None,
+                              max_examples=200, database=None)
+    settings.load_profile("autoexp")
 
 ACCEPTANCE_LINES = []
 

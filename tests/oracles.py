@@ -7,6 +7,7 @@ for exact integer convolutions.  Nothing imports the autoexp package.
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -193,3 +194,85 @@ def brute_congruence_evil_inv(q, m, r=3):
                 if (ab + c) % q == m:
                     cnt += 1
     return cnt
+
+
+# ---------------------------------------------------------------------------
+# exact root-of-unity sums as folded dicts (the reference normal form)
+
+HALF = Fraction(1, 2)
+
+
+def folded_terms(pairs):
+    """sum of c * e(t) over (t, c) as {phase in [0, 1/2): nonzero Fraction},
+    folding e(t + 1/2) = -e(t) one term at a time."""
+    out = {}
+    for t, c in pairs:
+        t, c = Fraction(t) % 1, Fraction(c)
+        if t >= HALF:
+            t, c = t - HALF, -c
+        new = out.get(t, 0) + c
+        if new:
+            out[t] = new
+        else:
+            out.pop(t, None)
+    return out
+
+
+def folded_product(x, y):
+    return folded_terms((t1 + t2, c1 * c2)
+                        for t1, c1 in x.items() for t2, c2 in y.items())
+
+
+def folded_conjugate(x):
+    return folded_terms((-t, c) for t, c in x.items())
+
+
+def folded_complex(x):
+    return sum(float(c) * cmath.exp(TWO_PI_I * float(t)) for t, c in x.items())
+
+
+def folded_unit_phase(x):
+    """t when the folded dict is exactly e(t) (or -e(t) = e(t + 1/2))."""
+    if len(x) != 1:
+        return None
+    (t, c), = x.items()
+    return {1: t, -1: t + HALF}.get(c)
+
+
+def _prime_factors(n):
+    out, d = {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def folded_exact_rational(x):
+    """Unfold negative coefficients back to t + 1/2, then sum each Galois
+    orbit {a : gcd(a, L) = d} as mu(L/d) when its coefficients are equal and
+    it is complete; None when some orbit is not."""
+    unfolded = {}
+    for t, c in x.items():
+        if c < 0:
+            t, c = (t + HALF) % 1, -c
+        unfolded[t] = c
+    lcm = 1
+    for t in unfolded:
+        lcm = lcm * t.denominator // math.gcd(lcm, t.denominator)
+    orbits = {}
+    for t, c in unfolded.items():
+        a = t.numerator * (lcm // t.denominator)
+        orbits.setdefault(math.gcd(a, lcm), []).append(c)
+    total = Fraction(0)
+    for d, coeffs in orbits.items():
+        f = _prime_factors(lcm // d)
+        phi = math.prod(p ** (e - 1) * (p - 1) for p, e in f.items())
+        if len(coeffs) != phi or any(c != coeffs[0] for c in coeffs):
+            return None
+        if all(e == 1 for e in f.values()):
+            total += coeffs[0] * (-1) ** len(f)
+    return total

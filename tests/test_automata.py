@@ -194,9 +194,8 @@ def test_sync_failure_workers_fallback_agrees():
         trun = base_digits(n % 8, 2)
         direct += any(d.walk(s, digs) != d.walk(s, trun) for s in range(3))
     assert want == direct
-    # the walk-based fallback (with and without worker threads) must agree
+    # the walk-based fallback must agree
     assert sync_failure_count(d, 5, 500, 3, _dense_limit=1) == direct
-    assert sync_failure_count(d, 5, 500, 3, workers=3, _dense_limit=1) == direct
 
 
 # -- block regrouping ---------------------------------------------------------------

@@ -141,3 +141,9 @@ def test_automaton_file_via_cli(tmp_path, capsys):
     assert run(["eval", "--auto", str(path), "--n", "3"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[1].startswith("3,-1.0")
+
+
+def test_verify_weil_assert_exact_decides_composite_moduli(capsys):
+    # the complete sums of X^2 mod 6 and mod 10 are exactly 0
+    code = run(["verify-weil", "--f", "X^2", "--q-list", "6,10", "--assert-exact", "0"])
+    assert code == 0, capsys.readouterr().err

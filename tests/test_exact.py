@@ -1,11 +1,14 @@
 import cmath
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
 
+from autoexp import expsums
 from autoexp.exact import Cyclotomic, as_exact, phase_to_complex
+from autoexp.modring import parse_rational_function
 
 
 def test_rational_embedding():
@@ -56,11 +59,30 @@ def test_exact_rational_counts_backed():
     p = 13
     counts = np.ones(p, dtype=np.int64)
     counts[0] = 0
-    z = Cyclotomic._from_counts(p, counts)
+    z = Cyclotomic.from_int_histogram(p, counts)
     assert z.exact_rational() == -1
     assert abs(complex(z) - (-1)) < 1e-12
-    uniform = Cyclotomic._from_counts(p, np.full(p, 4, dtype=np.int64))
+    uniform = Cyclotomic.from_int_histogram(p, np.full(p, 4, dtype=np.int64))
     assert uniform.exact_rational() == 0
+
+
+def test_exact_rational_does_not_depend_on_construction(monkeypatch):
+    # every histogram over moduli 1..10 with counts 0..2, built once along the
+    # complete_sum route (phases -> dense count array) and once as a mapping
+    hist = {}
+    monkeypatch.setattr(expsums, "phase_numerators",
+                        lambda f, q, ns: np.repeat(ns, hist["counts"]))
+    f = parse_rational_function("X")
+    mismatches = []
+    for m in range(1, 11):
+        for counts in itertools.product(range(3), repeat=m):
+            hist["counts"] = counts
+            via_counts = expsums.complete_sum(f, m).exact_rational()
+            via_mapping = Cyclotomic.from_int_histogram(
+                m, dict(enumerate(counts))).exact_rational()
+            if via_counts != via_mapping:
+                mismatches.append((counts, via_counts, via_mapping))
+    assert mismatches == []
 
 
 def test_exact_rational_undecided_returns_none():

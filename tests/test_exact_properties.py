@@ -1,0 +1,143 @@
+"""Property tests: Cyclotomic against the folded-dict reference in oracles.py.
+
+Phases have denominators up to 60; coefficients include Fractions with
+numerators of about 40 digits, so values also take the Python-integer
+(dtype=object) path.
+"""
+
+import cmath
+import math
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+import oracles  # noqa: E402
+from autoexp.exact import Cyclotomic  # noqa: E402
+
+phases = st.builds(Fraction, st.integers(-120, 120), st.integers(1, 60))
+coeffs = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 12)),
+    st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 6)))
+
+
+@st.composite
+def orbit_terms(draw):
+    """Equal coefficients on the Galois orbit {a/m : gcd(a, m) = d}, which
+    sums to a rational and so exercises the decided case of exact_rational."""
+    m = draw(st.integers(1, 30))
+    d = draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]))
+    c = draw(coeffs)
+    return [(Fraction(a, m), c) for a in range(m) if math.gcd(a, m) == d]
+
+
+term_lists = st.builds(lambda loose, orbits: loose + [t for o in orbits for t in o],
+                       st.lists(st.tuples(phases, coeffs), max_size=8),
+                       st.lists(orbit_terms(), max_size=2))
+
+
+@st.composite
+def regrouped(draw, terms):
+    """The same sum written differently: shuffled, phases moved by whole
+    turns or by a half turn with the sign flipped, coefficients split, and
+    cancelling pairs inserted."""
+    out = []
+    for t, c in terms:
+        move = draw(st.sampled_from(["keep", "turn", "half", "split"]))
+        if move == "turn":
+            out.append((t + draw(st.integers(-2, 2)), c))
+        elif move == "half":
+            out.append((t + Fraction(1, 2), -c))
+        elif move == "split":
+            part = draw(coeffs)
+            out += [(t, part), (t, c - part)]
+        else:
+            out.append((t, c))
+    for t in draw(st.lists(phases, max_size=2)):
+        out += [(t, 1), (t + Fraction(1, 2), 1)]
+    return draw(st.permutations(out))
+
+
+def scale_of(terms):
+    return 1.0 + sum(abs(float(c)) for _, c in terms)
+
+
+@given(term_lists)
+def test_queries_match_reference(terms):
+    z = Cyclotomic.from_terms(terms)
+    ref = oracles.folded_terms(terms)
+    assert dict(z.iter_terms()) == ref
+    assert [t for t, _ in z.iter_terms()] == sorted(ref)
+    assert z.is_zero() == (not ref)
+    assert z.unit_phase() == oracles.folded_unit_phase(ref)
+    assert z.exact_rational() == oracles.folded_exact_rational(ref)
+    assert abs(complex(z) - oracles.folded_complex(ref)) <= 1e-10 * scale_of(terms)
+
+
+@given(st.data(), term_lists, term_lists)
+def test_equality_and_hash_follow_reference(data, terms, other):
+    z = Cyclotomic.from_terms(terms)
+    same = Cyclotomic.from_terms(data.draw(regrouped(terms)))
+    assert z == same and hash(z) == hash(same)
+    w = Cyclotomic.from_terms(other)
+    agree = oracles.folded_terms(terms) == oracles.folded_terms(other)
+    assert (z == w) == agree
+    if agree:
+        assert hash(z) == hash(w)
+
+
+@given(term_lists, term_lists, term_lists)
+def test_ring_axioms(ta, tb, tc):
+    a, b, c = (Cyclotomic.from_terms(t) for t in (ta, tb, tc))
+    ref_ab = oracles.folded_product(oracles.folded_terms(ta), oracles.folded_terms(tb))
+    assert dict((a * b).iter_terms()) == ref_ab
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + b == b + a and a * b == b * a
+    assert (a * b).conjugate() == a.conjugate() * b.conjugate()
+    assert dict(a.conjugate().iter_terms()) == oracles.folded_conjugate(oracles.folded_terms(ta))
+    assert (a - a).is_zero()
+
+
+@given(phases, coeffs)
+def test_single_term_constructors_reach_the_normal_form(t, c):
+    assert Cyclotomic.from_phase(t, c) == Cyclotomic.from_terms([(t, c)])
+    assert Cyclotomic.from_rational(c) == Cyclotomic.from_terms([(0, c)])
+
+
+@given(st.integers(1, 60), st.lists(st.integers(-2, 2), min_size=1, max_size=60))
+def test_histogram_matches_terms(modulus, counts):
+    counts = counts[:modulus]
+    hist = Cyclotomic.from_int_histogram(modulus, counts, Fraction(1, 3))
+    terms = Cyclotomic.from_terms((Fraction(a, modulus), Fraction(c, 3))
+                                  for a, c in enumerate(counts))
+    assert hist == terms
+
+
+def test_moduli_beyond_int64():
+    # phases over every prime up to 59: the common modulus passes 2^62, so the
+    # exponents are held as Python ints
+    primes = [p for p in range(2, 60) if all(p % d for d in range(2, p))]
+    terms = [(Fraction(1, p), p) for p in primes] + [(Fraction(-2, 59 * 53), 10 ** 30)]
+    z = Cyclotomic.from_terms(terms)
+    ref = oracles.folded_terms(terms)
+    assert dict(z.iter_terms()) == ref
+    w = z * z.conjugate()
+    ref_w = oracles.folded_product(ref, oracles.folded_conjugate(ref))
+    assert dict(w.iter_terms()) == ref_w
+    assert w.exact_rational() == oracles.folded_exact_rational(ref_w)
+    assert abs(complex(w) - abs(complex(z)) ** 2) <= 1e-10 * scale_of(terms) ** 2
+    assert w - z * z.conjugate() == 0
+    # small int64 numerators and exponents over a denominator or modulus
+    # beyond int64 (and beyond the float range) still convert to floats
+    assert complex(Cyclotomic.from_rational(Fraction(1, 2 ** 64))) == 2.0 ** -64
+    assert complex(Cyclotomic.from_rational(Fraction(-3, 10 ** 400))) == 0
+    assert complex(Cyclotomic.from_rational(Fraction(10 ** 400 + 1, 10 ** 400))) == 1
+    for t in (Fraction(1, 2 ** 64), Fraction(-5, 2 ** 64 + 1), Fraction(1, 10 ** 400)):
+        z = Cyclotomic.from_phase(t, Fraction(1, 2 ** 63))
+        assert abs(complex(z) * 2 ** 63 - cmath.exp(2j * math.pi * t)) <= 1e-15

@@ -7,7 +7,7 @@ from autoexp.modring import (FactoredModulus, IntPoly, RationalFunction,
                              add_linear, crt_combine, eval_phase, factorize,
                              is_prime, is_well_defined, mod_inverse,
                              parse_rational_function, phase_fraction,
-                             phase_numerators, rational_gcd, reduce_fraction,
+                             phase_numerators, rational_gcd,
                              reduces_to_quadratic_poly, shift_scale,
                              squarefree_cofactor)
 
@@ -39,12 +39,12 @@ def test_intpoly_compose():
 
 
 def test_reduce_cancels_polynomial_factor():
-    f = reduce_fraction(IntPoly([0, 1, 1]), X)  # (X^2+X)/X
+    f = RationalFunction(IntPoly([0, 1, 1]), X)  # (X^2+X)/X
     assert f.num.coeffs == (1, 1) and f.den.coeffs == (1,)
 
 
 def test_reduce_cancels_content():
-    f = reduce_fraction(IntPoly([2]), IntPoly([0, 4]))  # 2/(4X)
+    f = RationalFunction(IntPoly([2]), IntPoly([0, 4]))  # 2/(4X)
     assert f.num.coeffs == (1,) and f.den.coeffs == (0, 2)
 
 
@@ -205,7 +205,7 @@ def test_quadratic_phase_identity():
 def test_reduces_to_quadratic():
     assert reduces_to_quadratic_poly(parse_rational_function("X^2"), 7)
     assert not reduces_to_quadratic_poly(parse_rational_function("1/X"), 7)
-    f = reduce_fraction(IntPoly([0, -1, 0, 1]), X)  # (X^3-X)/X -> X^2-1
+    f = RationalFunction(IntPoly([0, -1, 0, 1]), X)  # (X^3-X)/X -> X^2-1
     for p in (2, 3, 5, 11):
         assert reduces_to_quadratic_poly(f, p)
     # strict mode: constants are not degree exactly 2
