@@ -123,6 +123,17 @@ class Dfao:
             lo = hi
         return st
 
+    def padded_table(self, entries: Sequence[int], sigma: int) -> np.ndarray:
+        """tab[i, m] = state after reading the sigma-digit zero-padded word of
+        m from entries[i], for all m < k^sigma."""
+        delta = self._delta_flat()
+        k = self.base
+        tab = np.asarray(entries, dtype=np.int32).reshape(-1, 1)
+        for _ in range(sigma):
+            m = np.arange(tab.shape[1] * k)
+            tab = delta[tab[:, m // k] * k + m % k]
+        return tab
+
     def states_at(self, ns: np.ndarray, start: Optional[int] = None) -> np.ndarray:
         """Vectorized state_at; builds a DP table when the range is dense enough."""
         ns = np.asarray(ns, dtype=np.int64)
@@ -363,32 +374,34 @@ def find_synchronizing_word(dfao: Dfao) -> Optional[Tuple[int, ...]]:
     return tuple(word)
 
 
-def sync_failure_count(dfao: Dfao, y: int, x: int, lam: int,
-                       _dense_limit: int = 100_000_000) -> int:
+def sync_failure_count(dfao: Dfao, y: int, x: int, lam: int) -> int:
     """#{n in (y, y+x] : some start state reads (n)_k and (n)_k truncated to
-    lam digits into different states}; direct enumeration over all starts."""
+    lam digits into different states}.
+
+    Block split n = r*K + n' with K = k^sigma the least power of k >= x and
+    h, m0 = divmod(y + 1, K): every n in the range has r = h or h + 1, so its
+    full states are the walks of r followed by the padded-suffix table (read
+    unpadded when h = 0, as a digit 0 need not fix a start).  k^lam divides
+    K, so n mod k^lam is the table index mod k^lam.
+    """
     if y < 0 or x < 1 or lam < 0:
         raise ValueError("need y >= 0, x >= 1, lam >= 0")
     k = dfao.base
-    if k ** lam > x:
-        raise ValueError("lam exceeds floor(log_k(x))")
-    n_top = y + x + 1
     kl = k ** lam
-    if n_top <= _dense_limit // max(dfao.n_states, 1):
-        ns = np.arange(y + 1, y + x + 1, dtype=np.int64)
-        low = ns % kl
-        mism = np.zeros(x, dtype=bool)
-        for s in range(dfao.n_states):
-            st = dfao.state_table(n_top, start=s)
-            mism |= st[ns] != st[low]
-        return int(mism.sum())
-    # fallback for huge offsets: plain digit walks
-    c = 0
-    for m in range(y + 1, y + x + 1):
-        full = [dfao.walk(s, base_digits(m, k)) for s in range(dfao.n_states)]
-        trun = [dfao.walk(s, base_digits(m % kl, k)) for s in range(dfao.n_states)]
-        c += full != trun
-    return c
+    if kl > x:
+        raise ValueError("lam exceeds floor(log_k(x))")
+    sigma = len(base_digits(x - 1, k))     # least sigma with k^sigma >= x
+    h, m0 = divmod(y + 1, k ** sigma)
+    low = np.arange(m0, m0 + x) % kl
+    mism = np.zeros(x, dtype=bool)
+    for s in range(dfao.n_states):
+        if h:
+            full = dfao.padded_table([dfao.walk(s, base_digits(r, k)) for r in (h, h + 1)],
+                                     sigma).ravel()[m0:m0 + x]
+        else:
+            full = dfao.state_table(m0 + x, s)[m0:]
+        mism |= full != dfao.state_table(kl, s)[low]
+    return int(mism.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -431,30 +444,22 @@ def block_decompose_sum(dfao: Dfao, g: Callable[[int], object], y: int, x: int,
     decomp = strongly_connected_components(dfao)
     final_states = decomp.final_states()
 
-    # state after the sigma-digit padded word of n', from every start
-    delta = dfao._delta_flat()
-    pad = np.arange(dfao.n_states, dtype=np.int32).reshape(-1, 1)
-    for _ in range(sigma):
-        m = np.arange(pad.shape[1] * k)
-        pad = delta[pad[:, m // k] * k + m % k]
-
     n_all = np.arange(y + 1, y + x + 1, dtype=np.int64)
     g_vals = [g(int(n)) for n in n_all]
     exact_g = [as_exact(v) for v in g_vals]
     exact_mode = dfao.outputs_exact and all(v is not None for v in exact_g)
 
     rows: List[BlockRow] = []
-    block_states = []
-    for r in range((y + 1) // K, (y + x) // K + 1):
+    r0, m0 = divmod(y + 1, K)
+    for r in range(r0, (y + x) // K + 1):
         digits_r = base_digits(r, k)
         entry = dfao.walk(dfao.initial, digits_r)
         in_R = all(dfao.walk(s, digits_r) in final_states
                    for s in range(dfao.n_states))
         rows.append(BlockRow(r, in_R, entry))
-        lo = max(0, y + 1 - r * K)
-        hi = min(K - 1, y + x - r * K)
-        block_states.append(pad[entry, lo:hi + 1])
-    block_states = np.concatenate(block_states)
+    # blocks r0, r0+1, ... laid end to end; n sits at index n - r0*K
+    block_states = dfao.padded_table([row.entry_state for row in rows],
+                                     sigma).ravel()[m0:m0 + x]
     direct_states = np.array([dfao.state_at(int(n)) for n in n_all], dtype=np.int32)
 
     if exact_mode:

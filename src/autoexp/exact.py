@@ -279,6 +279,8 @@ class Cyclotomic:
         return self.to_complex()
 
     def __abs__(self):
+        if self._nums.size == 1:    # |c/d e(t)| = |c|/d, correctly rounded
+            return abs(int(self._nums[0])) / self._den
         return abs(self.to_complex())
 
     def exact_rational(self) -> Optional[Fraction]:

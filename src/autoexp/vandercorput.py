@@ -83,20 +83,14 @@ class ScalarTransducer:
         k = self.base
         D = self.weight_order
         widx = self.weight_index()
-        st = np.empty(limit, dtype=np.int32)
-        val = np.empty(limit, dtype=np.int64)
-        st[0] = self.initial
-        val[0] = 0
-        delta = self.dfao._delta_flat()
+        st = self.dfao.state_table(limit)
+        val = np.zeros(limit, dtype=np.int64)
         lo = 1
         while lo < limit:
             hi = min(lo * k, limit)
             ns = np.arange(lo, hi)
             parent = ns // k
-            dig = ns % k
-            ps = st[parent]
-            st[lo:hi] = delta[ps * k + dig]
-            val[lo:hi] = (val[parent] + widx[ps, dig]) % D
+            val[lo:hi] = (val[parent] + widx[st[parent], ns % k]) % D
             lo = hi
         return st, val
 

@@ -80,6 +80,18 @@ def test_state_table_matches_walks():
             t2 = d.state_table(100, start=s)
             for n in (0, 1, 17, 99):
                 assert t2[n] == d.walk(s, base_digits(n, d.base))
+    # padded_table reads the sigma-digit zero-padded word of m from each entry
+    rng = random.Random(7)
+    for _ in range(20):
+        d = random_dfao(rng)
+        sigma = rng.randrange(0, 5)
+        entries = [rng.randrange(d.n_states) for _ in range(3)]
+        tab = d.padded_table(entries, sigma)
+        assert tab.shape == (3, d.base ** sigma)
+        for i, e in enumerate(entries):
+            for m in range(d.base ** sigma):
+                digs = base_digits(m, d.base)
+                assert tab[i, m] == d.walk(e, [0] * (sigma - len(digs)) + digs)
 
 
 # -- builtins ------------------------------------------------------------------
@@ -185,17 +197,43 @@ def test_sync_failure_monotone_in_lambda():
     assert all(a >= b for a, b in zip(counts, counts[1:]))
 
 
+def _sync_failures_by_walks(d, y, x, lams):
+    """{lam: sync_failure_count(d, y, x, lam)} by digit walks from every start."""
+    k, starts = d.base, range(d.n_states)
+    full = [[d.walk(s, base_digits(n, k)) for s in starts] for n in range(y + 1, y + x + 1)]
+    return {lam: sum(row != [d.walk(s, base_digits(n % k ** lam, k)) for s in starts]
+                     for n, row in zip(range(y + 1, y + x + 1), full))
+            for lam in lams}
+
+
 def test_sync_failure_workers_fallback_agrees():
     d = block_11()
-    want = sync_failure_count(d, 5, 500, 3)
-    direct = 0
-    for n in range(6, 506):
-        digs = base_digits(n, 2)
-        trun = base_digits(n % 8, 2)
-        direct += any(d.walk(s, digs) != d.walk(s, trun) for s in range(3))
-    assert want == direct
-    # the walk-based fallback must agree
-    assert sync_failure_count(d, 5, 500, 3, _dense_limit=1) == direct
+    assert sync_failure_count(d, 5, 500, 3) == _sync_failures_by_walks(d, 5, 500, [3])[3]
+    # offsets with prefix h >= 1 over K = 512, up to past int64
+    for d in (block_11(), rudin_shapiro()):
+        for y in (1000, 10 ** 12, 2 ** 64 + 7):
+            want = _sync_failures_by_walks(d, y, 300, [0, 3, 8])
+            assert {lam: sync_failure_count(d, y, 300, lam) for lam in want} == want
+
+
+def test_sync_failure_count_random_automata():
+    # kind 0: prefix h = 0; kind 1: h >= 1, straddling (h+1)*K; kinds 2, 3:
+    # h >= 1 inside one block (K = the least power of the base >= x)
+    rng = random.Random(14)
+    no_zero_loop = 0
+    for i in range(240):
+        kind = i % 4
+        d = random_dfao(rng, base=(2, 3, 5)[i % 3], max_states=6)
+        no_zero_loop += any(row[0] != s for s, row in enumerate(d.transitions))
+        x = rng.randrange(2, 120)
+        lam = rng.randrange(0, len(base_digits(x, d.base)))
+        K = d.base ** len(base_digits(x - 1, d.base))
+        h = 0 if kind == 0 else rng.randrange(1, d.base ** rng.randrange(1, 41))
+        lo, hi = (1, K) if kind == 0 else (K - x + 1, K) if kind == 1 else (0, K - x + 1)
+        y = h * K + rng.randrange(lo, hi) - 1
+        want = _sync_failures_by_walks(d, y, x, [lam])[lam]
+        assert sync_failure_count(d, y, x, lam) == want, (d.transitions, y, x, lam)
+    assert no_zero_loop > 50
 
 
 # -- block regrouping ---------------------------------------------------------------

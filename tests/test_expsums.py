@@ -296,6 +296,16 @@ def test_pv_scan_constant_one_full_period():
         assert ratio == pytest.approx(1.0 / q)
 
 
+def test_pv_scan_abs_of_one_term_sum_is_exact():
+    # f = 3 is constant, so S = e(3/q) * #{evil n <= x}: |S| is that count
+    rep = pv_range_scan(thue_morse_even(), parse_rational_function("3"),
+                        [1009, 10007, 100003], 0.75)
+    evil = [sum(bin(n).count("1") % 2 == 0 for n in range(1, x + 1))
+            for x in (math.ceil(q ** 0.75) for q in (1009, 10007, 100003))]
+    assert evil == [90, 500, 2812]
+    assert [row[3] for row in rep.rows] == evil
+
+
 def test_pv_scan_row_order_and_columns():
     rep = pv_range_scan(thue_morse_even(), INV_X, [257, 101], theta=0.75)
     assert [r[0] for r in rep.rows] == [101, 257]
