@@ -10,10 +10,9 @@ every regrouping identity in exact phase arithmetic.
 
 from fractions import Fraction
 
-from autoexp import (carry_violation_count, decompose_weyl,
+from autoexp import (FractionPhase, carry_violation_count, decompose_weyl,
                      parse_rational_function, thue_morse_transducer,
                      vdc_inequality_check)
-from autoexp.presets import g_fraction_phase
 
 import numpy as np
 
@@ -31,7 +30,7 @@ print(f"  lhs = {chk.lhs:.2f}  rhs = {chk.rhs:.2f}  slack = {chk.slack:.2f}")
 
 print("\nexact stage decomposition, g = phase of 1/n mod 1009, x = 20000:")
 tau = lambda sigma, state: (sigma + 1) * Fraction(1, 2)  # evil indicator
-rep = decompose_weyl(tr, tau, g_fraction_phase(parse_rational_function("1/X"), 1009),
+rep = decompose_weyl(tr, tau, FractionPhase(parse_rational_function("1/X"), 1009),
                      0, 20000, 1, 1)
 print(f"  |S_0| = {rep.s0_abs:.4f}")
 print(f"  identities: S0<-S1 {rep.identity_s0}, S1<-S2 {rep.identity_s1}, "

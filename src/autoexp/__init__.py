@@ -12,7 +12,7 @@ from .automata import (BlockDecomposition, ComponentDecomposition, Dfao,
                        builtin_sequences, constant_one, digit_sum_mod,
                        find_synchronizing_word, rudin_shapiro,
                        strongly_connected_components, sync_failure_count,
-                       thue_morse_even)
+                       sync_failure_counts, thue_morse_even)
 from .budget import BudgetError, enumeration_budget
 from .congruence import (CongruenceCount, ValueHistogram, brute_force_count,
                          count_solutions, cyclic_convolve, value_histogram)
@@ -21,11 +21,12 @@ from .expsums import (IntervalProgression, SweepReport, check_gcd_lemma,
                       check_quadratic_geometric, check_weil, complete_sum,
                       correlation_sum, difference_sum, pv_range_scan,
                       weighted_sum)
-from .modring import (FactoredModulus, IntPoly, RationalFunction, add_linear,
-                      crt_combine, eval_phase, factorize, is_well_defined,
-                      mod_inverse, parse_rational_function, phase_fraction,
-                      rational_gcd, reduces_to_quadratic_poly,
-                      shift_scale, squarefree_cofactor)
+from .modring import (FactoredModulus, FractionPhase, IntPoly, PhaseValues,
+                      RationalFunction, add_linear, crt_combine, eval_phase,
+                      factorize, is_well_defined, mod_inverse,
+                      parse_rational_function, phase_fraction, phase_values,
+                      rational_gcd, reduces_to_quadratic_poly, shift_scale,
+                      squarefree_cofactor)
 from .presets import RunConfig, preset
 from .vandercorput import (ScalarTransducer, WeylReport, carry_violation_count,
                            decompose_weyl, digit_sum_transducer, eta_fit,

@@ -18,7 +18,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .exact import Cyclotomic, as_exact, term_table
+from .budget import require_budget
+from .exact import Cyclotomic, as_exact, indexed_phase_sum
+from .modring import phase_values
 
 OutputValue = Union[int, Fraction, Cyclotomic, complex, float]
 
@@ -109,7 +111,7 @@ class Dfao:
 
     def state_table(self, limit: int, start: Optional[int] = None) -> np.ndarray:
         """st[n] = state after reading (n)_k from start, for all n < limit."""
-        delta = self._delta_flat()
+        children = self._delta_flat().reshape(-1, self.base)
         k = self.base
         st = np.empty(limit, dtype=np.int32)
         if limit == 0:
@@ -118,20 +120,20 @@ class Dfao:
         lo = 1
         while lo < limit:
             hi = min(lo * k, limit)
-            ns = np.arange(lo, hi)
-            st[lo:hi] = delta[st[ns // k] * k + ns % k]
+            # the children p*k + d of the parents p = n // k, in order of n
+            first = lo // k
+            kids = children[st[first:(hi - 1) // k + 1]].ravel()
+            st[lo:hi] = kids[lo - first * k:hi - first * k]
             lo = hi
         return st
 
     def padded_table(self, entries: Sequence[int], sigma: int) -> np.ndarray:
         """tab[i, m] = state after reading the sigma-digit zero-padded word of
         m from entries[i], for all m < k^sigma."""
-        delta = self._delta_flat()
-        k = self.base
+        children = self._delta_flat().reshape(-1, self.base)
         tab = np.asarray(entries, dtype=np.int32).reshape(-1, 1)
-        for _ in range(sigma):
-            m = np.arange(tab.shape[1] * k)
-            tab = delta[tab[:, m // k] * k + m % k]
+        for _ in range(sigma):      # column m*k + d follows digit d after m
+            tab = children[tab].reshape(tab.shape[0], -1)
         return tab
 
     def states_at(self, ns: np.ndarray, start: Optional[int] = None) -> np.ndarray:
@@ -376,32 +378,40 @@ def find_synchronizing_word(dfao: Dfao) -> Optional[Tuple[int, ...]]:
 
 def sync_failure_count(dfao: Dfao, y: int, x: int, lam: int) -> int:
     """#{n in (y, y+x] : some start state reads (n)_k and (n)_k truncated to
-    lam digits into different states}.
+    lam digits into different states}."""
+    return sync_failure_counts(dfao, y, x, [lam])[0]
+
+
+def sync_failure_counts(dfao: Dfao, y: int, x: int, lams: Sequence[int]) -> List[int]:
+    """[sync_failure_count(dfao, y, x, lam) for lam in lams], reading the full
+    states of each start once for every lam.
 
     Block split n = r*K + n' with K = k^sigma the least power of k >= x and
     h, m0 = divmod(y + 1, K): every n in the range has r = h or h + 1, so its
     full states are the walks of r followed by the padded-suffix table (read
     unpadded when h = 0, as a digit 0 need not fix a start).  k^lam divides
-    K, so n mod k^lam is the table index mod k^lam.
+    K, so the truncated states repeat with period k^lam from table index m0.
     """
-    if y < 0 or x < 1 or lam < 0:
-        raise ValueError("need y >= 0, x >= 1, lam >= 0")
     k = dfao.base
-    kl = k ** lam
-    if kl > x:
-        raise ValueError("lam exceeds floor(log_k(x))")
+    for lam in lams:
+        if y < 0 or x < 1 or lam < 0:
+            raise ValueError("need y >= 0, x >= 1, lam >= 0")
+        if k ** lam > x:
+            raise ValueError("lam exceeds floor(log_k(x))")
     sigma = len(base_digits(x - 1, k))     # least sigma with k^sigma >= x
     h, m0 = divmod(y + 1, k ** sigma)
-    low = np.arange(m0, m0 + x) % kl
-    mism = np.zeros(x, dtype=bool)
+    mism = np.zeros((len(lams), x), dtype=bool)
     for s in range(dfao.n_states):
         if h:
             full = dfao.padded_table([dfao.walk(s, base_digits(r, k)) for r in (h, h + 1)],
                                      sigma).ravel()[m0:m0 + x]
         else:
             full = dfao.state_table(m0 + x, s)[m0:]
-        mism |= full != dfao.state_table(kl, s)[low]
-    return int(mism.sum())
+        for row, lam in zip(mism, lams):
+            kl = k ** lam
+            tiled = np.tile(dfao.state_table(kl, s), x // kl + 2)
+            row |= full != tiled[m0 % kl:m0 % kl + x]
+    return [int(row.sum()) for row in mism]
 
 
 # ---------------------------------------------------------------------------
@@ -435,22 +445,24 @@ def block_decompose_sum(dfao: Dfao, g: Callable[[int], object], y: int, x: int,
     the sigma-digit zero-padded word of n', which reproduces a_n exactly; the
     per-r rows record whether r lands every state in a final component and
     which entry state the block sequence uses.  The regrouped total is checked
-    against the direct sum before returning.
+    against the direct sum before returning.  g is read by phase_values; the
+    sums are exact when the outputs are exact and every g value is 0 or an
+    exact root of unity (always, for a FractionPhase), complex otherwise.
     """
     k = dfao.base
     K = k ** sigma
     if K > x:
         raise ValueError("k^sigma must not exceed x")
+    r0, m0 = divmod(y + 1, K)
+    require_budget(((y + x) // K - r0 + 1) * K, "block table length")
     decomp = strongly_connected_components(dfao)
     final_states = decomp.final_states()
 
     n_all = np.arange(y + 1, y + x + 1, dtype=np.int64)
-    g_vals = [g(int(n)) for n in n_all]
-    exact_g = [as_exact(v) for v in g_vals]
-    exact_mode = dfao.outputs_exact and all(v is not None for v in exact_g)
+    gv = phase_values(g, n_all)
+    exact_mode = dfao.outputs_exact and gv.exact
 
     rows: List[BlockRow] = []
-    r0, m0 = divmod(y + 1, K)
     for r in range(r0, (y + x) // K + 1):
         digits_r = base_digits(r, k)
         entry = dfao.walk(dfao.initial, digits_r)
@@ -464,24 +476,17 @@ def block_decompose_sum(dfao: Dfao, g: Callable[[int], object], y: int, x: int,
 
     if exact_mode:
         # sum over n of outputs[states[n]] * g(n), term by term
-        W, exps, nums, den = term_table(list(dfao.outputs) + exact_g)
-        S = dfao.n_states
-
-        def weighted(states: np.ndarray) -> Cyclotomic:
-            shifted = exps[states][:, :, None] + exps[S:][:, None, :]
-            prods = nums[states][:, :, None] * nums[S:][:, None, :]
-            return Cyclotomic.from_int_histogram(W, prods.ravel(), Fraction(1, den * den),
-                                                 exps=shifted.ravel())
-
-        total: Union[Cyclotomic, complex] = weighted(block_states)
-        direct: Union[Cyclotomic, complex] = weighted(direct_states)
+        total: Union[Cyclotomic, complex] = indexed_phase_sum(
+            dfao.outputs, block_states, gv.modulus, gv.values)
+        direct: Union[Cyclotomic, complex] = indexed_phase_sum(
+            dfao.outputs, direct_states, gv.modulus, gv.values)
         if total != direct:
             raise AssertionError("block regrouping failed to match the direct sum")
     else:
         outs = np.array([complex(v) for v in dfao.outputs])
-        gv = np.array([complex(v) for v in g_vals])
-        tts = (outs[block_states] * gv).tolist()
-        dts = (outs[direct_states] * gv).tolist()
+        gz = gv.to_complex()
+        tts = (outs[block_states] * gz).tolist()
+        dts = (outs[direct_states] * gz).tolist()
         total = complex(math.fsum(t.real for t in tts), math.fsum(t.imag for t in tts))
         direct = complex(math.fsum(t.real for t in dts), math.fsum(t.imag for t in dts))
         if abs(total - direct) > 1e-12 * max(1.0, abs(direct)):

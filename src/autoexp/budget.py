@@ -17,3 +17,10 @@ def enumeration_budget() -> int:
     if value < 1:
         raise ValueError("AUTOEXP_BUDGET must be a positive integer")
     return value
+
+
+def require_budget(cost: int, what: str) -> None:
+    """Raise BudgetError before enumerating cost elements beyond the budget."""
+    budget = enumeration_budget()
+    if cost > budget:
+        raise BudgetError(f"{what} ({cost}) exceeds the enumeration budget ({budget})")

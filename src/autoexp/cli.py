@@ -18,7 +18,7 @@ from typing import Dict, List, Optional
 from . import automata, congruence, expsums, presets, vandercorput
 from .budget import BudgetError
 from .expsums import IntervalProgression, SweepReport
-from .modring import parse_rational_function
+from .modring import FractionPhase, parse_rational_function
 from .presets import RunConfig
 
 
@@ -59,11 +59,11 @@ def _tau_by_name(name: str):
 
 def _g_from_args(args: Dict) -> object:
     if args.get("g_one"):
-        return lambda n: 1
+        return presets.g_one
     if args.get("g_f"):
-        f = parse_rational_function(str(args["g_f"]))
-        q = int(args["g_q"])
-        return presets.g_fraction_phase(f, q)
+        if args.get("g_q") is None:
+            raise ValueError("--g-f needs --g-q")
+        return FractionPhase(parse_rational_function(str(args["g_f"])), int(args["g_q"]))
     raise ValueError("specify --g-one or --g-f/--g-q")
 
 
@@ -87,7 +87,7 @@ def cmd_sum(args: Dict) -> SweepReport:
 def cmd_correlate(args: Dict) -> SweepReport:
     f = parse_rational_function(str(args["f"]))
     q = int(args["q"])
-    g = presets.g_fraction_phase(f, q)
+    g = FractionPhase(f, q)
     u = expsums.correlation_sum(g, int(args["x"]), int(args.get("y", 0)),
                                 int(args["h"]), int(args.get("prog_mod", 1)),
                                 int(args.get("prog_res", 0)))
@@ -228,11 +228,9 @@ def cmd_carry_scan(args: Dict) -> SweepReport:
 def cmd_sync_scan(args: Dict) -> SweepReport:
     dfao = _load_automaton(str(args["auto"]))
     x = int(args["x"])
-    rows = []
-    for lam in _parse_int_list(args["lam_list"]):
-        rows.append((lam, automata.sync_failure_count(dfao, int(args.get("y", 0)),
-                                                      x, lam)))
-    return SweepReport(("lam", "count"), rows,
+    lams = _parse_int_list(args["lam_list"])
+    counts = automata.sync_failure_counts(dfao, int(args.get("y", 0)), x, lams)
+    return SweepReport(("lam", "count"), list(zip(lams, counts)),
                        {"automaton": dfao.name or "dfao", "x": x})
 
 

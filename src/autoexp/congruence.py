@@ -18,7 +18,7 @@ from typing import List, Sequence, Tuple, Union
 import numpy as np
 
 from .automata import Dfao
-from .budget import BudgetError, enumeration_budget
+from .budget import require_budget
 from .exact import Cyclotomic
 from .modring import FactoredModulus, RationalFunction, is_well_defined
 
@@ -152,8 +152,7 @@ def brute_force_count(fs: Sequence[RationalFunction], set_dfao: Dfao,
     """Direct nested enumeration; must equal count_solutions exactly."""
     qv = FactoredModulus.of(q).value
     r = len(fs)
-    if qv ** r > enumeration_budget():
-        raise BudgetError(f"q^r = {qv}^{r} exceeds the enumeration budget")
+    require_budget(qv ** r, f"q^r = {qv}^{r}")
     member = _indicator_values(set_dfao, qv)
     ns = np.arange(1, qv + 1, dtype=np.int64)
     value_lists: List[List[int]] = []

@@ -345,6 +345,19 @@ def term_table(values: Sequence[Cyclotomic],
     return W, exps, nums, den
 
 
+def indexed_phase_sum(values: Sequence[Cyclotomic], index: np.ndarray, modulus: int,
+                      phases: np.ndarray) -> Cyclotomic:
+    """sum over i of values[index[i]] * e(phases[i] / modulus), skipping the
+    pole marker phases[i] = -1: the terms of each value shifted by a phase,
+    summed in one histogram."""
+    W, exps, nums, den = term_table(values, modulus)
+    live = phases >= 0
+    idx = index[live]
+    shifted = exps[idx] + (phases[live] * (W // modulus))[:, None]
+    return Cyclotomic.from_int_histogram(W, nums[idx].ravel(), Fraction(1, den),
+                                         exps=shifted.ravel())
+
+
 def as_exact(value) -> Optional[Cyclotomic]:
     """Coerce ints, Fractions and Cyclotomics to Cyclotomic; None for floats."""
     if isinstance(value, Cyclotomic):

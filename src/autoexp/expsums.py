@@ -17,10 +17,10 @@ from typing import Callable, Dict, Iterable, List, Sequence, Tuple, Union
 import numpy as np
 
 from .automata import Dfao
-from .exact import Cyclotomic, term_table
+from .exact import Cyclotomic, indexed_phase_sum
 from .modring import (FactoredModulus, RationalFunction, mod_inverse,
-                      phase_numerators, rational_gcd, reduces_to_quadratic_poly,
-                      shift_scale, squarefree_cofactor)
+                      phase_numerators, phase_values, rational_gcd,
+                      reduces_to_quadratic_poly, shift_scale, squarefree_cofactor)
 
 
 @dataclass(frozen=True)
@@ -78,12 +78,7 @@ def weighted_sum(dfao: Dfao, f: RationalFunction, q: Union[int, FactoredModulus]
     states = dfao.states_at(ns)
     if dfao.outputs_exact:
         # term by term: a_n's terms shifted by the phase of n, poles dropped
-        W, exps, nums, den = term_table(dfao.outputs, qv)
-        live = phases >= 0
-        st = states[live]
-        shifted = exps[st] + (phases[live] * (W // qv))[:, None]
-        return Cyclotomic.from_int_histogram(W, nums[st].ravel(), Fraction(1, den),
-                                             exps=shifted.ravel())
+        return indexed_phase_sum(dfao.outputs, states, qv, phases)
     vals = np.array([complex(dfao.outputs[s]) for s in states])
     ang = 2.0 * np.pi * phases / qv
     z = np.where(phases >= 0, np.exp(1j * ang), 0j) * vals
@@ -94,11 +89,12 @@ def correlation_sum(g: Callable[[int], object], x: int, y: int, h: int,
                     q: int, a: int) -> complex:
     """Two-point correlation sum of g(n) * conj(g(n+h)) over {y < n <= y+x,
     n = a mod q}."""
-    region = IntervalProgression(y, x, q, a % q if q > 1 else 0)
-    terms = []
-    for n in region.values():
-        terms.append(complex(g(int(n))) * complex(g(int(n) + h)).conjugate())
-    return _fsum_complex(terms)
+    ns = IntervalProgression(y, x, q, a % q if q > 1 else 0).values()
+    z = phase_values(g, np.concatenate([ns, ns + h])).to_complex()
+    u, v = z[:ns.size], z[ns.size:]
+    # u * conj(v) one rounding at a time, as Python's complex product rounds
+    return complex(math.fsum(u.real * v.real + u.imag * v.imag),
+                   math.fsum(u.imag * v.real - u.real * v.imag))
 
 
 def difference_sum(f: RationalFunction, q: Union[int, FactoredModulus], r: int,

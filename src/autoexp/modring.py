@@ -11,13 +11,14 @@ from __future__ import annotations
 import math
 import random
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .exact import Cyclotomic
+from .exact import Cyclotomic, as_exact
 
 
 # ---------------------------------------------------------------------------
@@ -641,6 +642,71 @@ def phase_numerators(f: RationalFunction, q: Union[int, FactoredModulus],
         local = c * pn % m * inv % m
         total = (total + local * cof) % qv
     return np.where(pole, np.int64(-1), total)
+
+
+class FractionPhase:
+    """g(n) = e(f(n)/q), 0 at the poles of f mod q: callable per n, and
+    numerators() gives a whole array of n in one phase_numerators pass."""
+
+    __slots__ = ("f", "q")
+
+    def __init__(self, f: RationalFunction, q: Union[int, FactoredModulus]):
+        self.q = FactoredModulus.of(q)
+        _require_well_defined(f, self.q)
+        self.f = f
+
+    def __call__(self, n: int) -> Cyclotomic:
+        return eval_phase(self.f, self.q, n)
+
+    def numerators(self, ns) -> np.ndarray:
+        return phase_numerators(self.f, self.q, ns)
+
+
+@dataclass(frozen=True)
+class PhaseValues:
+    """g at an array of n: exact phases g = e(values/modulus) with -1 where
+    g = 0 (modulus >= 1), or complex floats (modulus 0)."""
+
+    modulus: int
+    values: np.ndarray
+
+    @property
+    def exact(self) -> bool:
+        return self.modulus > 0
+
+    def to_complex(self) -> np.ndarray:
+        """complex(g) per element, rounded as Cyclotomic.to_complex rounds."""
+        if not self.exact:
+            return self.values
+        v, L = self.values, self.modulus
+        if L >= 1 << 61:    # 2v and 2L in Python ints: int64 would overflow
+            v = v.astype(object)
+        # the normal form's half-turn fold: e(t) = -e(t - 1/2) for t >= 1/2
+        fold = 2 * v >= L
+        t = np.where(fold, 2 * v - L, 2 * v) / (2 * L)
+        ang = 2 * np.pi * t.astype(np.float64)
+        z = np.cos(ang) + 1j * np.sin(ang)
+        return np.where(v < 0, 0j, np.where(fold, -z, z))
+
+
+def phase_values(g: Callable[[int], object], ns) -> PhaseValues:
+    """g at every n of an integer array.  A FractionPhase takes one
+    phase_numerators pass over its modulus; any other callable is evaluated
+    per n and is exact when every value is 0 or an exact root of unity."""
+    ns = np.asarray(ns, dtype=np.int64)
+    if isinstance(g, FractionPhase):
+        return PhaseValues(g.q.value, g.numerators(ns))
+    values = [g(int(n)) for n in ns]
+    phases: List[Optional[Fraction]] = []
+    for v in values:
+        ex = as_exact(v)
+        t = None if ex is None else ex.unit_phase()
+        if t is None and (ex is None or not ex.is_zero()):
+            return PhaseValues(0, np.array([complex(v) for v in values], dtype=complex))
+        phases.append(t)
+    L = math.lcm(1, *(t.denominator for t in phases if t is not None))
+    return PhaseValues(L, np.array([-1 if t is None else t.numerator * (L // t.denominator)
+                                    for t in phases], dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------

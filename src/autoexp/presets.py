@@ -12,13 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from . import automata, congruence, expsums, modring, vandercorput
 from .exact import Cyclotomic
-from .modring import (FactoredModulus, IntPoly, RationalFunction,
+from .modring import (FractionPhase, IntPoly, RationalFunction,
                       parse_rational_function, phase_fraction)
 
 
@@ -222,15 +222,7 @@ def run_conv_algebra(trials: int = 200, seed: int = _SEED) -> dict:
 # the 20-configuration exact Weyl grid
 
 
-def g_one(n: int):
-    return 1
-
-
-def g_fraction_phase(f: RationalFunction, q: int) -> Callable[[int], Cyclotomic]:
-    fq = FactoredModulus.of(q)
-    def g(n: int) -> Cyclotomic:
-        return modring.eval_phase(f, fq, n)
-    return g
+g_one = FractionPhase(RationalFunction(IntPoly()), 1)     # e(0) = 1 for every n
 
 
 def tau_evil(sigma: Cyclotomic, state: int):
@@ -272,28 +264,28 @@ def weyl_grid_configs() -> List[Tuple[str, dict]]:
     add("tm-evil-one-b", _tm(), tau_evil, g_one, 0, 2000, 2, 1)
     add("tm-evil-one-c", _tm(), tau_evil, g_one, 0, 2000, 1, 2)
     add("tm-evil-one-d", _tm(), tau_evil, g_one, 997, 4096, 2, 2)
-    add("tm-evil-eq101-a", _tm(), tau_evil, g_fraction_phase(inv_x, 101), 0, 2000, 1, 1)
-    add("tm-evil-eq101-b", _tm(), tau_evil, g_fraction_phase(inv_x, 101), 0, 5000, 2, 1)
-    add("tm-evil-eq101-c", _tm(), tau_evil, g_fraction_phase(inv_x, 101), 50, 3000, 1, 2)
-    add("tm-sign-eq101", _tm(), tau_sign, g_fraction_phase(inv_x, 101), 0, 3000, 1, 1)
-    add("tm-sign-klo61", _tm(), tau_sign, g_fraction_phase(klo, 61), 10, 2500, 1, 1)
-    add("tm-evil-eq1009-a", _tm(), tau_evil, g_fraction_phase(inv_x, 1009), 0, 20000, 1, 1)
-    add("tm-evil-eq1009-b", _tm(), tau_evil, g_fraction_phase(inv_x, 1009), 0, 20000, 2, 2)
-    add("tm-evil-eq1009-big", _tm(), tau_evil, g_fraction_phase(inv_x, 1009), 0, 100000, 1, 1)
+    add("tm-evil-eq101-a", _tm(), tau_evil, FractionPhase(inv_x, 101), 0, 2000, 1, 1)
+    add("tm-evil-eq101-b", _tm(), tau_evil, FractionPhase(inv_x, 101), 0, 5000, 2, 1)
+    add("tm-evil-eq101-c", _tm(), tau_evil, FractionPhase(inv_x, 101), 50, 3000, 1, 2)
+    add("tm-sign-eq101", _tm(), tau_sign, FractionPhase(inv_x, 101), 0, 3000, 1, 1)
+    add("tm-sign-klo61", _tm(), tau_sign, FractionPhase(klo, 61), 10, 2500, 1, 1)
+    add("tm-evil-eq1009-a", _tm(), tau_evil, FractionPhase(inv_x, 1009), 0, 20000, 1, 1)
+    add("tm-evil-eq1009-b", _tm(), tau_evil, FractionPhase(inv_x, 1009), 0, 20000, 2, 2)
+    add("tm-evil-eq1009-big", _tm(), tau_evil, FractionPhase(inv_x, 1009), 0, 100000, 1, 1)
     add("ds24-sign-eq101", vandercorput.digit_sum_transducer(2, 4), tau_sign,
-        g_fraction_phase(inv_x, 101), 0, 4000, 1, 1)
+        FractionPhase(inv_x, 101), 0, 4000, 1, 1)
     add("ds24-sign-one", vandercorput.digit_sum_transducer(2, 4), tau_sign,
         g_one, 0, 2000, 1, 1)
     add("ds33-sign-one", vandercorput.digit_sum_transducer(3, 3), tau_sign,
         g_one, 0, 3000, 1, 1)
     add("ds33-sign-eq41", vandercorput.digit_sum_transducer(3, 3), tau_sign,
-        g_fraction_phase(inv_x, 41), 0, 3000, 1, 1)
+        FractionPhase(inv_x, 41), 0, 3000, 1, 1)
     add("b11-pick-one", block_11_transducer(), tau_pick(2), g_one, 0, 3000, 1, 1)
-    add("b11-pick-eq101", block_11_transducer(), tau_pick(2), g_fraction_phase(inv_x, 101),
+    add("b11-pick-eq101", block_11_transducer(), tau_pick(2), FractionPhase(inv_x, 101),
         0, 5000, 1, 1)
-    add("b11-pick-eq257", block_11_transducer(), tau_pick(2), g_fraction_phase(inv_x, 257),
+    add("b11-pick-eq257", block_11_transducer(), tau_pick(2), FractionPhase(inv_x, 257),
         31, 8192, 2, 1)
-    add("b11-evil-eq101", block_11_transducer(), tau_evil, g_fraction_phase(inv_x, 101),
+    add("b11-evil-eq101", block_11_transducer(), tau_evil, FractionPhase(inv_x, 101),
         0, 4000, 1, 1)
     return cfgs
 

@@ -12,6 +12,7 @@ carry-failure sets that bound the error terms.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,9 +20,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .automata import Dfao, base_digits, find_synchronizing_word, sync_failure_count
-from .budget import BudgetError, enumeration_budget
-from .exact import Cyclotomic, as_exact, term_table
+# sync_failure_count stays bound here for callers (and bench/test_bench.py) that
+# reach it through this module
+from .automata import (Dfao, base_digits, find_synchronizing_word,  # noqa: F401
+                       sync_failure_count, sync_failure_counts)
+from .budget import require_budget
+from .exact import Cyclotomic, as_exact, indexed_phase_sum
+from .modring import phase_values
 
 StageValue = Union[Cyclotomic, complex]
 
@@ -88,9 +93,10 @@ class ScalarTransducer:
         lo = 1
         while lo < limit:
             hi = min(lo * k, limit)
-            ns = np.arange(lo, hi)
-            parent = ns // k
-            val[lo:hi] = (val[parent] + widx[st[parent], ns % k]) % D
+            # the children p*k + d of the parents p = n // k, in order of n
+            first, last = lo // k, (hi - 1) // k + 1
+            kids = ((val[first:last, None] + widx[st[first:last]]) % D).ravel()
+            val[lo:hi] = kids[lo - first * k:hi - first * k]
             lo = hi
         return st, val
 
@@ -183,9 +189,7 @@ def carry_violation_count(tr: ScalarTransducer, lam: int, alpha: int, rho: int,
     if alpha < 0 or r < 0:
         raise ValueError("need alpha >= 0 and r >= 0")
     k = tr.base
-    if k ** (lam + 2 * alpha) > enumeration_budget():
-        raise BudgetError(f"k^(lam+2*alpha) = {k}^{lam + 2 * alpha} exceeds "
-                          "the enumeration budget")
+    require_budget(k ** (lam + 2 * alpha), f"k^(lam+2*alpha) = {k}^{lam + 2 * alpha}")
     ka = k ** alpha
     L = k ** lam
     trunc_mod = k ** (alpha + rho)
@@ -217,13 +221,9 @@ def eta_fit(dfao: Dfao, x: Optional[int] = None,
         x = k ** 12
     if lams is None:
         lams = range(1, 9)
-    pts = []
-    for lam in lams:
-        if k ** lam > x:
-            break
-        c = sync_failure_count(dfao, 0, x, lam)
-        if c > 0:
-            pts.append((lam, math.log(c / x, k)))
+    lams = list(itertools.takewhile(lambda lam: k ** lam <= x, lams))
+    pts = [(lam, math.log(c / x, k))
+           for lam, c in zip(lams, sync_failure_counts(dfao, 0, x, lams)) if c > 0]
     if len(pts) < 2:
         return None
     xs = np.array([p[0] for p in pts], dtype=float)
@@ -282,23 +282,6 @@ class WeylReport:
         return out
 
 
-def _classify_g(values: List) -> Tuple[bool, Optional[List[Optional[Fraction]]]]:
-    """Exact mode needs every g value to be zero or a pure root of unity."""
-    phases: List[Optional[Fraction]] = []
-    for v in values:
-        ex = as_exact(v)
-        if ex is None:
-            return False, None
-        if ex.is_zero():
-            phases.append(None)
-            continue
-        t = ex.unit_phase()
-        if t is None:
-            return False, None
-        phases.append(t)
-    return True, phases
-
-
 def _bucket_sums(buckets: np.ndarray, phases: np.ndarray, mod: int,
                  weights: Optional[np.ndarray] = None) -> Dict[int, Cyclotomic]:
     """bucket -> exact sum of weight * e(phase/mod) over its elements (weights
@@ -327,9 +310,12 @@ def decompose_weyl(tr: ScalarTransducer, tau: Callable[[Cyclotomic, int], object
     against the mod-M regrouping of S_2 up to the explicit synchronization
     failure set; S_3 against the character expansion of S_2; S_4 against the
     truncated-cocycle combination of S_5 up to the explicit carry failure
-    set.  When g returns zeros or exact roots of unity and tau returns exact
-    values, every identity is checked in exact phase arithmetic; otherwise
-    the stages are complex and the identities are checked to 1e-9 relative.
+    set.  g is read once over (y, y + x + (R-1)M] by phase_values (one
+    phase_numerators pass for a FractionPhase).  When its values are zeros
+    or exact roots of unity and tau returns exact values, every identity is
+    checked in exact phase arithmetic; otherwise the stages are complex and
+    the identities are checked to 1e-9 relative.  The table length is
+    checked against the enumeration budget before anything is allocated.
     The van der Corput inequality is checked on each S_3 sequence, and the
     comparator x M^-eta + sum_m sqrt((x/(RM)) sum |S_5|) is reported next
     to |S_0|.
@@ -345,11 +331,14 @@ def decompose_weyl(tr: ScalarTransducer, tau: Callable[[Cyclotomic, int], object
     D = tr.weight_order
     S = tr.dfao.n_states
     top = y + x + (R - 1) * M + 1
-    st, val = tr.tables(max(top, RM2 + R * M + 1))
+    limit = max(top, RM2 + R * M + 1)
+    require_budget(limit, "table length max(y + x + (R-1)M, RM^2 + RM) + 1")
+    st, val = tr.tables(limit)
     ns = np.arange(y + 1, y + x + 1, dtype=np.int64)
 
-    g_values = [g(int(n)) for n in range(y + 1, y + x + (R - 1) * M + 1)]
-    exact, g_phases = _classify_g(g_values)
+    # g over (y, y + x + (R-1)M]: n sits at index n - (y + 1)
+    gv = phase_values(g, np.arange(y + 1, top, dtype=np.int64))
+    exact = gv.exact
     tau_table: Dict[Tuple[int, int], object] = {}
     for j in range(D):
         sigma = Cyclotomic.root_of_unity(j, D)
@@ -368,29 +357,14 @@ def decompose_weyl(tr: ScalarTransducer, tau: Callable[[Cyclotomic, int], object
     sync_mask = q_n != trunc_q
     sync_failures = int(sync_mask.sum())
 
+    gz_all = gv.to_complex()
     if exact:
-        Lg = 1
-        for t in g_phases:
-            if t is not None:
-                Lg = Lg * t.denominator // math.gcd(Lg, t.denominator)
-        gph_all = np.array([-1 if t is None else int(t * Lg) for t in g_phases],
-                           dtype=np.int64)
-        LL = Lg * D // math.gcd(Lg, D)
-        gz_all = np.where(
-            gph_all >= 0,
-            np.exp(2j * np.pi * np.where(gph_all >= 0, gph_all, 0) / Lg), 0j)
+        Lg, gph_all = gv.modulus, gv.values
+        LL = math.lcm(Lg, D)
     else:
-        gz_all = np.array([complex(v) for v in g_values])
         tau_table = {key: complex(v) for key, v in tau_table.items()}
-
-    def gp(narr: np.ndarray) -> np.ndarray:
-        return gph_all[narr - (y + 1)]
-
-    def gz(narr: np.ndarray) -> np.ndarray:
-        return gz_all[narr - (y + 1)]
-
-    g_n = gp(ns) if exact else None
-    z_n = gz(ns)
+    g_n = gph_all[:x] if exact else None
+    z_n = gz_all[:x]
 
     if exact:
         same = lambda a, b: a == b
@@ -405,13 +379,9 @@ def decompose_weyl(tr: ScalarTransducer, tau: Callable[[Cyclotomic, int], object
     # ---- S_0 directly, and S_1 per (weight value, end state)
     if exact:
         # S_0 term by term: the terms of tau at n shifted by the phase of g(n)
-        W0, t_exps, t_nums, t_den = term_table(
-            [tau_table[(j, q)] for j in range(D) for q in range(S)], Lg)
-        live = g_n >= 0
-        key = (j_n * S + q_n)[live]
-        shifted = t_exps[key] + (g_n[live] * (W0 // Lg))[:, None]
-        s0: StageValue = Cyclotomic.from_int_histogram(
-            W0, t_nums[key].ravel(), Fraction(1, t_den), exps=shifted.ravel())
+        s0: StageValue = indexed_phase_sum(
+            [tau_table[(j, q)] for j in range(D) for q in range(S)],
+            j_n * S + q_n, Lg, g_n)
         s1 = {(b // S, b % S): v
               for b, v in _bucket_sums(j_n * S + q_n, g_n, Lg).items()}
     else:
@@ -500,13 +470,13 @@ def decompose_weyl(tr: ScalarTransducer, tau: Callable[[Cyclotomic, int], object
         carry_failures[r] = int(fail_mask.sum())
         dvt_table = (val[np.arange(RM2)] - val[(np.arange(RM2) + shift) % RM2]) % D
         if exact:
-            g2 = gp(ns + shift)
+            g2 = gph_all[shift:shift + x]
             pole = (g_n < 0) | (g2 < 0)
             gc = np.where(pole, np.int64(-1), (g_n - g2) % Lg)
             for b, v in _bucket_sums(mprime_n, gc, Lg).items():
                 s5[(b, r)] = v
         else:
-            zc = z_n * np.conj(gz(ns + shift))
+            zc = z_n * np.conj(gz_all[shift:shift + x])
             acc5 = np.zeros(RM2, dtype=complex)
             np.add.at(acc5, mprime_n, zc)
             for mp in range(RM2):

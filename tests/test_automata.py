@@ -8,7 +8,7 @@ from autoexp.automata import (Dfao, base_digits, block_11, block_decompose_sum,
                               builtin_sequences, constant_one, digit_sum_mod,
                               find_synchronizing_word, rudin_shapiro,
                               strongly_connected_components, sync_failure_count,
-                              thue_morse_even)
+                              sync_failure_counts, thue_morse_even)
 from autoexp.exact import Cyclotomic
 
 ONE = Cyclotomic.from_rational(1)
@@ -214,6 +214,18 @@ def test_sync_failure_workers_fallback_agrees():
         for y in (1000, 10 ** 12, 2 ** 64 + 7):
             want = _sync_failures_by_walks(d, y, 300, [0, 3, 8])
             assert {lam: sync_failure_count(d, y, 300, lam) for lam in want} == want
+
+
+def test_sync_failure_counts_one_table_pass_for_all_lambdas():
+    rng = random.Random(8)
+    for d in (block_11(), rudin_shapiro(), random_dfao(rng, base=3, n_states=4)):
+        for y in (0, 1000, 10 ** 12):
+            lams = [5, 0, 3, 1, 3]
+            want = _sync_failures_by_walks(d, y, 300, set(lams))
+            assert sync_failure_counts(d, y, 300, lams) == [want[lam] for lam in lams]
+    assert sync_failure_counts(block_11(), 0, 100, []) == []
+    with pytest.raises(ValueError):
+        sync_failure_counts(block_11(), 0, 100, [2, 7])     # 2^7 > 100
 
 
 def test_sync_failure_count_random_automata():

@@ -32,6 +32,28 @@ def test_budget_exit_code(capsys, monkeypatch):
     assert "budget" in capsys.readouterr().err
 
 
+def test_g_f_without_g_q_is_a_one_line_error(capsys):
+    for argv in (["weyl-decompose", "--transducer", "thue_morse", "--x", "2000",
+                  "--l1", "1", "--l2", "1"],
+                 ["block-decompose", "--auto", "block_11", "--x", "256", "--sigma", "3"]):
+        code = run(argv + ["--g-f", "1/X"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and "--g-q" in err
+
+
+def test_budget_checked_before_the_tables_are_allocated(capsys):
+    # 2 * 10^10 entries would need tens of GiB; the budget stops both first
+    for argv in (["weyl-decompose", "--transducer", "thue_morse", "--g-f", "1/X",
+                  "--g-q", "101", "--x", "20000000000", "--l1", "1", "--l2", "1"],
+                 ["block-decompose", "--auto", "block_11", "--g-f", "1/X",
+                  "--g-q", "101", "--x", "20000000000", "--sigma", "8"]):
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("budget error") and err.count("\n") == 1
+
+
 def test_unknown_preset(capsys):
     assert run(["preset", "definitely-not-a-preset"]) == 1
 

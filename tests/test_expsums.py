@@ -11,10 +11,10 @@ from autoexp.expsums import (IntervalProgression, check_gcd_lemma,
                              check_quadratic_geometric, check_weil,
                              complete_sum, correlation_sum, difference_sum,
                              pv_range_scan, weighted_sum)
-from autoexp.modring import (IntPoly, RationalFunction, is_well_defined,
-                             parse_rational_function, phase_fraction,
-                             shift_scale)
-from autoexp.presets import g_fraction_phase, primes_upto
+from autoexp.modring import (FractionPhase, IntPoly, RationalFunction,
+                             is_well_defined, parse_rational_function,
+                             phase_fraction, shift_scale)
+from autoexp.presets import primes_upto
 
 INV_X = parse_rational_function("1/X")
 
@@ -146,7 +146,7 @@ def test_correlation_unit_g_h0_is_cardinality():
 
 def test_correlation_periodic_shift():
     q = 31
-    g = g_fraction_phase(INV_X, q)
+    g = FractionPhase(INV_X, q)
     u = correlation_sum(g, 3 * q, 0, q, 1, 0)
     # g(n+q) = g(n); |g|^2 = 1 away from poles, 0 at them
     poles = sum(1 for n in range(1, 3 * q + 1) if n % q == 0)
@@ -154,7 +154,7 @@ def test_correlation_periodic_shift():
 
 
 def test_correlation_pinned(pins):
-    g = g_fraction_phase(INV_X, 101)
+    g = FractionPhase(INV_X, 101)
     u = correlation_sum(g, 101, 0, 5, 1, 0)
     pin = pins["correlation_inv_q101_h5"]
     assert abs(u - complex(pin["re"], pin["im"])) < 1e-9
@@ -164,7 +164,7 @@ def test_correlation_bounded_by_cardinality():
     rng = random.Random(17)
     for _ in range(50):
         q = rng.randrange(2, 40)
-        g = g_fraction_phase(INV_X, q)
+        g = FractionPhase(INV_X, q)
         x = rng.randrange(1, 120)
         h = rng.randrange(0, 25)
         s = rng.randrange(1, 5)

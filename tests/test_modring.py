@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from autoexp.modring import (FactoredModulus, IntPoly, RationalFunction,
-                             add_linear, crt_combine, eval_phase, factorize,
-                             is_prime, is_well_defined, mod_inverse,
-                             parse_rational_function, phase_fraction,
-                             phase_numerators, rational_gcd,
-                             reduces_to_quadratic_poly, shift_scale,
-                             squarefree_cofactor)
+from autoexp.exact import Cyclotomic
+from autoexp.modring import (FactoredModulus, FractionPhase, IntPoly,
+                             RationalFunction, add_linear, crt_combine,
+                             eval_phase, factorize, is_prime, is_well_defined,
+                             mod_inverse, parse_rational_function,
+                             phase_fraction, phase_numerators, phase_values,
+                             rational_gcd, reduces_to_quadratic_poly,
+                             shift_scale, squarefree_cofactor)
 
 X = IntPoly([0, 1])
 
@@ -156,6 +157,56 @@ def test_phase_periodicity_and_modulus():
         assert t1 == phase_fraction(f, q, n + q)
         z = eval_phase(f, q, n)
         assert abs(abs(complex(z)) - (0.0 if t1 is None else 1.0)) < 1e-12
+
+
+def test_phase_values_match_per_n_phases():
+    # one phase_numerators pass against phase_fraction / eval_phase at each n
+    import numpy as np
+    rng = random.Random(29)
+    cases = [("1/X", 101), ("1/X", 1009), ("(X^2+1)/X", 61),        # primes
+             ("1/X", 3 ** 5), ("(X^3+2)/(X^2+1)", 2 ** 7),           # prime powers
+             ("1/X", 45), ("(X^2+1)/X", 360), ("X^2/5", 1001),       # composite
+             ("1/(X^2-2)", 2 ** 31 + 11),       # per-element path of phase_numerators
+             ("X^3+1/X", 3 * 2 ** 61 + 1)]     # 2 * numerator overflows int64
+    poles = 0
+    for text, q in cases:
+        f = parse_rational_function(text)
+        g = FractionPhase(f, q)
+        for _ in range(4):
+            start = rng.randrange(0, 10 ** rng.randrange(1, 13))
+            ns = np.arange(start, start + rng.randrange(1, 400))
+            pv = phase_values(g, ns)
+            assert pv.exact and pv.modulus == q
+            want = [phase_fraction(f, q, int(n)) for n in ns]
+            assert pv.values.tolist() == [-1 if t is None else t.numerator * (q // t.denominator)
+                                          for t in want]
+            # the float form rounds as the Cyclotomic of each value does, bit for
+            # bit while the integers involved stay exact in a double
+            z = [complex(eval_phase(f, q, int(n))) for n in ns]
+            if q < 2 ** 52:
+                assert pv.to_complex().tolist() == z
+            assert np.abs(pv.to_complex() - z).max() < 1e-12
+            assert [g(int(n)) for n in ns[:25]] == [eval_phase(f, q, int(n)) for n in ns[:25]]
+            poles += int((pv.values < 0).sum())
+    assert poles > 0
+
+
+def test_phase_values_classifies_plain_callables():
+    import numpy as np
+    ns = np.arange(5, 60)
+    one = phase_values(lambda n: 1, ns)
+    assert one.exact and one.modulus == 1 and not one.values.any()
+    minus = phase_values(lambda n: -1, ns)      # -1 = e(1/2)
+    assert minus.modulus == 2 and set(minus.values.tolist()) == {1}
+    mixed = phase_values(lambda n: 0 if n % 3 == 0 else Cyclotomic.root_of_unity(n, 12), ns)
+    assert mixed.exact and mixed.modulus == 12
+    assert mixed.values.tolist() == [-1 if n % 3 == 0 else n % 12 for n in ns.tolist()]
+    for g in (lambda n: Fraction(n % 5, 3), lambda n: 0.5 * n, lambda n: 1j ** n):
+        pv = phase_values(g, ns)
+        assert not pv.exact
+        assert pv.to_complex().tolist() == [complex(g(int(n))) for n in ns]
+    with pytest.raises(ValueError):
+        FractionPhase(parse_rational_function("1/(3X)"), 15)
 
 
 def test_phase_numerators_vector_matches_scalar():

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 import oracles
-from autoexp.automata import Dfao, base_digits, block_11, thue_morse_even
+from autoexp.automata import (Dfao, base_digits, block_11, block_decompose_sum,
+                              thue_morse_even)
 from autoexp.budget import BudgetError
 from autoexp.exact import Cyclotomic
-from autoexp.modring import parse_rational_function
-from autoexp.presets import g_fraction_phase, tau_evil, tau_sign
+from autoexp.expsums import correlation_sum
+from autoexp.modring import FractionPhase, parse_rational_function
+from autoexp.presets import (block_11_transducer, tau_evil, tau_sign,
+                             weyl_grid_configs)
 from autoexp.vandercorput import (ScalarTransducer, carry_violation_count,
                                   constant_transducer, decompose_weyl,
                                   digit_sum_transducer, eta_fit,
@@ -187,7 +190,7 @@ def test_decompose_one_is_evil_count():
 def test_decompose_single_state_collapse():
     base = Dfao(2, [[0, 0]], [Fraction(1)])
     tr = constant_transducer(base)  # weight order 1: all stages collapse
-    g = g_fraction_phase(INV_X, 31)
+    g = FractionPhase(INV_X, 31)
     rep = decompose_weyl(tr, lambda s, q: 1, g, 0, 400, 1, 1)
     assert rep.identities_ok
     direct = sum(complex(g(n)) for n in range(1, 401))
@@ -198,7 +201,7 @@ def test_decompose_single_state_collapse():
 def test_decompose_matches_weighted_sum():
     from autoexp.expsums import IntervalProgression, weighted_sum
     tr = thue_morse_transducer()
-    g = g_fraction_phase(INV_X, 101)
+    g = FractionPhase(INV_X, 101)
     rep = decompose_weyl(tr, tau_evil, g, 0, 3000, 1, 1)
     direct = weighted_sum(thue_morse_even(), INV_X, 101, IntervalProgression(0, 3000))
     assert abs(complex(rep.s0) - complex(direct)) < 1e-9
@@ -206,7 +209,7 @@ def test_decompose_matches_weighted_sum():
 
 def test_decompose_higher_order_characters():
     tr = digit_sum_transducer(2, 4)
-    g = g_fraction_phase(INV_X, 41)
+    g = FractionPhase(INV_X, 41)
     rep = decompose_weyl(tr, tau_sign, g, 0, 2000, 1, 1)
     assert rep.exact and rep.identities_ok
     assert rep.weight_order == 4
@@ -242,7 +245,7 @@ def test_decompose_precondition():
 
 def test_decompose_comparator_and_rows(pins):
     tr = thue_morse_transducer()
-    g = g_fraction_phase(INV_X, 1009)
+    g = FractionPhase(INV_X, 1009)
     rep = decompose_weyl(tr, tau_evil, g, 0, 20000, 1, 1)
     assert rep.comparator_exceeds
     assert rep.eta_used is None  # one-state machine: no sync failures
@@ -250,3 +253,32 @@ def test_decompose_comparator_and_rows(pins):
     assert stages == {"S0", "S1", "S2", "S3", "S4", "S5"}
     for _, _, lhs, rhs, slack in rep.vdc_rows:
         assert slack >= -1e-9 * max(1.0, rhs)
+
+
+def _stage_tables(rep):
+    return (rep.exact, rep.s0, rep.s1, rep.s2, rep.s3, rep.s4, rep.s5,
+            rep.sync_failures, rep.carry_failures, rep.identities_ok)
+
+
+def test_phase_object_matches_plain_callable():
+    # the one-pass phase array and per-n evaluation of the same g give the
+    # same exact stages, block totals and correlations
+    grid = dict(weyl_grid_configs())
+    klo = parse_rational_function("(X^2+1)/X")
+    configs = [grid["tm-sign-klo61"], grid["b11-pick-eq257"], grid["ds24-sign-eq101"],
+               grid["tm-evil-one-d"],
+               dict(tr=block_11_transducer(), tau=tau_evil, g=FractionPhase(klo, 45),
+                    y=7, x=3000, lam1=1, lam2=1)]
+    for kw in configs:
+        g = kw["g"]
+        a = decompose_weyl(**kw, eta=None)
+        b = decompose_weyl(**dict(kw, g=lambda n: g(n)), eta=None)
+        assert a.exact and a.identities_ok
+        assert _stage_tables(a) == _stage_tables(b)
+        for dfao in (thue_morse_even(), block_11()):
+            blk = block_decompose_sum(dfao, g, kw["y"], 600, 5)
+            assert blk.exact and blk.total == block_decompose_sum(
+                dfao, lambda n: g(n), kw["y"], 600, 5).total
+        for h, s, a_res in ((0, 1, 0), (5, 3, 2), (61, 4, 1)):
+            assert correlation_sum(g, 700, kw["y"], h, s, a_res) == correlation_sum(
+                lambda n: g(n), 700, kw["y"], h, s, a_res)
