@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .budget import require_budget
-from .exact import Cyclotomic, as_exact, indexed_phase_sum
+from .exact import Cyclotomic, as_exact
 from .modring import phase_values
 
 OutputValue = Union[int, Fraction, Cyclotomic, complex, float]
@@ -174,10 +174,13 @@ class Dfao:
         if not lines:
             raise ValueError("empty automaton file")
         head = lines[0].split()
-        if len(head) != 5 or head[0] != "dfao" or head[1] != "v1":
+        opts = dict(part.split("=", 1) for part in head[2:] if "=" in part)
+        if (len(head) != 5 or head[0] != "dfao" or head[1] != "v1"
+                or set(opts) != {"base", "states", "initial"}):
             raise ValueError(f"bad header {lines[0]!r}")
-        opts = dict(part.split("=", 1) for part in head[2:])
         base, n_states, initial = int(opts["base"]), int(opts["states"]), int(opts["initial"])
+        if n_states * base > len(lines):    # one line per transition at least
+            raise ValueError(f"header {lines[0]!r} declares more transitions than the file has")
         outputs: List[Optional[OutputValue]] = [None] * n_states
         trans: List[List[Optional[int]]] = [[None] * base for _ in range(n_states)]
         for ln in lines[1:]:
@@ -186,6 +189,8 @@ class Dfao:
                 if len(parts) != 3 or not parts[2].startswith("out="):
                     raise ValueError(f"bad state line {ln!r}")
                 idx = int(parts[1])
+                if not 0 <= idx < n_states:
+                    raise ValueError(f"state out of range in {ln!r}")
                 val = parts[2][4:]
                 if val.startswith("r:"):
                     num, den = val[2:].split("/")
@@ -199,8 +204,8 @@ class Dfao:
                 if len(parts) != 4:
                     raise ValueError(f"bad transition line {ln!r}")
                 frm, dig, to = int(parts[1]), int(parts[2]), int(parts[3])
-                if not 0 <= dig < base:
-                    raise ValueError(f"digit out of range in {ln!r}")
+                if not (0 <= dig < base and 0 <= frm < n_states):
+                    raise ValueError(f"state or digit out of range in {ln!r}")
                 trans[frm][dig] = to
             else:
                 raise ValueError(f"unrecognized line {ln!r}")
@@ -460,7 +465,6 @@ def block_decompose_sum(dfao: Dfao, g: Callable[[int], object], y: int, x: int,
 
     n_all = np.arange(y + 1, y + x + 1, dtype=np.int64)
     gv = phase_values(g, n_all)
-    exact_mode = dfao.outputs_exact and gv.exact
 
     rows: List[BlockRow] = []
     for r in range(r0, (y + x) // K + 1):
@@ -474,23 +478,12 @@ def block_decompose_sum(dfao: Dfao, g: Callable[[int], object], y: int, x: int,
                                      sigma).ravel()[m0:m0 + x]
     direct_states = np.array([dfao.state_at(int(n)) for n in n_all], dtype=np.int32)
 
-    if exact_mode:
-        # sum over n of outputs[states[n]] * g(n), term by term
-        total: Union[Cyclotomic, complex] = indexed_phase_sum(
-            dfao.outputs, block_states, gv.modulus, gv.values)
-        direct: Union[Cyclotomic, complex] = indexed_phase_sum(
-            dfao.outputs, direct_states, gv.modulus, gv.values)
-        if total != direct:
-            raise AssertionError("block regrouping failed to match the direct sum")
-    else:
-        outs = np.array([complex(v) for v in dfao.outputs])
-        gz = gv.to_complex()
-        tts = (outs[block_states] * gz).tolist()
-        dts = (outs[direct_states] * gz).tolist()
-        total = complex(math.fsum(t.real for t in tts), math.fsum(t.imag for t in tts))
-        direct = complex(math.fsum(t.real for t in dts), math.fsum(t.imag for t in dts))
-        if abs(total - direct) > 1e-12 * max(1.0, abs(direct)):
-            raise AssertionError("block regrouping failed to match the direct sum")
+    # sum over n of outputs[states[n]] * g(n); both sides see the same terms,
+    # so a float total must match bit for bit too (fsum is order-free)
+    total = gv.indexed_sum(dfao.outputs, block_states)
+    direct = gv.indexed_sum(dfao.outputs, direct_states)
+    if total != direct:
+        raise AssertionError("block regrouping failed to match the direct sum")
     return BlockDecomposition(total, direct, rows, sigma)
 
 

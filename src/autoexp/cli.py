@@ -28,12 +28,17 @@ def _parse_int_list(text: str) -> List[int]:
 
 def _load_automaton(source: str) -> automata.Dfao:
     if os.path.sep in source or os.path.isfile(source) or source.endswith(".dfao"):
-        return automata.Dfao.load(source)
-    if "(" in source:
-        name, rest = source.split("(", 1)
+        try:
+            return automata.Dfao.load(source)
+        except OSError as exc:
+            raise ValueError(f"cannot read automaton file {source!r}: {exc.strerror}") from None
+    name, paren, rest = source.partition("(")
+    if name.strip() == "digit_sum_mod":
         params = [int(tok) for tok in rest.rstrip(")").split(",") if tok.strip()]
-        if name.strip() == "digit_sum_mod":
-            return automata.digit_sum_mod(*params)
+        if len(params) != 2:
+            raise ValueError(f"use digit_sum_mod(k,m), not {source!r}")
+        return automata.digit_sum_mod(*params)
+    if paren:
         raise ValueError(f"unknown parametrized automaton {source!r}")
     return automata.builtin_sequences(source)
 

@@ -20,7 +20,7 @@ import numpy as np
 from .automata import Dfao
 from .budget import require_budget
 from .exact import Cyclotomic
-from .modring import FactoredModulus, RationalFunction, is_well_defined
+from .modring import FactoredModulus, RationalFunction, phase_numerators
 
 _ZERO = Cyclotomic.from_rational(0)
 _ONE = Cyclotomic.from_rational(1)
@@ -52,35 +52,17 @@ def _indicator_values(dfao: Dfao, q: int) -> np.ndarray:
     return picks[dfao.states_at(ns)]
 
 
-def _values_mod(f: RationalFunction, q: int, ns: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(value array of P(n)/Q(n) mod q, pole mask gcd(Q(n), q) > 1)."""
-    fq = FactoredModulus.of(q)
-    if not is_well_defined(f, fq):
-        raise ValueError(f"f={f} is not well-defined mod {q}")
-    if q == 1:
-        return np.zeros_like(ns), np.zeros(ns.shape, dtype=bool)
-    qn = f.den.eval_mod_vec(ns, q)
-    pn = f.num.eval_mod_vec(ns, q)
-    pole = np.gcd(qn, q) != 1
-    vals = np.zeros_like(ns)
-    ok = ~pole
-    if ok.any():
-        inv = np.array([pow(int(v), -1, q) for v in qn[ok]], dtype=np.int64)
-        vals[ok] = pn[ok] * inv % q
-    return vals, pole
-
-
 def value_histogram(dfao: Dfao, f: RationalFunction, q: Union[int, FactoredModulus],
                     strict_poles: bool = False) -> ValueHistogram:
     """Distribution of f(n) mod q over {n in [1, q] : a_n = 1}, poles excluded."""
     qv = FactoredModulus.of(q).value
     member = _indicator_values(dfao, qv)
     ns = np.arange(1, qv + 1, dtype=np.int64)
-    vals, pole = _values_mod(f, qv, ns)
-    if strict_poles and (pole & (member == 1)).any():
-        bad = ns[pole & (member == 1)][:5]
+    vals = phase_numerators(f, qv, ns)      # f(n) mod q, -1 at the poles
+    if strict_poles and ((vals < 0) & (member == 1)).any():
+        bad = ns[(vals < 0) & (member == 1)][:5]
         raise ValueError(f"pole of {f} mod {qv} inside the set, e.g. n={bad.tolist()}")
-    keep = (member == 1) & ~pole
+    keep = (member == 1) & (vals >= 0)
     counts = np.bincount(vals[keep], minlength=qv)
     return ValueHistogram(qv, tuple(int(c) for c in counts), int(keep.sum()))
 
@@ -129,6 +111,7 @@ def count_solutions(fs: Sequence[RationalFunction], set_dfao: Dfao,
     qv = FactoredModulus.of(q).value
     if not fs:
         raise ValueError("need at least one fraction")
+    require_budget(qv, f"q = {qv}")
     for f in fs:
         if f.is_polynomial() and f.num.degree <= 1:
             warnings.warn(f"f={f} is a linear or constant polynomial; "
@@ -157,9 +140,8 @@ def brute_force_count(fs: Sequence[RationalFunction], set_dfao: Dfao,
     ns = np.arange(1, qv + 1, dtype=np.int64)
     value_lists: List[List[int]] = []
     for f in fs:
-        vals, pole = _values_mod(f, qv, ns)
-        keep = (member == 1) & ~pole
-        value_lists.append([int(v) for v in vals[keep]])
+        vals = phase_numerators(f, qv, ns)
+        value_lists.append([int(v) for v in vals[(member == 1) & (vals >= 0)]])
     target = m % qv
 
     # plain nested loops, written recursively to support any r

@@ -12,13 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
 from .automata import Dfao
-from .exact import Cyclotomic, indexed_phase_sum
-from .modring import (FactoredModulus, RationalFunction, mod_inverse,
+from .budget import require_budget
+from .exact import Cyclotomic
+from .modring import (FactoredModulus, PhaseValues, RationalFunction, mod_inverse,
                       phase_numerators, phase_values, rational_gcd,
                       reduces_to_quadratic_poly, shift_scale, squarefree_cofactor)
 
@@ -50,11 +51,6 @@ class IntervalProgression:
         return self.y < n <= self.y + self.x and n % self.s == self.a
 
 
-def _fsum_complex(terms: Iterable[complex]) -> complex:
-    ts = list(terms)
-    return complex(math.fsum(t.real for t in ts), math.fsum(t.imag for t in ts))
-
-
 def complete_sum(f: RationalFunction, q: Union[int, FactoredModulus]) -> Cyclotomic:
     """Exact sum of the fraction phases over one full period n mod q."""
     fq = FactoredModulus.of(q)
@@ -70,19 +66,11 @@ def weighted_sum(dfao: Dfao, f: RationalFunction, q: Union[int, FactoredModulus]
     Exact (Cyclotomic) when the automaton outputs are exact; complex otherwise.
     """
     fq = FactoredModulus.of(q)
-    qv = fq.value
+    require_budget(region.count, "region size")
     ns = region.values()
-    if ns.size == 0:
-        return Cyclotomic.zero() if dfao.outputs_exact else 0j
-    phases = phase_numerators(f, fq, ns)
-    states = dfao.states_at(ns)
-    if dfao.outputs_exact:
-        # term by term: a_n's terms shifted by the phase of n, poles dropped
-        return indexed_phase_sum(dfao.outputs, states, qv, phases)
-    vals = np.array([complex(dfao.outputs[s]) for s in states])
-    ang = 2.0 * np.pi * phases / qv
-    z = np.where(phases >= 0, np.exp(1j * ang), 0j) * vals
-    return _fsum_complex(z.tolist())
+    # term by term: a_n shifted by the phase of n, poles dropped
+    phases = PhaseValues(fq.value, phase_numerators(f, fq, ns))
+    return phases.indexed_sum(dfao.outputs, dfao.states_at(ns))
 
 
 def correlation_sum(g: Callable[[int], object], x: int, y: int, h: int,

@@ -14,11 +14,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .exact import Cyclotomic, as_exact
+from .exact import Cyclotomic, as_exact, indexed_phase_sum
 
 
 # ---------------------------------------------------------------------------
@@ -687,6 +687,52 @@ class PhaseValues:
         ang = 2 * np.pi * t.astype(np.float64)
         z = np.cos(ang) + 1j * np.sin(ang)
         return np.where(v < 0, 0j, np.where(fold, -z, z))
+
+    def take(self, idx) -> "PhaseValues":
+        return PhaseValues(self.modulus, self.values[idx])
+
+    def times_root(self, a: np.ndarray, D: int) -> "PhaseValues":
+        """g(n) * e(a_n / D) per element."""
+        if not self.exact:
+            return PhaseValues(0, self.values * np.exp(2j * np.pi * (a % D) / D))
+        L = math.lcm(self.modulus, D)
+        shifted = (a % D * (L // D) + self.values * (L // self.modulus)) % L
+        return PhaseValues(L, np.where(self.values >= 0, shifted, np.int64(-1)))
+
+    def times_conj(self, other: "PhaseValues") -> "PhaseValues":
+        """g(n) * conj(h(n)) per element."""
+        if not (self.exact and other.exact):
+            return PhaseValues(0, self.to_complex() * np.conj(other.to_complex()))
+        L = math.lcm(self.modulus, other.modulus)
+        diff = (self.values * (L // self.modulus) - other.values * (L // other.modulus)) % L
+        pole = (self.values < 0) | (other.values < 0)
+        return PhaseValues(L, np.where(pole, np.int64(-1), diff))
+
+    def bucket_sums(self, buckets: np.ndarray,
+                    weights: Optional[np.ndarray] = None) -> Dict[int, Union[Cyclotomic, complex]]:
+        """bucket -> sum of weight * g(n) over its elements (integer weights,
+        default 1); a bucket appears when it holds an element with g(n) != 0."""
+        live = self.values >= 0 if self.exact else self.values != 0
+        b, v = buckets[live], self.values[live]
+        w = np.ones(b.size, dtype=np.int64) if weights is None else weights[live]
+        if not b.size:
+            return {}
+        order = np.argsort(b, kind="stable")
+        b, v, w = b[order], v[order], w[order]
+        starts = np.flatnonzero(np.concatenate([[True], b[1:] != b[:-1]]))
+        if not self.exact:
+            return dict(zip(b[starts].tolist(), np.add.reduceat(v * w, starts).tolist()))
+        return {int(b[i]): Cyclotomic.from_int_histogram(self.modulus, ww, exps=vv)
+                for i, vv, ww in zip(starts, np.split(v, starts[1:]), np.split(w, starts[1:]))}
+
+    def indexed_sum(self, table: Sequence, index: np.ndarray) -> Union[Cyclotomic, complex]:
+        """sum over n of table[index[n]] * g(n): exact when g and every table
+        entry are exact, otherwise complex, summed with math.fsum."""
+        exact = [as_exact(v) for v in table]
+        if self.exact and all(v is not None for v in exact):
+            return indexed_phase_sum(exact, index, self.modulus, self.values)
+        terms = np.array([complex(v) for v in table])[index] * self.to_complex()
+        return complex(math.fsum(terms.real), math.fsum(terms.imag))
 
 
 def phase_values(g: Callable[[int], object], ns) -> PhaseValues:

@@ -25,8 +25,8 @@ import numpy as np
 from .automata import (Dfao, base_digits, find_synchronizing_word,  # noqa: F401
                        sync_failure_count, sync_failure_counts)
 from .budget import require_budget
-from .exact import Cyclotomic, as_exact, indexed_phase_sum
-from .modring import phase_values
+from .exact import Cyclotomic, as_exact
+from .modring import PhaseValues, phase_values
 
 StageValue = Union[Cyclotomic, complex]
 
@@ -210,26 +210,29 @@ def carry_violation_count(tr: ScalarTransducer, lam: int, alpha: int, rho: int,
     return int(violated.sum())
 
 
+_ETA_FITS: Dict[tuple, Optional[float]] = {}
+
+
 def eta_fit(dfao: Dfao, x: Optional[int] = None,
             lams: Optional[Sequence[int]] = None) -> Optional[float]:
     """Least-squares decay exponent of sync-failure counts: count ~ x k^(-eta lam).
 
     None when there are fewer than two positive counts (e.g. a perfectly
-    synchronizing one-state machine)."""
+    synchronizing one-state machine).  The counts read every start state and
+    no output, so the fit is memoised on (base, transitions, x, lams)."""
     k = dfao.base
     if x is None:
         x = k ** 12
     if lams is None:
         lams = range(1, 9)
-    lams = list(itertools.takewhile(lambda lam: k ** lam <= x, lams))
-    pts = [(lam, math.log(c / x, k))
-           for lam, c in zip(lams, sync_failure_counts(dfao, 0, x, lams)) if c > 0]
-    if len(pts) < 2:
-        return None
-    xs = np.array([p[0] for p in pts], dtype=float)
-    ys = np.array([p[1] for p in pts], dtype=float)
-    slope = np.polyfit(xs, ys, 1)[0]
-    return max(0.0, -float(slope))
+    lams = tuple(itertools.takewhile(lambda lam: k ** lam <= x, lams))
+    key = (k, dfao.transitions, x, lams)
+    if key not in _ETA_FITS:
+        pts = [(lam, math.log(c / x, k))
+               for lam, c in zip(lams, sync_failure_counts(dfao, 0, x, lams)) if c > 0]
+        _ETA_FITS[key] = None if len(pts) < 2 else max(
+            0.0, -float(np.polyfit(*zip(*pts), 1)[0]))
+    return _ETA_FITS[key]
 
 
 # ---------------------------------------------------------------------------
@@ -282,23 +285,6 @@ class WeylReport:
         return out
 
 
-def _bucket_sums(buckets: np.ndarray, phases: np.ndarray, mod: int,
-                 weights: Optional[np.ndarray] = None) -> Dict[int, Cyclotomic]:
-    """bucket -> exact sum of weight * e(phase/mod) over its elements (weights
-    default to 1), skipping the pole marker -1; a bucket appears when it
-    holds at least one element off the poles."""
-    live = phases >= 0
-    b, ph = buckets[live], phases[live]
-    w = np.ones(b.size, dtype=np.int64) if weights is None else weights[live]
-    if not b.size:
-        return {}
-    order = np.argsort(b, kind="stable")
-    b, ph, w = b[order], ph[order], w[order]
-    cuts = np.flatnonzero(b[1:] != b[:-1]) + 1
-    return {int(bb[0]): Cyclotomic.from_int_histogram(mod, ww, exps=pp)
-            for bb, pp, ww in zip(np.split(b, cuts), np.split(ph, cuts), np.split(w, cuts))}
-
-
 def decompose_weyl(tr: ScalarTransducer, tau: Callable[[Cyclotomic, int], object],
                    g: Callable[[int], object], y: int, x: int,
                    lam1: int, lam2: int,
@@ -337,16 +323,23 @@ def decompose_weyl(tr: ScalarTransducer, tau: Callable[[Cyclotomic, int], object
     ns = np.arange(y + 1, y + x + 1, dtype=np.int64)
 
     # g over (y, y + x + (R-1)M]: n sits at index n - (y + 1)
-    gv = phase_values(g, np.arange(y + 1, top, dtype=np.int64))
-    exact = gv.exact
-    tau_table: Dict[Tuple[int, int], object] = {}
-    for j in range(D):
-        sigma = Cyclotomic.root_of_unity(j, D)
-        for q in range(S):
-            ex = as_exact(tau(sigma, q))
-            if ex is None:
-                exact = False
-            tau_table[(j, q)] = ex if ex is not None else complex(tau(sigma, q))
+    g_all = phase_values(g, np.arange(y + 1, top, dtype=np.int64))
+    tau_vals = [tau(Cyclotomic.root_of_unity(j, D), q) for j in range(D) for q in range(S)]
+    tau_ex = [as_exact(v) for v in tau_vals]
+    exact = g_all.exact and all(v is not None for v in tau_ex)
+    if exact:
+        tau_list: List[StageValue] = tau_ex
+        same = lambda a, b: a == b
+        zero: StageValue = Cyclotomic.zero()
+        root = Cyclotomic.root_of_unity
+    else:
+        g_all = PhaseValues(0, g_all.to_complex())
+        tau_list = [complex(v) for v in tau_vals]
+        scale = max(1.0, float(np.abs(g_all.values[:x]).sum()))
+        same = lambda a, b: abs(complex(a) - complex(b)) <= 1e-9 * scale
+        zero = 0j
+        root = lambda a, m: complex(np.exp(2j * np.pi * (a % m) / m))
+    g = g_all.take(slice(0, x))
 
     j_n = val[ns]
     q_n = st[ns]
@@ -357,68 +350,22 @@ def decompose_weyl(tr: ScalarTransducer, tau: Callable[[Cyclotomic, int], object
     sync_mask = q_n != trunc_q
     sync_failures = int(sync_mask.sum())
 
-    gz_all = gv.to_complex()
-    if exact:
-        Lg, gph_all = gv.modulus, gv.values
-        LL = math.lcm(Lg, D)
-    else:
-        tau_table = {key: complex(v) for key, v in tau_table.items()}
-    g_n = gph_all[:x] if exact else None
-    z_n = gz_all[:x]
-
-    if exact:
-        same = lambda a, b: a == b
-        zero = Cyclotomic.zero()
-        root = Cyclotomic.root_of_unity
-    else:
-        scale = max(1.0, float(np.abs(z_n).sum()))
-        same = lambda a, b: abs(complex(a) - complex(b)) <= 1e-9 * scale
-        zero = 0j
-        root = lambda a, m: complex(np.exp(2j * np.pi * (a % m) / m))
-
     # ---- S_0 directly, and S_1 per (weight value, end state)
-    if exact:
-        # S_0 term by term: the terms of tau at n shifted by the phase of g(n)
-        s0: StageValue = indexed_phase_sum(
-            [tau_table[(j, q)] for j in range(D) for q in range(S)],
-            j_n * S + q_n, Lg, g_n)
-        s1 = {(b // S, b % S): v
-              for b, v in _bucket_sums(j_n * S + q_n, g_n, Lg).items()}
-    else:
-        tauc = np.array([[complex(tau_table[(j, q)]) for q in range(S)]
-                         for j in range(D)])
-        s0 = complex(np.sum(tauc[j_n, q_n] * z_n))
-        acc = np.zeros((D, S), dtype=complex)
-        np.add.at(acc, (j_n, q_n), z_n)
-        s1 = {(j, q): acc[j, q] for j in range(D) for q in range(S)
-              if acc[j, q] != 0}
+    s0 = g.indexed_sum(tau_list, j_n * S + q_n)
+    s1 = {divmod(b, S): v for b, v in g.bucket_sums(j_n * S + q_n).items()}
     s0_rec = zero
     for (j, q), v in s1.items():
-        s0_rec = s0_rec + tau_table[(j, q)] * v
+        s0_rec = s0_rec + tau_list[j * S + q] * v
     identity_s0 = same(s0, s0_rec)
 
     # ---- S_2 per (residue mod M, weight value); S_1 from S_2 + sync failures
-    if exact:
-        s2 = {(b // D, b % D): v
-              for b, v in _bucket_sums(m_n * D + j_n, g_n, Lg).items()}
-        # each failing n moves g(n) from (j, truncated end state) to (j, q_n)
-        bad = np.flatnonzero(sync_mask & (g_n >= 0))
-        corr = _bucket_sums(
-            np.concatenate([j_n[bad] * S + q_n[bad], j_n[bad] * S + trunc_q[bad]]),
-            np.tile(g_n[bad], 2), Lg, np.repeat(np.array([1, -1]), bad.size))
-        corr_val = {(b // S, b % S): v for b, v in corr.items()}
-    else:
-        acc = np.zeros((M, D), dtype=complex)
-        np.add.at(acc, (m_n, j_n), z_n)
-        s2 = {(m, j): acc[m, j] for m in range(M) for j in range(D)
-              if acc[m, j] != 0}
-        corr_val = {}
-        for i in np.nonzero(sync_mask)[0]:
-            zi = z_n[i]
-            jq1 = (int(j_n[i]), int(q_n[i]))
-            jq2 = (int(j_n[i]), int(trunc_q[i]))
-            corr_val[jq1] = corr_val.get(jq1, 0j) + zi
-            corr_val[jq2] = corr_val.get(jq2, 0j) - zi
+    s2 = {divmod(b, D): v for b, v in g.bucket_sums(m_n * D + j_n).items()}
+    # each failing n moves g(n) from (j, truncated end state) to (j, q_n)
+    bad = np.flatnonzero(sync_mask)
+    corr = g.take(np.tile(bad, 2)).bucket_sums(
+        np.concatenate([j_n[bad] * S + q_n[bad], j_n[bad] * S + trunc_q[bad]]),
+        np.repeat(np.array([1, -1]), bad.size))
+    corr_val = {divmod(b, S): v for b, v in corr.items()}
     identity_s1 = True
     for j in range(D):
         for q in range(S):
@@ -433,19 +380,8 @@ def decompose_weyl(tr: ScalarTransducer, tau: Callable[[Cyclotomic, int], object
     # ---- S_3 per (residue, character), against the character expansion of S_2
     s3: Dict[Tuple[int, int], StageValue] = {}
     for t in range(D):
-        if exact:
-            comb = np.where(g_n >= 0,
-                            (t * j_n % D * (LL // D) + g_n * (LL // Lg)) % LL,
-                            np.int64(-1))
-            for m, v in _bucket_sums(m_n, comb, LL).items():
-                s3[(m, t)] = v
-        else:
-            wz = np.exp(2j * np.pi * (t * j_n % D) / D)
-            acc = np.zeros(M, dtype=complex)
-            np.add.at(acc, m_n, wz * z_n)
-            for m in range(M):
-                if acc[m] != 0:
-                    s3[(m, t)] = acc[m]
+        for m, v in g.times_root(t * j_n, D).bucket_sums(m_n).items():
+            s3[(m, t)] = v
     identity_s3 = True
     for m in range(M):
         for t in range(D):
@@ -469,47 +405,17 @@ def decompose_weyl(tr: ScalarTransducer, tau: Callable[[Cyclotomic, int], object
         fail_mask = dval != vt
         carry_failures[r] = int(fail_mask.sum())
         dvt_table = (val[np.arange(RM2)] - val[(np.arange(RM2) + shift) % RM2]) % D
-        if exact:
-            g2 = gph_all[shift:shift + x]
-            pole = (g_n < 0) | (g2 < 0)
-            gc = np.where(pole, np.int64(-1), (g_n - g2) % Lg)
-            for b, v in _bucket_sums(mprime_n, gc, Lg).items():
-                s5[(b, r)] = v
-        else:
-            zc = z_n * np.conj(gz_all[shift:shift + x])
-            acc5 = np.zeros(RM2, dtype=complex)
-            np.add.at(acc5, mprime_n, zc)
-            for mp in range(RM2):
-                if acc5[mp] != 0:
-                    s5[(mp, r)] = acc5[mp]
+        gc = g.times_conj(g_all.take(slice(shift, shift + x)))
+        for b, v in gc.bucket_sums(mprime_n).items():
+            s5[(b, r)] = v
+        bad = np.flatnonzero(fail_mask)
         for t in range(D):
-            if exact:
-                comb = np.where(gc >= 0,
-                                (t * dval % D * (LL // D) + gc * (LL // Lg)) % LL,
-                                np.int64(-1))
-                for m, v in _bucket_sums(m_n, comb, LL).items():
-                    s4[(m, t, r)] = v
-                # each carry failure swaps the truncated weight for the full one
-                bad = np.flatnonzero(fail_mask & (gc >= 0))
-                gl = gc[bad] * (LL // Lg)
-                corr4 = _bucket_sums(
-                    np.tile(m_n[bad], 2),
-                    np.concatenate([t * dval[bad] % D * (LL // D) + gl,
-                                    t * vt[bad] % D * (LL // D) + gl]) % LL,
-                    LL, np.repeat(np.array([1, -1]), bad.size))
-            else:
-                wq = np.exp(2j * np.pi * (t * dval % D) / D)
-                acc4 = np.zeros(M, dtype=complex)
-                np.add.at(acc4, m_n, wq * zc)
-                for m in range(M):
-                    if acc4[m] != 0:
-                        s4[(m, t, r)] = acc4[m]
-                corr4 = {}
-                wt_q = np.exp(2j * np.pi * (t * vt % D) / D)
-                bad = np.nonzero(fail_mask)[0]
-                for i in bad:
-                    m = int(m_n[i])
-                    corr4[m] = corr4.get(m, 0j) + (wq[i] - wt_q[i]) * zc[i]
+            for m, v in gc.times_root(t * dval, D).bucket_sums(m_n).items():
+                s4[(m, t, r)] = v
+            # each carry failure swaps the truncated weight for the full one
+            corr4 = gc.take(np.tile(bad, 2)).times_root(
+                np.concatenate([t * dval[bad], t * vt[bad]]), D).bucket_sums(
+                    np.tile(m_n[bad], 2), np.repeat(np.array([1, -1]), bad.size))
             for m in range(M):
                 rhs = zero
                 for mp in range(m, RM2, M):
@@ -522,6 +428,7 @@ def decompose_weyl(tr: ScalarTransducer, tau: Callable[[Cyclotomic, int], object
 
     # ---- van der Corput on each S_3 sequence (shift unit M, window R)
     vdc_rows: List[Tuple[int, int, float, float, float]] = []
+    z_n = g.to_complex()
     for t in range(D):
         wz = np.exp(2j * np.pi * (t * j_n % D) / D)
         for m in range(M):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from autoexp import cli, presets
 
 
@@ -169,3 +171,42 @@ def test_verify_weil_assert_exact_decides_composite_moduli(capsys):
     # the complete sums of X^2 mod 6 and mod 10 are exactly 0
     code = run(["verify-weil", "--f", "X^2", "--q-list", "6,10", "--assert-exact", "0"])
     assert code == 0, capsys.readouterr().err
+
+
+ONE_STATE = "dfao v1 base=2 states=1 initial=0\nstate 0 out=r:1/1\nt 0 0 0\nt 0 1 0\n"
+
+
+@pytest.mark.parametrize("text, auto", [
+    (ONE_STATE + "state 3 out=r:1/1\n", None),         # state index out of range
+    (ONE_STATE + "t 5 1 0\n", None),                   # source state out of range
+    (ONE_STATE.replace(" initial=0", " other=0"), None),   # header without initial=
+    (ONE_STATE.replace("r:1/1", "r:1/0"), None),       # zero denominator: ArithmeticError
+    (ONE_STATE.replace("states=1", "states=99999999999"), None),
+    (None, "digit_sum_mod(2)"),
+    (None, "digit_sum_mod"),
+    (None, "missing.dfao"),
+])
+def test_bad_automaton_is_a_one_line_error(tmp_path, capsys, text, auto):
+    if text is not None:
+        auto = str(tmp_path / "bad.dfao")
+        with open(auto, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        auto = auto.replace("missing.dfao", str(tmp_path / "missing.dfao"))
+    code = run(["eval", "--auto", auto, "--n", "3"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_budget_checked_before_the_sum_and_count_arrays(capsys):
+    # 10^10 int64 entries would need 74.5 GiB; the budget stops both first
+    for argv in (["sum", "--auto", "thue_morse_even", "--f", "1/X", "--q", "1009",
+                  "--x", "10000000000"],
+                 ["count-congruence", "--set", "thue_morse_even", "--f", "1/X",
+                  "--q", "10000000000"]):
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("budget error") and err.count("\n") == 1

@@ -10,7 +10,7 @@ from autoexp.budget import BudgetError
 from autoexp.congruence import (ValueHistogram, brute_force_count,
                                 count_solutions, cyclic_convolve,
                                 value_histogram)
-from autoexp.modring import parse_rational_function
+from autoexp.modring import parse_rational_function, phase_fraction
 
 INV_X = parse_rational_function("1/X")
 IDENT = parse_rational_function("X")
@@ -32,6 +32,20 @@ def test_histogram_evil_matches_oracle():
     h = value_histogram(thue_morse_even(), INV_X, 101)
     want, support = oracles.histogram_evil_inv(101)
     assert list(h.counts) == want and h.support_size == support
+
+
+@pytest.mark.parametrize("q", [45, 343])     # 3^2 * 5, and 7^3
+def test_histogram_matches_phase_fraction_numerators(q):
+    # poles (3 | X + 3, or 5 | X + 3, or 7 | X + 3) leave the support
+    f = parse_rational_function("(X^2+1)/(X+3)")
+    tm = thue_morse_even()
+    want = [0] * q
+    for n in range(1, q + 1):
+        t = phase_fraction(f, q, n)
+        if tm.evaluate(n) == 1 and t is not None:
+            want[t.numerator * (q // t.denominator)] += 1
+    h = value_histogram(tm, f, q)
+    assert list(h.counts) == want and h.support_size == sum(want)
 
 
 def test_histogram_rejects_non_indicator():

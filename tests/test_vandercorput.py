@@ -164,6 +164,21 @@ def test_eta_fit():
     assert eta is not None and eta > 0
 
 
+def test_eta_fit_is_memoised_across_equal_automata(monkeypatch):
+    import autoexp.vandercorput as vdc
+    passes = []
+    real = vdc.sync_failure_counts
+    monkeypatch.setattr(vdc, "sync_failure_counts",
+                        lambda *a: passes.append(a) or real(*a))
+    # the outputs do not enter the fit: a relabelled copy shares it
+    b11 = block_11()
+    twin = Dfao(2, b11.transitions, [Fraction(1, 3)] * b11.n_states)
+    first = eta_fit(b11, x=3001, lams=range(1, 9))
+    assert eta_fit(twin, x=3001, lams=range(1, 9)) == first
+    assert len(passes) == 1
+    assert first == eta_fit(b11, x=3001, lams=[1, 2, 3, 4, 5, 6, 7, 8]) > 0
+
+
 def test_carry_uniformity_in_r_logged():
     # logged, not asserted (beyond finiteness): shifted counts stay comparable
     tr = thue_morse_transducer()
@@ -282,3 +297,52 @@ def test_phase_object_matches_plain_callable():
         for h, s, a_res in ((0, 1, 0), (5, 3, 2), (61, 4, 1)):
             assert correlation_sum(g, 700, kw["y"], h, s, a_res) == correlation_sum(
                 lambda n: g(n), 700, kw["y"], h, s, a_res)
+
+
+def _assert_stage_parity(a, b):
+    # float and exact stages agree entry by entry to 1e-12 of the sum's size;
+    # a key missing from one side (an empty bucket) reads as 0
+    tol = 1e-12 * max(1.0, abs(complex(a.s0)))
+    assert abs(complex(a.s0) - complex(b.s0)) <= tol
+    for ta, tb in ((a.s1, b.s1), (a.s2, b.s2), (a.s3, b.s3), (a.s4, b.s4), (a.s5, b.s5)):
+        for key in set(ta) | set(tb):
+            assert abs(complex(ta.get(key, 0)) - complex(tb.get(key, 0))) <= tol, key
+
+
+def test_float_mode_matches_exact_mode():
+    # complex(g) forces every stage and correction through the float path;
+    # the b11 configs desynchronize and violate the carry property, so the
+    # float sync and carry corrections are exercised
+    grid = dict(weyl_grid_configs())
+    for label in ("b11-pick-eq257", "b11-evil-eq101", "ds33-sign-eq41", "tm-sign-klo61"):
+        kw = grid[label]
+        g = kw["g"]
+        a = decompose_weyl(**kw, eta=None)
+        b = decompose_weyl(**dict(kw, g=lambda n: complex(g(n))), eta=None)
+        assert a.exact and not b.exact
+        assert a.identities_ok and b.identities_ok
+        assert (a.sync_failures, a.carry_failures) == (b.sync_failures, b.carry_failures)
+        if label.startswith("b11"):
+            assert a.sync_failures > 0 and sum(a.carry_failures.values()) > 0
+        _assert_stage_parity(a, b)
+
+
+def test_block_and_weighted_sum_float_match_exact():
+    from autoexp.automata import rudin_shapiro
+    from autoexp.expsums import IntervalProgression, weighted_sum
+    rs = rudin_shapiro()
+    rs_c = Dfao(rs.base, rs.transitions, [complex(v) for v in rs.outputs], rs.initial)
+    assert not rs_c.outputs_exact
+    g = FractionPhase(INV_X, 257)
+    for y, x, sigma in ((0, 600, 5), (31, 2000, 4)):
+        a = block_decompose_sum(rs, g, y, x, sigma)
+        b = block_decompose_sum(rs_c, g, y, x, sigma)
+        assert a.exact and not b.exact
+        tol = 1e-12 * max(1.0, abs(complex(a.total)))
+        assert abs(complex(a.total) - b.total) <= tol
+        assert abs(complex(a.direct_total) - b.direct_total) <= tol
+    for region in (IntervalProgression(0, 3000), IntervalProgression(40, 2500, 3, 1)):
+        a = weighted_sum(rs, INV_X, 257, region)
+        b = weighted_sum(rs_c, INV_X, 257, region)
+        assert isinstance(b, complex)
+        assert abs(complex(a) - b) <= 1e-12 * max(1.0, abs(complex(a)))
