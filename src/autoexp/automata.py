@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .budget import require_budget
-from .exact import Cyclotomic, as_exact
+from .exact import Cyclotomic, as_exact, int_range
 from .modring import phase_values
 
 OutputValue = Union[int, Fraction, Cyclotomic, complex, float]
@@ -136,15 +136,33 @@ class Dfao:
             tab = children[tab].reshape(tab.shape[0], -1)
         return tab
 
+    def window_states(self, y: int, x: int, start: Optional[int] = None) -> np.ndarray:
+        """States after reading (n)_k from start, for every n in (y, y+x].
+
+        Block split n = r*K + n' with K = k^sigma the least power of k >= x and
+        h, m0 = divmod(y + 1, K): every n in the window has r = h or h + 1, so
+        its states are the walks of r followed by the padded-suffix table (read
+        unpadded when h = 0, as a digit 0 need not fix a start).  O(x) for any y.
+        """
+        k = self.base
+        s = self.initial if start is None else start
+        sigma = len(base_digits(x - 1, k))     # least sigma with k^sigma >= x
+        h, m0 = divmod(y + 1, k ** sigma)
+        if h == 0:
+            return self.state_table(m0 + x, s)[m0:]
+        return self.padded_table([self.walk(s, base_digits(r, k)) for r in (h, h + 1)],
+                                 sigma).ravel()[m0:m0 + x]
+
     def states_at(self, ns: np.ndarray, start: Optional[int] = None) -> np.ndarray:
-        """Vectorized state_at; builds a DP table when the range is dense enough."""
-        ns = np.asarray(ns, dtype=np.int64)
+        """Vectorized state_at; builds a DP table when the range is dense enough.
+        ns may hold Python ints past int64 (they take the digit walks)."""
+        ns = np.asarray(ns)
         if ns.size == 0:
             return np.empty(0, dtype=np.int32)
         top = int(ns.max()) + 1
         digit_cost = ns.size * max(1, int(math.log(max(top, 2), self.base)) + 1)
         if top <= max(1 << 16, 4 * digit_cost):
-            return self.state_table(top, start)[ns]
+            return self.state_table(top, start)[ns.astype(np.int64, copy=False)]
         s0 = self.initial if start is None else start
         return np.array([self.walk(s0, base_digits(int(n), self.base)) for n in ns],
                         dtype=np.int32)
@@ -389,33 +407,23 @@ def sync_failure_count(dfao: Dfao, y: int, x: int, lam: int) -> int:
 
 def sync_failure_counts(dfao: Dfao, y: int, x: int, lams: Sequence[int]) -> List[int]:
     """[sync_failure_count(dfao, y, x, lam) for lam in lams], reading the full
-    states of each start once for every lam.
-
-    Block split n = r*K + n' with K = k^sigma the least power of k >= x and
-    h, m0 = divmod(y + 1, K): every n in the range has r = h or h + 1, so its
-    full states are the walks of r followed by the padded-suffix table (read
-    unpadded when h = 0, as a digit 0 need not fix a start).  k^lam divides
-    K, so the truncated states repeat with period k^lam from table index m0.
-    """
+    states of each start once (Dfao.window_states) for every lam.  The
+    truncated states repeat with period k^lam."""
     k = dfao.base
     for lam in lams:
         if y < 0 or x < 1 or lam < 0:
             raise ValueError("need y >= 0, x >= 1, lam >= 0")
         if k ** lam > x:
             raise ValueError("lam exceeds floor(log_k(x))")
-    sigma = len(base_digits(x - 1, k))     # least sigma with k^sigma >= x
-    h, m0 = divmod(y + 1, k ** sigma)
+    require_budget(dfao.n_states * x, "state reads n_states * x")
     mism = np.zeros((len(lams), x), dtype=bool)
     for s in range(dfao.n_states):
-        if h:
-            full = dfao.padded_table([dfao.walk(s, base_digits(r, k)) for r in (h, h + 1)],
-                                     sigma).ravel()[m0:m0 + x]
-        else:
-            full = dfao.state_table(m0 + x, s)[m0:]
+        full = dfao.window_states(y, x, s)
         for row, lam in zip(mism, lams):
             kl = k ** lam
+            off = (y + 1) % kl
             tiled = np.tile(dfao.state_table(kl, s), x // kl + 2)
-            row |= full != tiled[m0 % kl:m0 % kl + x]
+            row |= full != tiled[off:off + x]
     return [int(row.sum()) for row in mism]
 
 
@@ -463,7 +471,7 @@ def block_decompose_sum(dfao: Dfao, g: Callable[[int], object], y: int, x: int,
     decomp = strongly_connected_components(dfao)
     final_states = decomp.final_states()
 
-    n_all = np.arange(y + 1, y + x + 1, dtype=np.int64)
+    n_all = int_range(y + 1, y + x + 1)
     gv = phase_values(g, n_all)
 
     rows: List[BlockRow] = []
@@ -503,6 +511,7 @@ def digit_sum_mod(k: int, m: int) -> Dfao:
     """Tracks the base-k digit sum mod m; outputs the root of unity e(s/m)."""
     if m < 1:
         raise ValueError("m must be positive")
+    require_budget(k * m, "automaton size k * m")
     trans = [[(s + d) % m for d in range(k)] for s in range(m)]
     outs = [Cyclotomic.root_of_unity(s, m) for s in range(m)]
     return Dfao(k, trans, outs, name=f"digit_sum_mod({k},{m})")

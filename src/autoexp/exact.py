@@ -50,6 +50,14 @@ def _fit(values) -> np.ndarray:
     return arr.astype(object, copy=False)
 
 
+def int_range(start: int, stop: int, step: int = 1) -> np.ndarray:
+    """np.arange of integers, int64 while every value stays below 2^62 (so
+    a small shift cannot wrap) and Python ints beyond."""
+    if max(abs(start), abs(stop)) < _BIG:
+        return np.arange(start, stop, step, dtype=np.int64)
+    return np.array(range(start, stop, step), dtype=object)
+
+
 def _narrow(arr: np.ndarray) -> np.ndarray:
     """_fit for an array whose int64 entries are already below 2^62."""
     return _fit(arr) if arr.dtype == object else arr

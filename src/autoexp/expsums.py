@@ -18,7 +18,7 @@ import numpy as np
 
 from .automata import Dfao
 from .budget import require_budget
-from .exact import Cyclotomic
+from .exact import Cyclotomic, int_range
 from .modring import (FactoredModulus, PhaseValues, RationalFunction, mod_inverse,
                       phase_numerators, phase_values, rational_gcd,
                       reduces_to_quadratic_poly, shift_scale, squarefree_cofactor)
@@ -45,7 +45,7 @@ class IntervalProgression:
 
     def values(self) -> np.ndarray:
         first = self.y + 1 + (self.a - (self.y + 1)) % self.s
-        return np.arange(first, self.y + self.x + 1, self.s, dtype=np.int64)
+        return int_range(first, self.y + self.x + 1, self.s)
 
     def __contains__(self, n: int) -> bool:
         return self.y < n <= self.y + self.x and n % self.s == self.a
@@ -78,7 +78,9 @@ def correlation_sum(g: Callable[[int], object], x: int, y: int, h: int,
     """Two-point correlation sum of g(n) * conj(g(n+h)) over {y < n <= y+x,
     n = a mod q}."""
     ns = IntervalProgression(y, x, q, a % q if q > 1 else 0).values()
-    z = phase_values(g, np.concatenate([ns, ns + h])).to_complex()
+    # int64 values stay below 2^62, so only a shift that large can wrap
+    z = phase_values(g, np.concatenate(
+        [ns, ns + h if abs(h) < 1 << 62 else ns.astype(object) + h])).to_complex()
     u, v = z[:ns.size], z[ns.size:]
     # u * conj(v) one rounding at a time, as Python's complex product rounds
     return complex(math.fsum(u.real * v.real + u.imag * v.imag),

@@ -620,7 +620,10 @@ def phase_numerators(f: RationalFunction, q: Union[int, FactoredModulus],
     fq = FactoredModulus.of(q)
     _require_well_defined(f, fq)
     qv = fq.value
-    ns = np.asarray(ns, dtype=np.int64)
+    ns = np.asarray(ns)
+    if ns.dtype.kind in "Ou":   # ints that may pass int64: f(n) mod q reads n mod q
+        ns = ns.astype(object) % qv
+    ns = ns.astype(np.int64, copy=False)
     if qv == 1:
         return np.zeros_like(ns)
     if qv >= 1 << 31:
@@ -739,7 +742,7 @@ def phase_values(g: Callable[[int], object], ns) -> PhaseValues:
     """g at every n of an integer array.  A FractionPhase takes one
     phase_numerators pass over its modulus; any other callable is evaluated
     per n and is exact when every value is 0 or an exact root of unity."""
-    ns = np.asarray(ns, dtype=np.int64)
+    ns = np.asarray(ns)
     if isinstance(g, FractionPhase):
         return PhaseValues(g.q.value, g.numerators(ns))
     values = [g(int(n)) for n in ns]

@@ -12,6 +12,7 @@ carry-failure sets that bound the error terms.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ import numpy as np
 from .automata import (Dfao, base_digits, find_synchronizing_word,  # noqa: F401
                        sync_failure_count, sync_failure_counts)
 from .budget import require_budget
-from .exact import Cyclotomic, as_exact
+from .exact import Cyclotomic, as_exact, int_range
 from .modring import PhaseValues, phase_values
 
 StageValue = Union[Cyclotomic, complex]
@@ -62,11 +63,17 @@ class ScalarTransducer:
     def initial(self) -> int:
         return self.dfao.initial
 
-    def weight_index(self) -> np.ndarray:
-        """Phase numerators mod weight_order, shape (states, base)."""
-        D = self.weight_order
-        return np.array([[int(w * D) for w in row] for row in self.weight_phases],
-                        dtype=np.int64)
+    @functools.cached_property
+    def product(self) -> Dfao:
+        """The cocycle as an automaton over S*D states (D = weight_order):
+        state s*D + j is state s with T = e(j/D), output that of state s."""
+        dfao, D, k = self.dfao, self.weight_order, self.base
+        require_budget(dfao.n_states * D * k, "product automaton size S * D * k")
+        w = [[int(p * D) for p in row] for row in self.weight_phases]
+        trans = [[dfao.transitions[s][d] * D + (j + w[s][d]) % D for d in range(k)]
+                 for s in range(dfao.n_states) for j in range(D)]
+        return Dfao(k, trans, [v for v in dfao.outputs for _ in range(D)],
+                    initial=dfao.initial * D, _check_initial_loop=False)
 
     def T_phase(self, state: int, digits: Sequence[int]) -> Fraction:
         """Phase of the ordered weight product along the path from state."""
@@ -84,21 +91,9 @@ class ScalarTransducer:
         return self.T_phase(self.initial, base_digits(n, self.base))
 
     def tables(self, limit: int) -> Tuple[np.ndarray, np.ndarray]:
-        """(state, phase-index) DP tables over [0, limit) read from the start."""
-        k = self.base
-        D = self.weight_order
-        widx = self.weight_index()
-        st = self.dfao.state_table(limit)
-        val = np.zeros(limit, dtype=np.int64)
-        lo = 1
-        while lo < limit:
-            hi = min(lo * k, limit)
-            # the children p*k + d of the parents p = n // k, in order of n
-            first, last = lo // k, (hi - 1) // k + 1
-            kids = ((val[first:last, None] + widx[st[first:last]]) % D).ravel()
-            val[lo:hi] = kids[lo - first * k:hi - first * k]
-            lo = hi
-        return st, val
+        """(state, phase-index) tables over [0, limit) read from the start."""
+        # int64, so t * j cannot wrap
+        return divmod(self.product.state_table(limit).astype(np.int64), self.weight_order)
 
     def __repr__(self):
         return (f"<ScalarTransducer states={self.dfao.n_states} "
@@ -296,12 +291,16 @@ def decompose_weyl(tr: ScalarTransducer, tau: Callable[[Cyclotomic, int], object
     against the mod-M regrouping of S_2 up to the explicit synchronization
     failure set; S_3 against the character expansion of S_2; S_4 against the
     truncated-cocycle combination of S_5 up to the explicit carry failure
-    set.  g is read once over (y, y + x + (R-1)M] by phase_values (one
-    phase_numerators pass for a FractionPhase).  When its values are zeros
-    or exact roots of unity and tau returns exact values, every identity is
-    checked in exact phase arithmetic; otherwise the stages are complex and
-    the identities are checked to 1e-9 relative.  The table length is
-    checked against the enumeration budget before anything is allocated.
+    set.  States, weights and g are read once over the window
+    (y, y + x + (R-1)M]: states and weights by Dfao.window_states on the
+    cocycle automaton tr.product, g by phase_values (one phase_numerators
+    pass for a FractionPhase).  The truncated states and weights, which
+    depend only on n mod RM^2, come from one table over [0, RM^2).  The
+    budget covers that window plus RM^2 and is checked before anything is
+    allocated; it does not depend on y.  When g's values are zeros or exact
+    roots of unity and tau returns exact values, every identity is checked
+    in exact phase arithmetic; otherwise the stages are complex and the
+    identities are checked to 1e-9 relative.
     The van der Corput inequality is checked on each S_3 sequence, and the
     comparator x M^-eta + sum_m sqrt((x/(RM)) sum |S_5|) is reported next
     to |S_0|.
@@ -316,14 +315,14 @@ def decompose_weyl(tr: ScalarTransducer, tau: Callable[[Cyclotomic, int], object
         raise ValueError("need R*M^2 <= x/10")
     D = tr.weight_order
     S = tr.dfao.n_states
-    top = y + x + (R - 1) * M + 1
-    limit = max(top, RM2 + R * M + 1)
-    require_budget(limit, "table length max(y + x + (R-1)M, RM^2 + RM) + 1")
-    st, val = tr.tables(limit)
-    ns = np.arange(y + 1, y + x + 1, dtype=np.int64)
+    span = x + (R - 1) * M
+    require_budget(span + RM2, "window x + (R-1)M plus table RM^2")
+    # (end state, weight index) over the window (y, y + span], n at index
+    # n - (y + 1), and over [0, RM^2), where ns % RM^2 and ns % M index
+    q_all, j_all = divmod(tr.product.window_states(y, span).astype(np.int64), D)
+    st, val = tr.tables(RM2)
 
-    # g over (y, y + x + (R-1)M]: n sits at index n - (y + 1)
-    g_all = phase_values(g, np.arange(y + 1, top, dtype=np.int64))
+    g_all = phase_values(g, int_range(y + 1, y + span + 1))
     tau_vals = [tau(Cyclotomic.root_of_unity(j, D), q) for j in range(D) for q in range(S)]
     tau_ex = [as_exact(v) for v in tau_vals]
     exact = g_all.exact and all(v is not None for v in tau_ex)
@@ -341,12 +340,12 @@ def decompose_weyl(tr: ScalarTransducer, tau: Callable[[Cyclotomic, int], object
         root = lambda a, m: complex(np.exp(2j * np.pi * (a % m) / m))
     g = g_all.take(slice(0, x))
 
-    j_n = val[ns]
-    q_n = st[ns]
-    m_n = ns % M
-    mprime_n = ns % RM2
-    st_m = st[np.arange(M)]
-    trunc_q = st[(ns % M)]
+    j_n = j_all[:x]
+    q_n = q_all[:x]
+    mprime_n = (np.arange(x) + (y + 1) % RM2) % RM2     # ns % RM^2
+    m_n = mprime_n % M
+    st_m = st[:M]
+    trunc_q = st[m_n]
     sync_mask = q_n != trunc_q
     sync_failures = int(sync_mask.sum())
 
@@ -399,12 +398,11 @@ def decompose_weyl(tr: ScalarTransducer, tau: Callable[[Cyclotomic, int], object
     identity_s4 = True
     for r in range(R):
         shift = r * M
-        j2 = val[ns + shift]
-        dval = (j_n - j2) % D
-        vt = (val[mprime_n] - val[(mprime_n + shift) % RM2]) % D
+        dval = (j_n - j_all[shift:shift + x]) % D
+        dvt_table = (val - val[(np.arange(RM2) + shift) % RM2]) % D
+        vt = dvt_table[mprime_n]
         fail_mask = dval != vt
         carry_failures[r] = int(fail_mask.sum())
-        dvt_table = (val[np.arange(RM2)] - val[(np.arange(RM2) + shift) % RM2]) % D
         gc = g.times_conj(g_all.take(slice(shift, shift + x)))
         for b, v in gc.bucket_sums(mprime_n).items():
             s5[(b, r)] = v

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import oracles
 from autoexp import cli, presets
 
 
@@ -49,11 +50,54 @@ def test_budget_checked_before_the_tables_are_allocated(capsys):
     for argv in (["weyl-decompose", "--transducer", "thue_morse", "--g-f", "1/X",
                   "--g-q", "101", "--x", "20000000000", "--l1", "1", "--l2", "1"],
                  ["block-decompose", "--auto", "block_11", "--g-f", "1/X",
-                  "--g-q", "101", "--x", "20000000000", "--sigma", "8"]):
+                  "--g-q", "101", "--x", "20000000000", "--sigma", "8"],
+                 ["sync-scan", "--auto", "block_11", "--x", "20000000000",
+                  "--lam-list", "2"]):
         code = run(argv)
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("budget error") and err.count("\n") == 1
+
+
+def test_budget_checked_before_an_automaton_is_built(capsys, monkeypatch):
+    # digit_sum_mod(2, m) has m states; digit_sum(2, m) a cocycle automaton
+    # of 2m transitions
+    monkeypatch.setenv("AUTOEXP_BUDGET", "100")
+    for argv in (["eval", "--auto", "digit_sum_mod(2,200000)", "--n", "3"],
+                 ["carry-scan", "--transducer", "digit_sum(2,200000)", "--lam", "2",
+                  "--alpha", "1", "--rho-list", "1"]):
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("budget error") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("y", [2 ** 63 - 1000, 2 ** 64 + 7], ids=["2^63-1000", "2^64+7"])
+def test_offsets_past_int64_match_per_n_sums(capsys, y):
+    # per-n Python-int references: sum of evil(n) e((1/n mod 101)/101), and
+    # the correlation of e((1/n mod 101)/101) at shift 5
+    want = oracles.weighted_tm_inv_sum(101, y, 1000)
+    common = ["--x", "1000", "--y", str(y), "--json"]
+    g = ["--g-f", "1/X", "--g-q", "101"]
+    argvs = {
+        "sum": ["sum", "--auto", "thue_morse_even", "--f", "1/X", "--q", "101"],
+        "correlate": ["correlate", "--f", "1/X", "--q", "101", "--h", "5"],
+        "block-decompose": ["block-decompose", "--auto", "thue_morse_even",
+                            "--sigma", "5"] + g,
+        "weyl-decompose": ["weyl-decompose", "--transducer", "thue_morse",
+                           "--l1", "1", "--l2", "1"] + g,
+    }
+    for name, argv in argvs.items():
+        assert run(argv + common) == 0, capsys.readouterr().err
+        obj = json.loads(capsys.readouterr().out)
+        if name == "block-decompose":
+            got = complex(obj["metadata"]["total_re"], obj["metadata"]["total_im"])
+        else:
+            got = complex(*obj["rows"][0][-3:-1])
+        ref = oracles.correlation_inv(101, 1000, y, 5, 1, 0) if name == "correlate" else want
+        assert abs(got - ref) < 1e-9 * 1000, name
+        if name == "weyl-decompose":
+            assert obj["metadata"]["identities_ok"]
 
 
 def test_unknown_preset(capsys):

@@ -1,7 +1,9 @@
-"""Every walkthrough in demos/ runs to completion without writing to stderr."""
+"""Every walkthrough in demos/ and every ```python block of README.md runs to
+completion without writing to stderr."""
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -9,6 +11,18 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+                           re.S | re.M)
+
+
+def _run(args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable] + args, cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
 
 
 def test_demos_found():
@@ -17,10 +31,10 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs_clean(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    done = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stderr == ""
+    _run([str(demo)])
+
+
+def test_readme_library_tour_runs_clean():
+    assert README_BLOCKS
+    for block in README_BLOCKS:
+        _run(["-c", block])

@@ -12,7 +12,7 @@ from autoexp.budget import BudgetError
 from autoexp.exact import Cyclotomic
 from autoexp.expsums import correlation_sum
 from autoexp.modring import FractionPhase, parse_rational_function
-from autoexp.presets import (block_11_transducer, tau_evil, tau_sign,
+from autoexp.presets import (block_11_transducer, tau_evil, tau_pick, tau_sign,
                              weyl_grid_configs)
 from autoexp.vandercorput import (ScalarTransducer, carry_violation_count,
                                   constant_transducer, decompose_weyl,
@@ -54,10 +54,17 @@ def test_cocycle_identity_random_splits():
 
 
 def test_transducer_tables_match_walks():
-    tr = digit_sum_transducer(3, 3)
-    st, val = tr.tables(200)
-    for n in range(200):
-        assert Fraction(int(val[n]), tr.weight_order) % 1 == tr.value_phase(n)
+    # the last one weights digit 0 at its start, so the cocycle automaton's
+    # initial state is not fixed by digit 0
+    for tr in (digit_sum_transducer(3, 3), block_11_transducer(),
+               ScalarTransducer(Dfao(2, [[0, 0]], [Fraction(1)]),
+                                [[Fraction(1, 3), Fraction(1, 2)]])):
+        st, val = tr.tables(200)
+        assert val.dtype == np.int64
+        assert tr.product.n_states == tr.dfao.n_states * tr.weight_order
+        for n in range(200):
+            assert Fraction(int(val[n]), tr.weight_order) % 1 == tr.value_phase(n)
+            assert st[n] == tr.dfao.state_at(n)
 
 
 def test_truncated_T():
@@ -250,6 +257,20 @@ def test_decompose_float_mode():
     direct = sum((1 if bin(n).count("1") % 2 == 0 else 0) * g(n)
                  for n in range(1, 1501))
     assert abs(complex(rep.s0) - direct) < 1e-8
+
+
+@pytest.mark.parametrize("y", [2 * 10 ** 8, 10 ** 12, 2 ** 63 - 1000, 2 ** 64 + 7])
+def test_decompose_far_offsets_match_per_n_sum(y):
+    # the budget covers the window and RM^2, not y; S_0 against per-n walks
+    tr = block_11_transducer()
+    g = FractionPhase(INV_X, 101)
+    rep = decompose_weyl(tr, tau_pick(2), g, y, 2000, 1, 1)
+    assert rep.exact and rep.identities_ok
+    want = Cyclotomic.zero()
+    for n in range(y + 1, y + 2001):
+        T = Cyclotomic.from_phase(tr.value_phase(n))
+        want = want + tau_pick(2)(T, tr.dfao.state_at(n)) * g(n)
+    assert rep.s0 == want
 
 
 def test_decompose_precondition():
