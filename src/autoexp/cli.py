@@ -13,6 +13,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Optional
 
 from . import automata, congruence, expsums, presets, vandercorput
@@ -63,10 +64,10 @@ def _tau_by_name(name: str):
 
 
 def _g_from_args(args: Dict) -> object:
-    if args.get("g_one"):
+    if args["g_one"]:
         return presets.g_one
-    if args.get("g_f"):
-        if args.get("g_q") is None:
+    if args["g_f"]:
+        if args["g_q"] is None:
             raise ValueError("--g-f needs --g-q")
         return FractionPhase(parse_rational_function(str(args["g_f"])), int(args["g_q"]))
     raise ValueError("specify --g-one or --g-f/--g-q")
@@ -79,8 +80,8 @@ def _g_from_args(args: Dict) -> object:
 def cmd_sum(args: Dict) -> SweepReport:
     dfao = _load_automaton(str(args["auto"]))
     f = parse_rational_function(str(args["f"]))
-    region = IntervalProgression(int(args.get("y", 0)), int(args["x"]),
-                                 int(args.get("s", 1)), int(args.get("a", 0)))
+    region = IntervalProgression(int(args["y"]), int(args["x"]),
+                                 int(args["s"]), int(args["a"]))
     val = expsums.weighted_sum(dfao, f, int(args["q"]), region)
     z = complex(val)
     return SweepReport(("re", "im", "abs"), [(z.real, z.imag, abs(z))],
@@ -93,21 +94,21 @@ def cmd_correlate(args: Dict) -> SweepReport:
     f = parse_rational_function(str(args["f"]))
     q = int(args["q"])
     g = FractionPhase(f, q)
-    u = expsums.correlation_sum(g, int(args["x"]), int(args.get("y", 0)),
-                                int(args["h"]), int(args.get("prog_mod", 1)),
-                                int(args.get("prog_res", 0)))
+    u = expsums.correlation_sum(g, int(args["x"]), int(args["y"]),
+                                int(args["h"]), int(args["prog_mod"]),
+                                int(args["prog_res"]))
     return SweepReport(("re", "im", "abs"), [(u.real, u.imag, abs(u))],
                        {"f": str(f), "q": q, "h": int(args["h"])})
 
 
 def cmd_verify_weil(args: Dict) -> SweepReport:
-    p_min = int(args.get("primes_min", 2))
-    p_max = int(args.get("primes_max", 0))
-    assert_bound = args.get("assert_bound")
-    assert_real = bool(args.get("assert_real"))
-    assert_exact = args.get("assert_exact")
+    p_min = int(args["primes_min"])
+    p_max = int(args["primes_max"])
+    assert_bound = args["assert_bound"]
+    assert_real = bool(args["assert_real"])
+    assert_exact = args["assert_exact"]
     rows = []
-    if args.get("kloosterman"):
+    if args["kloosterman"]:
         worst = {}
         for p, a, s_abs, bound, im_abs in presets.kloosterman_grid(p_min, p_max):
             if assert_bound is not None and s_abs > float(assert_bound) * math.sqrt(p) + 1e-6:
@@ -123,7 +124,7 @@ def cmd_verify_weil(args: Dict) -> SweepReport:
         return SweepReport(("p", "argmax_a", "max_abs", "bound", "ratio", "max_imag"),
                            rows, {"family": "aX + 1/X", "p_max": p_max})
     f = parse_rational_function(str(args["f"]))
-    qs = (_parse_int_list(args["q_list"]) if args.get("q_list")
+    qs = (_parse_int_list(args["q_list"]) if args["q_list"]
           else [p for p in presets.primes_upto(p_max) if p >= p_min])
     for q in qs:
         chk = expsums.check_weil(f, q)
@@ -167,8 +168,8 @@ def cmd_scan_pv(args: Dict) -> SweepReport:
     f = parse_rational_function(str(args["f"]))
     qs = _parse_int_list(args["q_list"])
     theta = float(args["theta"])
-    c_disp = float(args.get("c_display", 1.0 / 32.0))
-    policies = [tok.strip() for tok in str(args.get("y", "0")).split(",")]
+    c_disp = float(args["c_display"])
+    policies = [tok.strip() for tok in str(args["y"]).split(",")]
     rows = []
     for policy in policies:
         rep = expsums.pv_range_scan(dfao, f, qs, theta, y=policy, c_display=c_disp)
@@ -183,13 +184,15 @@ def cmd_scan_pv(args: Dict) -> SweepReport:
 def cmd_count_congruence(args: Dict) -> SweepReport:
     dfao = _load_automaton(str(args["set"]))
     fs = [parse_rational_function(tok) for tok in str(args["f"]).split(",")]
-    qs = (_parse_int_list(args["q_list"]) if args.get("q_list")
+    if args["q"] is None and not args["q_list"]:
+        raise ValueError("specify --q or --q-list")
+    qs = (_parse_int_list(args["q_list"]) if args["q_list"]
           else [int(args["q"])])
-    strict = bool(args.get("strict_poles"))
-    brute_max = int(args.get("brute_check_max", 0))
+    strict = bool(args["strict_poles"])
+    brute_max = int(args["brute_check_max"])
     rows = []
     for q in qs:
-        targets = range(q) if args.get("all_m") else [int(args.get("m", 0))]
+        targets = range(q) if args["all_m"] else [int(args["m"])]
         for m in targets:
             res = congruence.count_solutions(fs, dfao, q, m, strict_poles=strict)
             brute = ""
@@ -207,10 +210,10 @@ def cmd_count_congruence(args: Dict) -> SweepReport:
 
 def cmd_vdc_check(args: Dict) -> SweepReport:
     stats = presets.run_vdc_fuzz(
-        trials=int(args.get("trials", 10000)),
-        d_max=int(args.get("d_max", 3)), x_max=int(args.get("x_max", 200)),
-        r_max=int(args.get("r_max", 32)), k_max=int(args.get("k_max", 4)),
-        seed=int(args.get("seed", 0)))
+        trials=int(args["trials"]),
+        d_max=int(args["d_max"]), x_max=int(args["x_max"]),
+        r_max=int(args["r_max"]), k_max=int(args["k_max"]),
+        seed=int(args["seed"]))
     return SweepReport(("trials", "min_rel_slack"),
                        [(stats["trials"], stats["min_rel_slack"])],
                        {"seed": stats["seed"]})
@@ -221,7 +224,7 @@ def cmd_carry_scan(args: Dict) -> SweepReport:
     lam = int(args["lam"])
     alpha = int(args["alpha"])
     rows = []
-    for r in _parse_int_list(args.get("r_list", "0")):
+    for r in _parse_int_list(args["r_list"]):
         for rho in _parse_int_list(args["rho_list"]):
             rows.append((r, rho, vandercorput.carry_violation_count(
                 tr, lam, alpha, rho, r)))
@@ -234,19 +237,19 @@ def cmd_sync_scan(args: Dict) -> SweepReport:
     dfao = _load_automaton(str(args["auto"]))
     x = int(args["x"])
     lams = _parse_int_list(args["lam_list"])
-    counts = automata.sync_failure_counts(dfao, int(args.get("y", 0)), x, lams)
+    counts = automata.sync_failure_counts(dfao, int(args["y"]), x, lams)
     return SweepReport(("lam", "count"), list(zip(lams, counts)),
                        {"automaton": dfao.name or "dfao", "x": x})
 
 
 def cmd_weyl_decompose(args: Dict) -> SweepReport:
     tr = _load_transducer(str(args["transducer"]))
-    tau = _tau_by_name(str(args.get("tau", "evil")))
+    tau = _tau_by_name(str(args["tau"]))
     g = _g_from_args(args)
-    eta = args.get("eta", "fit")
+    eta = args["eta"]
     if isinstance(eta, str) and eta not in ("fit",):
         eta = float(eta)
-    rep = vandercorput.decompose_weyl(tr, tau, g, int(args.get("y", 0)),
+    rep = vandercorput.decompose_weyl(tr, tau, g, int(args["y"]),
                                       int(args["x"]), int(args["l1"]),
                                       int(args["l2"]), eta=eta)
     rows = rep.rows()
@@ -265,7 +268,7 @@ def cmd_weyl_decompose(args: Dict) -> SweepReport:
 def cmd_eval(args: Dict) -> SweepReport:
     dfao = _load_automaton(str(args["auto"]))
     n = int(args["n"])
-    if args.get("lam") is not None:
+    if args["lam"] is not None:
         val = dfao.evaluate_truncated(n, int(args["lam"]))
     else:
         val = dfao.evaluate(n)
@@ -286,7 +289,7 @@ def cmd_sync_word(args: Dict) -> SweepReport:
 def cmd_block_decompose(args: Dict) -> SweepReport:
     dfao = _load_automaton(str(args["auto"]))
     res = automata.block_decompose_sum(dfao, _g_from_args(args),
-                                       int(args.get("y", 0)), int(args["x"]),
+                                       int(args["y"]), int(args["x"]),
                                        int(args["sigma"]))
     rows = [(row.r, int(row.in_final_set), row.entry_state) for row in res.rows]
     z = complex(res.total)
@@ -303,7 +306,7 @@ def cmd_check(args: Dict) -> SweepReport:
     accepted = {"crt": ("trials", "q_max", "seed"),
                 "conv-algebra": ("trials", "seed")}
     kwargs = {key: int(args[key]) for key in accepted.get(prop, ())
-              if args.get(key) is not None}
+              if args[key] is not None}
     result = presets.PROPERTY_RUNNERS[prop](**kwargs)
     if prop == "weyl-exact":
         rows = [(label, int(rep.identities_ok), rep.sync_failures,
@@ -318,8 +321,8 @@ def cmd_check(args: Dict) -> SweepReport:
 
 def cmd_preset(args: Dict) -> SweepReport:
     cfg = presets.preset(str(args["name"]))
-    if args.get("run"):
-        return _HANDLERS[cfg.command](dict(cfg.args))
+    if args["run"]:
+        return execute(cfg)
     return SweepReport(("command", "args"),
                        [(cfg.command, json.dumps(cfg.args, sort_keys=True))],
                        {"preset": str(args["name"])})
@@ -345,9 +348,11 @@ _HANDLERS = {
 
 
 def execute(config: RunConfig) -> SweepReport:
+    """Run one subcommand; options the config leaves out take the parser's
+    defaults, so a RunConfig and the command line read the same values."""
     if config.command not in _HANDLERS:
         raise ValueError(f"unknown subcommand {config.command!r}")
-    return _HANDLERS[config.command](config.args)
+    return _HANDLERS[config.command]({**_defaults()[config.command], **config.args})
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +503,14 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     return top
+
+
+@lru_cache(maxsize=1)
+def _defaults() -> Dict[str, Dict]:
+    """subcommand -> {option: default}, read once from the parser."""
+    sub = next(a for a in _build_parser()._actions if a.dest == "command")
+    return {name: {a.dest: a.default for a in p._actions if a.default is not argparse.SUPPRESS}
+            for name, p in sub.choices.items()}
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .exact import Cyclotomic, as_exact, indexed_phase_sum
+from .exact import Cyclotomic, _fit, _narrow, as_exact, indexed_phase_sum
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +65,7 @@ class IntPoly:
         return acc
 
     def eval_mod_vec(self, ns: np.ndarray, m: int) -> np.ndarray:
-        """Vectorized eval_mod; requires m < 2**31 so int64 products are safe."""
+        """Vectorized eval_mod: m < 2**31 for int64 ns, any m for Python ints."""
         acc = np.zeros_like(ns)
         nm = ns % m
         for c in reversed(self.coeffs):
@@ -106,9 +106,6 @@ class IntPoly:
     def derivative(self) -> "IntPoly":
         return IntPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def mod_coeffs(self, m: int) -> Tuple[int, ...]:
-        return tuple(c % m for c in self.coeffs)
-
     def __eq__(self, other):
         return isinstance(other, IntPoly) and self.coeffs == other.coeffs
 
@@ -142,64 +139,64 @@ X = IntPoly([0, 1])
 ONE_POLY = IntPoly([1])
 
 
-def _trim(v: List[Fraction]) -> List[Fraction]:
-    while v and not v[-1]:
-        v.pop()
-    return v
+# One Euclid for Z[X] and F_p[X] on trimmed coefficient lists, constant
+# first.  p = 0 means Z and a prime p means F_p; the ring enters only where
+# coefficients are reduced mod p and where a result is normalised.
 
 
-def _frac_rem(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
-    """Remainder of a by b over Q; both trimmed coefficient lists, b nonzero."""
-    r = a[:]
-    while len(r) >= len(b):
-        coef = r[-1] / b[-1]
-        shift = len(r) - len(b)
-        for j, c in enumerate(b):
-            r[shift + j] -= coef * c
-        r.pop()
-        _trim(r)
+def _trim(v: Sequence[int], p: int = 0) -> List[int]:
+    """v as a list, reduced mod p when p > 0, without zero leading coefficients."""
+    out = [c % p for c in v] if p else list(v)
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _normal(v: Sequence[int], p: int = 0) -> List[int]:
+    """The associate of v the ring names: primitive with a positive leading
+    coefficient over Z, monic over F_p ([] for zero)."""
+    v = _trim(v, p)
+    if not v:
+        return v
+    if p:
+        inv = pow(v[-1], -1, p)
+        return [c * inv % p for c in v]
+    c = math.gcd(*v) if v[-1] > 0 else -math.gcd(*v)
+    return [x // c for x in v] if c != 1 else v
+
+
+def _prem(a: List[int], b: List[int], p: int = 0) -> List[int]:
+    """Pseudo-remainder lc(b)^k * a mod b, division-free; b nonzero."""
+    r, lb, nb = a, b[-1], len(b) - 1
+    while len(r) > nb:
+        lr, shift = r[-1], len(r) - 1 - nb
+        r = _trim([c * lb for c in r[:shift]]
+                  + [r[shift + j] * lb - lr * b[j] for j in range(nb)], p)
     return r
 
 
-def _poly_gcd_rational(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Primitive gcd over Q, positive leading coefficient; 0 if both zero."""
-    fa = _trim([Fraction(c) for c in a.coeffs])
-    fb = _trim([Fraction(c) for c in b.coeffs])
-    while fb:
-        fa, fb = fb, _frac_rem(fa, fb)
-    if not fa:
-        return IntPoly()
-    lcm = 1
-    for c in fa:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in fa]
-    g = math.gcd(*ints)
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return IntPoly(ints)
+def _poly_gcd(a: Sequence[int], b: Sequence[int], p: int = 0) -> List[int]:
+    """gcd by the primitive remainder sequence, normalised; [] if both are zero."""
+    a, b = _normal(a, p), _normal(b, p)
+    while b:
+        a, b = b, _normal(_prem(a, b, p), p)
+    return a
 
 
-def _poly_divide_exact(a: IntPoly, g: IntPoly) -> IntPoly:
-    """a / g for exact divisors; raises if the division leaves a remainder."""
-    if g.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    rem = _trim([Fraction(c) for c in a.coeffs])
-    div = _trim([Fraction(c) for c in g.coeffs])
-    out = [Fraction(0)] * max(len(rem) - len(div) + 1, 0)
-    while len(rem) >= len(div):
-        coef = rem[-1] / div[-1]
-        out[len(rem) - len(div)] = coef
-        shift = len(rem) - len(div)
-        for j, c in enumerate(div):
-            rem[shift + j] -= coef * c
-        rem.pop()
-        _trim(rem)
-    if rem:
+def _poly_quo(a: Sequence[int], b: List[int], p: int = 0) -> List[int]:
+    """a / b when b divides a (b normalised, so monic over F_p)."""
+    r, lb, nb = list(a), b[-1], len(b) - 1
+    out = [0] * max(len(r) - nb, 0)
+    for shift in range(len(out) - 1, -1, -1):
+        c, rest = divmod(r[shift + nb] % p if p else r[shift + nb], lb)
+        if rest:
+            raise ArithmeticError("inexact polynomial division")
+        out[shift] = c
+        for j, bj in enumerate(b):
+            r[shift + j] -= c * bj
+    if _trim(r, p):
         raise ArithmeticError("inexact polynomial division")
-    if any(c.denominator != 1 for c in out):
-        raise ArithmeticError("non-integer quotient")
-    return IntPoly([int(c) for c in out])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +215,10 @@ class RationalFunction:
         if den.is_zero():
             raise ValueError("zero denominator")
         if not num.is_zero():
-            g = _poly_gcd_rational(num, den)
-            if g.degree > 0:
-                num = _poly_divide_exact(num, g)
-                den = _poly_divide_exact(den, g)
+            g = _poly_gcd(num.coeffs, den.coeffs)
+            if len(g) > 1:
+                num = IntPoly(_poly_quo(num.coeffs, g))
+                den = IntPoly(_poly_quo(den.coeffs, g))
             c = math.gcd(num.content(), den.content())
             if c > 1:
                 num = IntPoly([x // c for x in num.coeffs])
@@ -616,22 +613,17 @@ def _pow_mod_vec(base: np.ndarray, exp: int, m: int) -> np.ndarray:
 
 def phase_numerators(f: RationalFunction, q: Union[int, FactoredModulus],
                      ns) -> np.ndarray:
-    """Vectorized phase numerators mod q for an integer array; -1 marks poles."""
+    """Phase numerators mod q for an integer array in one vectorized CRT pass;
+    -1 marks poles.  Residues are int64 below 2^31, where every product fits,
+    and Python ints from there on; the result is int64 where it fits."""
     fq = FactoredModulus.of(q)
     _require_well_defined(f, fq)
     qv = fq.value
-    ns = np.asarray(ns)
+    # from a list, numpy would turn ints in [2^63, 2^64) into floats
+    ns = ns if isinstance(ns, np.ndarray) else _fit(ns)
     if ns.dtype.kind in "Ou":   # ints that may pass int64: f(n) mod q reads n mod q
         ns = ns.astype(object) % qv
-    ns = ns.astype(np.int64, copy=False)
-    if qv == 1:
-        return np.zeros_like(ns)
-    if qv >= 1 << 31:
-        out = np.empty_like(ns)
-        for i, n in enumerate(ns):
-            t = phase_fraction(f, fq, int(n))
-            out[i] = -1 if t is None else t.numerator * (qv // t.denominator)
-        return out
+    ns = ns.astype(np.int64 if qv < 1 << 31 else object, copy=False)
     total = np.zeros_like(ns)
     pole = np.zeros(ns.shape, dtype=bool)
     for p, e, m in fq.prime_powers():
@@ -639,12 +631,11 @@ def phase_numerators(f: RationalFunction, q: Union[int, FactoredModulus],
         pn = f.num.eval_mod_vec(ns, m)
         pole |= qn % p == 0
         phi_m1 = (m // p) * (p - 1) - 1
-        inv = _pow_mod_vec(np.where(qn % p == 0, 1, qn), phi_m1, m)
+        inv = _pow_mod_vec(np.where(pole, 1, qn), phi_m1, m)
         cof = qv // m
-        c = pow(cof, -1, m)
-        local = c * pn % m * inv % m
+        local = pow(cof, -1, m) * pn % m * inv % m
         total = (total + local * cof) % qv
-    return np.where(pole, np.int64(-1), total)
+    return _narrow(np.where(pole, -1, total))
 
 
 class FractionPhase:
@@ -699,17 +690,22 @@ class PhaseValues:
         if not self.exact:
             return PhaseValues(0, self.values * np.exp(2j * np.pi * (a % D) / D))
         L = math.lcm(self.modulus, D)
-        shifted = (a % D * (L // D) + self.values * (L // self.modulus)) % L
-        return PhaseValues(L, np.where(self.values >= 0, shifted, np.int64(-1)))
+        v = self.values
+        if L >= 1 << 62:    # terms below L, sums below 2L: Python ints past int64
+            v, a = v.astype(object), a.astype(object)
+        shifted = (a % D * (L // D) + v * (L // self.modulus)) % L
+        return PhaseValues(L, _narrow(np.where(v >= 0, shifted, -1)))
 
     def times_conj(self, other: "PhaseValues") -> "PhaseValues":
         """g(n) * conj(h(n)) per element."""
         if not (self.exact and other.exact):
             return PhaseValues(0, self.to_complex() * np.conj(other.to_complex()))
         L = math.lcm(self.modulus, other.modulus)
-        diff = (self.values * (L // self.modulus) - other.values * (L // other.modulus)) % L
-        pole = (self.values < 0) | (other.values < 0)
-        return PhaseValues(L, np.where(pole, np.int64(-1), diff))
+        v, w = self.values, other.values
+        if L >= 1 << 62:    # as in times_root
+            v, w = v.astype(object), w.astype(object)
+        diff = (v * (L // self.modulus) - w * (L // other.modulus)) % L
+        return PhaseValues(L, _narrow(np.where((v < 0) | (w < 0), -1, diff)))
 
     def bucket_sums(self, buckets: np.ndarray,
                     weights: Optional[np.ndarray] = None) -> Dict[int, Union[Cyclotomic, complex]]:
@@ -742,7 +738,7 @@ def phase_values(g: Callable[[int], object], ns) -> PhaseValues:
     """g at every n of an integer array.  A FractionPhase takes one
     phase_numerators pass over its modulus; any other callable is evaluated
     per n and is exact when every value is 0 or an exact root of unity."""
-    ns = np.asarray(ns)
+    ns = ns if isinstance(ns, np.ndarray) else _fit(ns)
     if isinstance(g, FractionPhase):
         return PhaseValues(g.q.value, g.numerators(ns))
     values = [g(int(n)) for n in ns]
@@ -762,50 +758,16 @@ def phase_values(g: Callable[[int], object], ns) -> PhaseValues:
 # reductions over F_p
 
 
-def _fp_poly_mod(coeffs: Sequence[int], p: int) -> List[int]:
-    out = [c % p for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _fp_poly_divmod(a: List[int], b: List[int], p: int) -> Tuple[List[int], List[int]]:
-    a = a[:]
-    inv_lead = pow(b[-1], -1, p)
-    quot = [0] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b):
-        coef = a[-1] * inv_lead % p
-        quot[len(a) - len(b)] = coef
-        for j, c in enumerate(b):
-            a[len(a) - len(b) + j] = (a[len(a) - len(b) + j] - coef * c) % p
-        a.pop()
-        while a and a[-1] == 0:
-            a.pop()
-    return quot, a
-
-
-def _fp_poly_gcd(a: List[int], b: List[int], p: int) -> List[int]:
-    while b:
-        _, a = _fp_poly_divmod(a, b, p)
-        a, b = b, a
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
 def reduce_mod_p(f: RationalFunction, p: int) -> Tuple[List[int], List[int]]:
     """Coprime (P1, Q1) over F_p with Q1 monic; raises if Q vanishes mod p."""
-    pp = _fp_poly_mod(f.num.coeffs, p)
-    qq = _fp_poly_mod(f.den.coeffs, p)
+    pp, qq = _trim(f.num.coeffs, p), _trim(f.den.coeffs, p)
     if not qq:
         raise ValueError(f"denominator of {f} vanishes identically mod {p}")
     if not pp:
         return [], [1]
-    g = _fp_poly_gcd(pp, qq, p)
+    g = _poly_gcd(pp, qq, p)
     if len(g) > 1:
-        pp, _ = _fp_poly_divmod(pp, g, p)
-        qq, _ = _fp_poly_divmod(qq, g, p)
+        pp, qq = _poly_quo(pp, g, p), _poly_quo(qq, g, p)
     inv = pow(qq[-1], -1, p)
     return [c * inv % p for c in pp], [c * inv % p for c in qq]
 
@@ -846,8 +808,8 @@ def rational_gcd(q: Union[int, FactoredModulus], g: RationalFunction) -> int:
         raise ValueError("modulus must be squarefree")
     out = 1
     for p, _e in fq.factors:
-        if not _fp_poly_mod(g.den.coeffs, p):
+        if not _trim(g.den.coeffs, p):
             raise ValueError(f"denominator of {g} vanishes identically mod {p}")
-        if not _fp_poly_mod(g.num.coeffs, p):
+        if not _trim(g.num.coeffs, p):
             out *= p
     return out

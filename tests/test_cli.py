@@ -100,6 +100,61 @@ def test_offsets_past_int64_match_per_n_sums(capsys, y):
             assert obj["metadata"]["identities_ok"]
 
 
+@pytest.mark.parametrize("q", [2 ** 31 + 11, 3 * 2 ** 61 + 1, 2 ** 64 + 13],
+                         ids=["2^31+11", "3*2^61+1", "2^64+13"])
+def test_moduli_past_int64_match_per_n_sums(capsys, q):
+    # Python-int residues in phase_numerators, and a common modulus L past
+    # int64 in PhaseValues.times_root and times_conj (weyl-decompose)
+    y, x = 777, 600
+    want = oracles.weighted_tm_inv_sum(q, y, x)
+    common = ["--x", str(x), "--y", str(y), "--json"]
+    g = ["--g-f", "1/X", "--g-q", str(q)]
+    argvs = {
+        "sum": ["sum", "--auto", "thue_morse_even", "--f", "1/X", "--q", str(q)],
+        "correlate": ["correlate", "--f", "1/X", "--q", str(q), "--h", "5"],
+        "block-decompose": ["block-decompose", "--auto", "thue_morse_even",
+                            "--sigma", "5"] + g,
+        "weyl-decompose": ["weyl-decompose", "--transducer", "thue_morse",
+                           "--l1", "1", "--l2", "1"] + g,
+    }
+    for name, argv in argvs.items():
+        assert run(argv + common) == 0, capsys.readouterr().err
+        obj = json.loads(capsys.readouterr().out)
+        if name == "block-decompose":
+            got = complex(obj["metadata"]["total_re"], obj["metadata"]["total_im"])
+        else:
+            got = complex(*obj["rows"][0][-3:-1])
+        ref = oracles.correlation_inv(q, x, y, 5, 1, 0) if name == "correlate" else want
+        assert abs(got - ref) < 1e-9 * x, name
+        if name == "weyl-decompose":
+            assert obj["metadata"]["identities_ok"]
+
+
+def test_execute_reads_the_parser_defaults(capsys):
+    # a RunConfig that leaves options out gets what the command line gets
+    for argv, args in (
+            (["verify-weil", "--f", "1/X"], {"f": "1/X"}),
+            (["verify-gcd", "--f-list", "1/X,X^3", "--r-list", "1,2", "--ell-list", "0,1"],
+             {"f_list": "1/X,X^3", "r_list": "1,2", "ell_list": "0,1"}),
+            (["sum", "--auto", "thue_morse_even", "--f", "1/X", "--q", "101", "--x", "50"],
+             {"auto": "thue_morse_even", "f": "1/X", "q": 101, "x": 50})):
+        assert run(argv + ["--json"]) == 0
+        via_argv = json.loads(capsys.readouterr().out)
+        via_config = cli.execute(presets.RunConfig(argv[0], args)).to_json_obj()
+        assert via_config == via_argv
+    weil = cli.execute(presets.RunConfig("verify-weil", {"f": "1/X"}))
+    assert len(weil.rows) == 46     # the primes up to 199
+    gcd = cli.execute(presets.RunConfig("verify-gcd", {"f_list": "1/X", "r_list": "1",
+                                                       "ell_list": "0"}))
+    assert gcd.metadata["p_min"] == 5 and gcd.metadata["p_max"] == 199
+
+
+def test_count_congruence_without_a_modulus_is_a_one_line_error(capsys):
+    assert run(["count-congruence", "--set", "thue_morse_even", "--f", "1/X"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_unknown_preset(capsys):
     assert run(["preset", "definitely-not-a-preset"]) == 1
 

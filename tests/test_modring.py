@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from autoexp.exact import Cyclotomic
-from autoexp.modring import (FactoredModulus, FractionPhase, IntPoly,
+from autoexp.modring import (FactoredModulus, FractionPhase, IntPoly, PhaseValues,
                              RationalFunction, add_linear, crt_combine,
                              eval_phase, factorize, is_prime, is_well_defined,
                              mod_inverse, parse_rational_function,
@@ -166,8 +166,9 @@ def test_phase_values_match_per_n_phases():
     cases = [("1/X", 101), ("1/X", 1009), ("(X^2+1)/X", 61),        # primes
              ("1/X", 3 ** 5), ("(X^3+2)/(X^2+1)", 2 ** 7),           # prime powers
              ("1/X", 45), ("(X^2+1)/X", 360), ("X^2/5", 1001),       # composite
-             ("1/(X^2-2)", 2 ** 31 + 11),       # per-element path of phase_numerators
-             ("X^3+1/X", 3 * 2 ** 61 + 1)]     # 2 * numerator overflows int64
+             ("1/(X^2-2)", 2 ** 31 + 11),       # Python-int residues in phase_numerators
+             ("X^3+1/X", 3 * 2 ** 61 + 1),     # 2 * numerator overflows int64
+             ("(X^2+3)/X", 2 ** 64 + 13)]      # numerators past int64
     poles = 0
     for text, q in cases:
         f = parse_rational_function(text)
@@ -189,6 +190,35 @@ def test_phase_values_match_per_n_phases():
             assert [g(int(n)) for n in ns[:25]] == [eval_phase(f, q, int(n)) for n in ns[:25]]
             poles += int((pv.values < 0).sum())
     assert poles > 0
+    # a plain list mixing an int past 2^63 with a small one is read exactly
+    # (numpy alone would make it float64)
+    pv = phase_values(FractionPhase(parse_rational_function("1/X"), 101), [2 ** 63 + 1, 5])
+    assert pv.values.tolist() == [pow(2 ** 63 + 1, -1, 101), pow(5, -1, 101)] == [10, 81]
+
+
+@pytest.mark.parametrize("m1, m2", [(12, 18), (2 ** 31 + 11, 6), (3 * 2 ** 61 + 1, 5),
+                                    (2 ** 64 + 13, 2 ** 64 + 13), (2 ** 64 + 13, 7)])
+def test_phase_value_products_match_fractions(m1, m2):
+    # g * e(a/D) and g * conj(h) against Fraction arithmetic per element, on
+    # small int64 numerators whose common modulus may pass int64
+    import numpy as np
+    rng = random.Random(m1 ^ m2)
+    u = [rng.choice([-1, 0, 1, 5, rng.randrange(m1)]) for _ in range(40)]
+    w = [rng.choice([-1, 0, 3, rng.randrange(m2)]) for _ in range(40)]
+    a = [rng.randrange(-50, 50) for _ in range(40)]
+    g = PhaseValues(m1, np.array(u, dtype=np.int64 if m1 < 2 ** 62 else object))
+    h = PhaseValues(m2, np.array(w, dtype=np.int64 if m2 < 2 ** 62 else object))
+
+    def numerators(pv, phases):
+        return [-1 if t is None else int(t % 1 * pv.modulus) for t in phases]
+
+    root = g.times_root(np.array(a), m2)
+    assert root.modulus % m1 == 0 and root.modulus % m2 == 0
+    assert root.values.tolist() == numerators(root, [
+        None if x < 0 else Fraction(x, m1) + Fraction(y, m2) for x, y in zip(u, a)])
+    conj = g.times_conj(h)
+    assert conj.values.tolist() == numerators(conj, [
+        None if x < 0 or y < 0 else Fraction(x, m1) - Fraction(y, m2) for x, y in zip(u, w)])
 
 
 def test_phase_values_classifies_plain_callables():
