@@ -123,6 +123,8 @@ def cmd_verify_weil(args: Dict) -> SweepReport:
             rows.append((p, a, s_abs, bound, s_abs / bound, im_abs))
         return SweepReport(("p", "argmax_a", "max_abs", "bound", "ratio", "max_imag"),
                            rows, {"family": "aX + 1/X", "p_max": p_max})
+    if args["f"] is None:
+        raise ValueError("specify --f or --kloosterman")
     f = parse_rational_function(str(args["f"]))
     qs = (_parse_int_list(args["q_list"]) if args["q_list"]
           else [p for p in presets.primes_upto(p_max) if p >= p_min])

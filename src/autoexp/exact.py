@@ -361,7 +361,7 @@ def indexed_phase_sum(values: Sequence[Cyclotomic], index: np.ndarray, modulus: 
     W, exps, nums, den = term_table(values, modulus)
     live = phases >= 0
     idx = index[live]
-    shifted = exps[idx] + (phases[live] * (W // modulus))[:, None]
+    shifted = exps[idx] + _times(phases[live], W // modulus)[:, None]
     return Cyclotomic.from_int_histogram(W, nums[idx].ravel(), Fraction(1, den),
                                          exps=shifted.ravel())
 

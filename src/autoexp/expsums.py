@@ -55,6 +55,7 @@ def complete_sum(f: RationalFunction, q: Union[int, FactoredModulus]) -> Cycloto
     """Exact sum of the fraction phases over one full period n mod q."""
     fq = FactoredModulus.of(q)
     qv = fq.value
+    require_budget(qv, "period q")
     phases = phase_numerators(f, fq, np.arange(qv, dtype=np.int64))
     return Cyclotomic.from_int_histogram(qv, np.bincount(phases[phases >= 0], minlength=qv))
 
@@ -229,10 +230,10 @@ class SweepReport:
 
 def _resolve_y(policy, q: int) -> int:
     if isinstance(policy, str):
-        table = {"0": 0, "q": q, "10q": 10 * q}
-        if policy not in table:
+        table = {"q": q, "10q": 10 * q}
+        if policy not in table and not policy.isdecimal():
             raise ValueError(f"unknown y policy {policy!r}")
-        return table[policy]
+        return table[policy] if policy in table else int(policy)
     if callable(policy):
         return int(policy(q))
     return int(policy)

@@ -329,22 +329,22 @@ def decompose_weyl(tr: ScalarTransducer, tau: Callable[[Cyclotomic, int], object
     if exact:
         tau_list: List[StageValue] = tau_ex
         same = lambda a, b: a == b
-        zero: StageValue = Cyclotomic.zero()
-        root = Cyclotomic.root_of_unity
     else:
         g_all = PhaseValues(0, g_all.to_complex())
         tau_list = [complex(v) for v in tau_vals]
         scale = max(1.0, float(np.abs(g_all.values[:x]).sum()))
         same = lambda a, b: abs(complex(a) - complex(b)) <= 1e-9 * scale
-        zero = 0j
-        root = lambda a, m: complex(np.exp(2j * np.pi * (a % m) / m))
     g = g_all.take(slice(0, x))
+
+    def side(values: List, phases: np.ndarray) -> StageValue:
+        """sum over i of values[i] * e(phases[i] / D): one identity side as
+        one histogram, exact or complex as the values are"""
+        return PhaseValues(D, phases % D).indexed_sum(values, np.arange(len(values)))
 
     j_n = j_all[:x]
     q_n = q_all[:x]
     mprime_n = (np.arange(x) + (y + 1) % RM2) % RM2     # ns % RM^2
     m_n = mprime_n % M
-    st_m = st[:M]
     trunc_q = st[m_n]
     sync_mask = q_n != trunc_q
     sync_failures = int(sync_mask.sum())
@@ -352,9 +352,7 @@ def decompose_weyl(tr: ScalarTransducer, tau: Callable[[Cyclotomic, int], object
     # ---- S_0 directly, and S_1 per (weight value, end state)
     s0 = g.indexed_sum(tau_list, j_n * S + q_n)
     s1 = {divmod(b, S): v for b, v in g.bucket_sums(j_n * S + q_n).items()}
-    s0_rec = zero
-    for (j, q), v in s1.items():
-        s0_rec = s0_rec + tau_list[j * S + q] * v
+    s0_rec = sum((tau_list[j * S + q] * v for (j, q), v in s1.items()), 0)
     identity_s0 = same(s0, s0_rec)
 
     # ---- S_2 per (residue mod M, weight value); S_1 from S_2 + sync failures
@@ -365,31 +363,21 @@ def decompose_weyl(tr: ScalarTransducer, tau: Callable[[Cyclotomic, int], object
         np.concatenate([j_n[bad] * S + q_n[bad], j_n[bad] * S + trunc_q[bad]]),
         np.repeat(np.array([1, -1]), bad.size))
     corr_val = {divmod(b, S): v for b, v in corr.items()}
-    identity_s1 = True
-    for j in range(D):
-        for q in range(S):
-            main = zero
-            for m in range(M):
-                if st_m[m] == q and (m, j) in s2:
-                    main = main + s2[(m, j)]
-            main = main + corr_val.get((j, q), zero)
-            if not same(main, s1.get((j, q), zero)):
-                identity_s1 = False
+    # the residues m < M whose truncated end state is q
+    residues = [np.flatnonzero(st[:M] == q).tolist() for q in range(S)]
+    identity_s1 = all(
+        same(side([s2.get((m, j), 0) for m in residues[q]] + [corr_val.get((j, q), 0)],
+                  np.zeros(len(residues[q]) + 1, dtype=np.int64)), s1.get((j, q), 0))
+        for j in range(D) for q in range(S))
 
     # ---- S_3 per (residue, character), against the character expansion of S_2
     s3: Dict[Tuple[int, int], StageValue] = {}
     for t in range(D):
         for m, v in g.times_root(t * j_n, D).bucket_sums(m_n).items():
             s3[(m, t)] = v
-    identity_s3 = True
-    for m in range(M):
-        for t in range(D):
-            rhs = zero
-            for j in range(D):
-                if (m, j) in s2:
-                    rhs = rhs + root(t * j, D) * s2[(m, j)]
-            if not same(rhs, s3.get((m, t), zero)):
-                identity_s3 = False
+    identity_s3 = all(
+        same(side([s2.get((m, j), 0) for j in range(D)], t * np.arange(D)), s3.get((m, t), 0))
+        for m in range(M) for t in range(D))
 
     # ---- S_4 / S_5 per shift r, with the carry failure sets
     s4: Dict[Tuple[int, int, int], StageValue] = {}
@@ -414,15 +402,10 @@ def decompose_weyl(tr: ScalarTransducer, tau: Callable[[Cyclotomic, int], object
             corr4 = gc.take(np.tile(bad, 2)).times_root(
                 np.concatenate([t * dval[bad], t * vt[bad]]), D).bucket_sums(
                     np.tile(m_n[bad], 2), np.repeat(np.array([1, -1]), bad.size))
-            for m in range(M):
-                rhs = zero
-                for mp in range(m, RM2, M):
-                    if (mp, r) in s5:
-                        w = root(t * int(dvt_table[mp]), D)
-                        rhs = rhs + w * s5[(mp, r)]
-                rhs = rhs + corr4.get(m, zero)
-                if not same(rhs, s4.get((m, t, r), zero)):
-                    identity_s4 = False
+            identity_s4 = identity_s4 and all(
+                same(side([s5.get((mp, r), 0) for mp in range(m, RM2, M)] + [corr4.get(m, 0)],
+                          np.append(t * dvt_table[m::M], 0)), s4.get((m, t, r), 0))
+                for m in range(M))
 
     # ---- van der Corput on each S_3 sequence (shift unit M, window R)
     vdc_rows: List[Tuple[int, int, float, float, float]] = []

@@ -155,6 +155,39 @@ def test_count_congruence_without_a_modulus_is_a_one_line_error(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_verify_weil_checks_the_budget_before_the_period(capsys, monkeypatch):
+    monkeypatch.setenv("AUTOEXP_BUDGET", "100")
+    code = run(["verify-weil", "--f", "1/X", "--q-list", "100003"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("budget error") and err.count("\n") == 1
+
+
+def test_verify_weil_without_f_or_kloosterman_is_a_one_line_error(capsys):
+    assert run(["verify-weil"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "--f" in err and "--kloosterman" in err
+
+
+def test_scan_pv_reads_integer_y_policies(capsys):
+    from autoexp.automata import thue_morse_even
+    from autoexp.expsums import IntervalProgression, weighted_sum
+    from autoexp.modring import parse_rational_function
+    argv = ["scan-pv", "--auto", "thue_morse_even", "--f", "1/X", "--q-list", "101,103",
+            "--theta", "0.8", "--json", "--y"]
+    assert run(argv + ["0,5"]) == 0
+    rows = [r for r in json.loads(capsys.readouterr().out)["rows"] if r[0] == "5"]
+    assert [r[1] for r in rows] == [101, 103]
+    for _, q, x, y, s_abs, *_ in rows:
+        assert y == 5
+        assert s_abs == abs(weighted_sum(thue_morse_even(), parse_rational_function("1/X"),
+                                         q, IntervalProgression(5, x)))
+    assert run(argv + ["5.5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_unknown_preset(capsys):
     assert run(["preset", "definitely-not-a-preset"]) == 1
 

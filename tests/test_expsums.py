@@ -134,6 +134,21 @@ def test_weighted_sum_float_outputs():
     assert abs(s - direct) < 1e-12
 
 
+def test_weighted_sum_outputs_past_int64_match_per_n_sum():
+    # the outputs' modulus 2^64 + 13 makes the common modulus W of the
+    # output terms and the phases mod 101 pass int64
+    from autoexp.automata import Dfao
+    d = Dfao(2, [[0, 1], [1, 0]],
+             [Cyclotomic.root_of_unity(1, 2 ** 64 + 13), Fraction(-1, 3)])
+    s = weighted_sum(d, INV_X, 101, IntervalProgression(0, 300))
+    want = Cyclotomic.zero()
+    for n in range(1, 301):
+        t = phase_fraction(INV_X, 101, n)
+        if t is not None:
+            want = want + d.evaluate(n) * Cyclotomic.from_phase(t)
+    assert s == want
+
+
 # -- correlations --------------------------------------------------------------------
 
 

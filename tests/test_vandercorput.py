@@ -291,6 +291,34 @@ def test_decompose_comparator_and_rows(pins):
         assert slack >= -1e-9 * max(1.0, rhs)
 
 
+# bucket_sums calls of decompose_weyl for thue_morse (D = 2) at M = R = 2, in
+# order: S1, S2, sync correction, S3 (t = 0, 1), then per r: S5, and per t:
+# S4 and its carry correction
+@pytest.mark.parametrize("call, flag", [(0, "identity_s1"), (1, "identity_s1"),
+                                        (3, "identity_s3"), (5, "identity_s4"),
+                                        (6, "identity_s4")])
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_a_lost_stage_entry_fails_the_identities(monkeypatch, call, flag, mode):
+    from autoexp.modring import PhaseValues
+    bucket_sums = PhaseValues.bucket_sums
+    tables = []
+
+    def lossy(self, *args, **kwargs):
+        table = bucket_sums(self, *args, **kwargs)
+        if len(tables) == call:     # drop the largest entry of this table
+            del table[max(table, key=lambda b: abs(complex(table[b])))]
+        tables.append(table)
+        return table
+
+    monkeypatch.setattr(PhaseValues, "bucket_sums", lossy)
+    g = FractionPhase(INV_X, 101)
+    rep = decompose_weyl(thue_morse_transducer(), tau_evil,
+                         g if mode == "exact" else lambda n: complex(g(n)), 0, 2000, 1, 1)
+    assert rep.exact == (mode == "exact")
+    assert not getattr(rep, flag)
+    assert not rep.identities_ok
+
+
 def _stage_tables(rep):
     return (rep.exact, rep.s0, rep.s1, rep.s2, rep.s3, rep.s4, rep.s5,
             rep.sync_failures, rep.carry_failures, rep.identities_ok)
