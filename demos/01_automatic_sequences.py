@@ -6,6 +6,8 @@ Builds the standard machines (Thue-Morse parity, Rudin-Shapiro, the
 structure and synchronizing words, and round-trips the text format.
 """
 
+import numpy as np
+
 from autoexp import (Dfao, block_11, find_synchronizing_word, rudin_shapiro,
                      strongly_connected_components, thue_morse_even)
 
@@ -33,5 +35,5 @@ print("\nText format round trip:")
 text = b11.to_text()
 print("  " + "\n  ".join(text.splitlines()[:4]) + "\n  ...")
 again = Dfao.from_text(text)
-assert again.transitions == b11.transitions
+assert np.array_equal(again.transitions, b11.transitions)
 print("  parsed back identically.")

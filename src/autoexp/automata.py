@@ -45,28 +45,29 @@ class Dfao:
                  name: Optional[str] = None, _check_initial_loop: bool = True):
         if base < 2:
             raise ValueError("base must be >= 2")
-        trans = tuple(tuple(int(t) for t in row) for row in transitions)
+        trans = np.asarray(transitions)
         n_states = len(trans)
         if n_states == 0:
             raise ValueError("need at least one state")
-        for row in trans:
-            if len(row) != base:
-                raise ValueError("transition table must cover every digit")
-            for t in row:
-                if not 0 <= t < n_states:
-                    raise ValueError(f"transition target {t} out of range")
+        if trans.ndim != 2 or trans.shape[1] != base:
+            raise ValueError("transition table must cover every digit")
+        if trans.dtype.kind not in "iu":
+            raise ValueError(f"transition targets must be state indices, not {trans.dtype}")
+        bad = (trans < 0) | (trans >= n_states)
+        if bad.any():
+            raise ValueError(f"transition target {trans[bad][0]} out of range")
         if len(outputs) != n_states:
             raise ValueError("one output per state required")
         if not 0 <= initial < n_states:
             raise ValueError("initial state out of range")
-        if _check_initial_loop and trans[initial][0] != initial:
+        if _check_initial_loop and trans[initial, 0] != initial:
             raise ValueError("digit 0 must fix the initial state")
         self.base = base
-        self.transitions = trans
+        self.transitions = trans.astype(np.int32)
+        self.transitions.flags.writeable = False
         self.initial = initial
         self.name = name
-        self.outputs = tuple(self._norm_output(v) for v in outputs)
-        self._delta = None
+        self.outputs = tuple(map(self._norm_output, outputs))
 
     @staticmethod
     def _norm_output(v: OutputValue):
@@ -81,18 +82,13 @@ class Dfao:
     def outputs_exact(self) -> bool:
         return all(isinstance(v, Cyclotomic) for v in self.outputs)
 
-    def _delta_flat(self) -> np.ndarray:
-        if self._delta is None:
-            self._delta = np.array(
-                [t for row in self.transitions for t in row], dtype=np.int32)
-        return self._delta
-
     # -- evaluation -----------------------------------------------------
 
     def walk(self, state: int, digits: Sequence[int]) -> int:
-        trans = self.transitions
+        """State after reading digits (each in [0, base)) from state."""
+        k, flat = self.base, self.transitions.ravel().data     # a view, not a copy
         for d in digits:
-            state = trans[state][d]
+            state = flat[state * k + d]
         return state
 
     def state_at(self, n: int, start: Optional[int] = None) -> int:
@@ -111,7 +107,7 @@ class Dfao:
 
     def state_table(self, limit: int, start: Optional[int] = None) -> np.ndarray:
         """st[n] = state after reading (n)_k from start, for all n < limit."""
-        children = self._delta_flat().reshape(-1, self.base)
+        children = self.transitions
         k = self.base
         st = np.empty(limit, dtype=np.int32)
         if limit == 0:
@@ -130,7 +126,7 @@ class Dfao:
     def padded_table(self, entries: Sequence[int], sigma: int) -> np.ndarray:
         """tab[i, m] = state after reading the sigma-digit zero-padded word of
         m from entries[i], for all m < k^sigma."""
-        children = self._delta_flat().reshape(-1, self.base)
+        children = self.transitions
         tab = np.asarray(entries, dtype=np.int32).reshape(-1, 1)
         for _ in range(sigma):      # column m*k + d follows digit d after m
             tab = children[tab].reshape(tab.shape[0], -1)
@@ -181,7 +177,7 @@ class Dfao:
             else:
                 z = complex(v)
                 lines.append(f"state {i} out=c:{z.real!r},{z.imag!r}")
-        for i, row in enumerate(self.transitions):
+        for i, row in enumerate(self.transitions.tolist()):
             for d, t in enumerate(row):
                 lines.append(f"t {i} {d} {t}")
         return "\n".join(lines) + "\n"
@@ -209,6 +205,8 @@ class Dfao:
                 idx = int(parts[1])
                 if not 0 <= idx < n_states:
                     raise ValueError(f"state out of range in {ln!r}")
+                if outputs[idx] is not None:
+                    raise ValueError(f"second output for state {idx} in {ln!r}")
                 val = parts[2][4:]
                 if val.startswith("r:"):
                     num, den = val[2:].split("/")
@@ -224,6 +222,8 @@ class Dfao:
                 frm, dig, to = int(parts[1]), int(parts[2]), int(parts[3])
                 if not (0 <= dig < base and 0 <= frm < n_states):
                     raise ValueError(f"state or digit out of range in {ln!r}")
+                if trans[frm][dig] is not None:
+                    raise ValueError(f"second transition for state {frm}, digit {dig} in {ln!r}")
                 trans[frm][dig] = to
             else:
                 raise ValueError(f"unrecognized line {ln!r}")
@@ -273,7 +273,7 @@ def strongly_connected_components(dfao: Dfao) -> ComponentDecomposition:
     """
     n = dfao.n_states
     k = dfao.base
-    trans = dfao.transitions
+    trans = dfao.transitions.tolist()
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -331,7 +331,7 @@ def strongly_connected_components(dfao: Dfao) -> ComponentDecomposition:
         if not is_final[ci]:
             continue
         for s in comp:
-            sequences[s] = Dfao(k, trans, dfao.outputs, initial=s,
+            sequences[s] = Dfao(k, dfao.transitions, dfao.outputs, initial=s,
                                 name=f"{dfao.name or 'dfao'}@{s}",
                                 _check_initial_loop=False)
     return ComponentDecomposition(
@@ -354,7 +354,7 @@ def find_synchronizing_word(dfao: Dfao) -> Optional[Tuple[int, ...]]:
     the state set.  The result is validated, not minimal.
     """
     n, k = dfao.n_states, dfao.base
-    trans = dfao.transitions
+    trans = dfao.transitions.tolist()
     if n == 1:
         return ()
 
@@ -462,6 +462,8 @@ def block_decompose_sum(dfao: Dfao, g: Callable[[int], object], y: int, x: int,
     sums are exact when the outputs are exact and every g value is 0 or an
     exact root of unity (always, for a FractionPhase), complex otherwise.
     """
+    if sigma < 0:
+        raise ValueError("sigma must be non-negative")
     k = dfao.base
     K = k ** sigma
     if K > x:

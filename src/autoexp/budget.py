@@ -13,7 +13,10 @@ def enumeration_budget() -> int:
     raw = os.environ.get("AUTOEXP_BUDGET")
     if raw is None:
         return DEFAULT_BUDGET
-    value = int(raw)
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
     if value < 1:
         raise ValueError("AUTOEXP_BUDGET must be a positive integer")
     return value

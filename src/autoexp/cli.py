@@ -48,8 +48,10 @@ def _load_transducer(source: str) -> vandercorput.ScalarTransducer:
     if source == "thue_morse":
         return vandercorput.thue_morse_transducer()
     if source.startswith("digit_sum(") and source.endswith(")"):
-        k, m = (int(t) for t in source[len("digit_sum("):-1].split(","))
-        return vandercorput.digit_sum_transducer(k, m)
+        params = source[len("digit_sum("):-1].split(",")
+        if len(params) != 2:
+            raise ValueError(f"bad transducer {source!r}; use digit_sum(k,m)")
+        return vandercorput.digit_sum_transducer(*(int(t) for t in params))
     raise ValueError(f"unknown transducer {source!r}; use thue_morse or digit_sum(k,m)")
 
 

@@ -143,6 +143,10 @@ def run_crt_consistency(trials: int = 100, q_max: int = 10000,
 def run_vdc_fuzz(trials: int = 10000, d_max: int = 3, x_max: int = 200,
                  r_max: int = 32, k_max: int = 4, seed: int = _SEED) -> dict:
     """Random matrix sequences through the van der Corput inequality."""
+    for option, top in (("--d-max", d_max), ("--x-max", x_max), ("--r-max", r_max),
+                        ("--k-max", k_max)):
+        if top < 1:
+            raise ValueError(f"{option} must be at least 1")
     rng = np.random.default_rng(seed)
     min_rel_slack = math.inf
     for i in range(trials):

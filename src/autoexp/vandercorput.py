@@ -33,26 +33,21 @@ StageValue = Union[Cyclotomic, complex]
 
 
 class ScalarTransducer:
-    """Synchronizing DFAO with a unit-complex weight per transition."""
+    """Synchronizing DFAO with a unit-complex weight e(phases[s][d]) per
+    transition, held as weights[s, d] = phases[s][d] * D mod D, D = weight_order."""
 
-    def __init__(self, dfao: Dfao, weight_phases: Sequence[Sequence[Fraction]]):
-        if len(weight_phases) != dfao.n_states:
-            raise ValueError("one weight row per state required")
-        rows = []
-        denom = 1
-        for row in weight_phases:
-            if len(row) != dfao.base:
-                raise ValueError("one weight per digit required")
-            frow = tuple(Fraction(w) % 1 for w in row)
-            for w in frow:
-                denom = denom * w.denominator // math.gcd(denom, w.denominator)
-            rows.append(frow)
+    def __init__(self, dfao: Dfao, phases: Sequence[Sequence[Fraction]]):
+        rows = [[Fraction(p) % 1 for p in row] for row in phases]
+        if len(rows) != dfao.n_states or any(len(row) != dfao.base for row in rows):
+            raise ValueError("one weight per state and digit required")
         word = find_synchronizing_word(dfao)
         if word is None:
             raise ValueError("underlying automaton is not synchronizing")
+        D = math.lcm(*(p.denominator for row in rows for p in row))
         self.dfao = dfao
-        self.weight_phases = tuple(rows)
-        self.weight_order = denom
+        self.weights = np.array([[int(p * D) for p in row] for row in rows], dtype=np.int64)
+        self.weights.flags.writeable = False
+        self.weight_order = D
         self.sync_word = word
 
     @property
@@ -66,23 +61,24 @@ class ScalarTransducer:
     @functools.cached_property
     def product(self) -> Dfao:
         """The cocycle as an automaton over S*D states (D = weight_order):
-        state s*D + j is state s with T = e(j/D), output that of state s."""
-        dfao, D, k = self.dfao, self.weight_order, self.base
-        require_budget(dfao.n_states * D * k, "product automaton size S * D * k")
-        w = [[int(p * D) for p in row] for row in self.weight_phases]
-        trans = [[dfao.transitions[s][d] * D + (j + w[s][d]) % D for d in range(k)]
-                 for s in range(dfao.n_states) for j in range(D)]
-        return Dfao(k, trans, [v for v in dfao.outputs for _ in range(D)],
+        state s*D + j is state s with T = e(j/D), output that of state s, and
+        digit d leads from it to delta(s, d)*D + (j + weights[s, d]) mod D."""
+        dfao, D, (S, k) = self.dfao, self.weight_order, self.dfao.transitions.shape
+        require_budget(S * D * k, "product automaton size S * D * k")
+        j = np.arange(D).reshape(1, D, 1)
+        trans = (dfao.transitions[:, None, :].astype(np.int64) * D
+                 + (j + self.weights[:, None, :]) % D)
+        return Dfao(k, trans.reshape(S * D, k), [v for v in dfao.outputs for _ in range(D)],
                     initial=dfao.initial * D, _check_initial_loop=False)
 
     def T_phase(self, state: int, digits: Sequence[int]) -> Fraction:
         """Phase of the ordered weight product along the path from state."""
-        total = Fraction(0)
-        trans = self.dfao.transitions
+        total = 0
+        weights, trans = self.weights.data, self.dfao.transitions.data
         for d in digits:
-            total += self.weight_phases[state][d]
-            state = trans[state][d]
-        return total % 1
+            total += weights[state, d]
+            state = trans[state, d]
+        return Fraction(total % self.weight_order, self.weight_order)
 
     def T(self, state: int, digits: Sequence[int]) -> Cyclotomic:
         return Cyclotomic.from_phase(self.T_phase(state, digits))
@@ -108,6 +104,8 @@ def thue_morse_transducer() -> ScalarTransducer:
 
 def digit_sum_transducer(k: int, m: int) -> ScalarTransducer:
     """One-state cocycle with T(n) = e(digit sum of n / m) in base k."""
+    if m < 1:
+        raise ValueError("m must be positive")
     dfao = Dfao(k, [[0] * k], [Fraction(1)], name=f"digit_sum({k},{m})")
     return ScalarTransducer(dfao, [[Fraction(d % m, m) for d in range(k)]])
 
@@ -221,7 +219,7 @@ def eta_fit(dfao: Dfao, x: Optional[int] = None,
     if lams is None:
         lams = range(1, 9)
     lams = tuple(itertools.takewhile(lambda lam: k ** lam <= x, lams))
-    key = (k, dfao.transitions, x, lams)
+    key = (k, dfao.transitions.tobytes(), x, lams)
     if key not in _ETA_FITS:
         pts = [(lam, math.log(c / x, k))
                for lam, c in zip(lams, sync_failure_counts(dfao, 0, x, lams)) if c > 0]
@@ -305,6 +303,8 @@ def decompose_weyl(tr: ScalarTransducer, tau: Callable[[Cyclotomic, int], object
     comparator x M^-eta + sum_m sqrt((x/(RM)) sum |S_5|) is reported next
     to |S_0|.
     """
+    if lam1 < 0 or lam2 < 0:
+        raise ValueError("need lam1 >= 0 and lam2 >= 0")
     k = tr.base
     M = k ** lam1
     R = k ** lam2

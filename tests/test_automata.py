@@ -38,6 +38,25 @@ def test_validation():
         Dfao(2, [[1, 0], [0, 1]], [1, 0])  # digit 0 must fix the start
 
 
+@pytest.mark.parametrize("trans", [
+    [[0, 1], [0]],          # ragged rows
+    [[0, 1.5], [1, 0]],     # non-integer target
+    [[0, "1"], [1, 0]],     # a string is not a target
+    [[0, 2], [1, 0]],       # target >= number of states
+])
+def test_transition_table_is_checked_as_an_array(trans):
+    with pytest.raises(ValueError):
+        Dfao(2, trans, [1, 0])
+
+
+def test_transitions_are_one_read_only_int32_array():
+    d = Dfao(2, np.array([[0, 1], [1, 0]], dtype=np.int64), [1, 0])
+    assert d.transitions.dtype == np.int32 and d.transitions.shape == (2, 2)
+    with pytest.raises(ValueError):
+        d.transitions[0, 1] = 0
+    assert d.walk(0, [1, 1, 1]) == 1 and type(d.walk(0, [1])) is int
+
+
 def test_thue_morse_examples():
     tm = thue_morse_even()
     assert tm.evaluate(0) == ONE
@@ -301,7 +320,7 @@ def test_text_round_trip(tmp_path):
         path = tmp_path / "m.dfao"
         d.save(path)
         d2 = Dfao.load(path)
-        assert d2.base == d.base and d2.transitions == d.transitions
+        assert d2.base == d.base and np.array_equal(d2.transitions, d.transitions)
         for n in range(20):
             assert abs(complex(d2.evaluate(n)) - complex(d.evaluate(n))) < 1e-12
 

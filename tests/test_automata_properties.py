@@ -1,4 +1,5 @@
-"""Property tests: Dfao.window_states against per-n digit walks.
+"""Property tests: Dfao.window_states against per-n digit walks, and the
+text format round trip.
 
 Random automata in bases 2, 3 and 5 (digit 0 need not fix a state), windows
 of up to 300 terms at offsets up to 2^70, in the three places the block
@@ -6,6 +7,7 @@ split n = r*K + n' can put them: prefix h = 0, straddling (h+1)*K, and
 inside one block.
 """
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -52,3 +54,19 @@ def test_window_states_match_walks_from_every_start(data):
         assert got.shape == (x,)
         assert got.tolist() == [d.walk(s, w) for w in words]
     assert d.window_states(y, x).tolist() == [d.walk(d.initial, w) for w in words]
+
+
+@given(st.data())
+def test_text_round_trip_keeps_every_field(data):
+    k = data.draw(st.sampled_from((2, 3, 5)))
+    n = data.draw(st.integers(1, 6))
+    trans = data.draw(st.lists(st.lists(st.integers(0, n - 1), min_size=k, max_size=k),
+                               min_size=n, max_size=n))
+    initial = data.draw(st.integers(0, n - 1))
+    trans[initial][0] = initial        # the text format checks this loop
+    outputs = data.draw(st.lists(st.fractions(max_denominator=10 ** 6),
+                                 min_size=n, max_size=n))
+    d = Dfao(k, trans, outputs, initial)
+    d2 = Dfao.from_text(d.to_text())
+    assert (d2.base, d2.initial, d2.outputs) == (d.base, d.initial, d.outputs)
+    assert np.array_equal(d2.transitions, d.transitions)

@@ -45,6 +45,35 @@ def test_g_f_without_g_q_is_a_one_line_error(capsys):
         assert err.count("\n") == 1 and "--g-q" in err
 
 
+CARRY = ["carry-scan", "--lam", "2", "--alpha", "1", "--rho-list", "1", "--transducer"]
+
+
+@pytest.mark.parametrize("argv, budget, needle", [
+    (["block-decompose", "--auto", "block_11", "--g-one", "--x", "10", "--sigma", "-1"],
+     None, "sigma"),
+    (["weyl-decompose", "--transducer", "thue_morse", "--g-one", "--x", "100",
+      "--l1", "-1", "--l2", "1"], None, "lam1"),
+    (["weyl-decompose", "--transducer", "thue_morse", "--g-one", "--x", "100",
+      "--l1", "1", "--l2", "-1"], None, "lam2"),
+    (CARRY + ["digit_sum(2,0)"], None, "m must be positive"),
+    (CARRY + ["digit_sum(2,-3)"], None, "m must be positive"),
+    (CARRY + ["digit_sum(2,3,4)"], None, "use digit_sum(k,m)"),
+    (["vdc-check", "--x-max", "0"], None, "--x-max"),
+    (["vdc-check", "--d-max", "0"], None, "--d-max"),
+    (["vdc-check", "--k-max", "0"], None, "--k-max"),
+    (["vdc-check", "--r-max", "0"], None, "--r-max"),
+    (["eval", "--auto", "digit_sum_mod(2,3)", "--n", "3"], "abc", "AUTOEXP_BUDGET"),
+    (["eval", "--auto", "digit_sum_mod(2,3)", "--n", "3"], "", "AUTOEXP_BUDGET"),
+])
+def test_bad_input_is_a_one_line_error_naming_it(capsys, monkeypatch, argv, budget, needle):
+    if budget is not None:
+        monkeypatch.setenv("AUTOEXP_BUDGET", budget)
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert needle in err
+
+
 def test_budget_checked_before_the_tables_are_allocated(capsys):
     # 2 * 10^10 entries would need tens of GiB; the budget stops both first
     for argv in (["weyl-decompose", "--transducer", "thue_morse", "--g-f", "1/X",
@@ -311,6 +340,8 @@ ONE_STATE = "dfao v1 base=2 states=1 initial=0\nstate 0 out=r:1/1\nt 0 0 0\nt 0 
 @pytest.mark.parametrize("text, auto", [
     (ONE_STATE + "state 3 out=r:1/1\n", None),         # state index out of range
     (ONE_STATE + "t 5 1 0\n", None),                   # source state out of range
+    (ONE_STATE + "t 0 1 0\n", None),                   # second line for one transition
+    (ONE_STATE + "state 0 out=r:1/1\n", None),         # second output for one state
     (ONE_STATE.replace(" initial=0", " other=0"), None),   # header without initial=
     (ONE_STATE.replace("r:1/1", "r:1/0"), None),       # zero denominator: ArithmeticError
     (ONE_STATE.replace("states=1", "states=99999999999"), None),

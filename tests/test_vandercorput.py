@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from autoexp.automata import (Dfao, base_digits, block_11, block_decompose_sum,
-                              thue_morse_even)
+                              find_synchronizing_word, thue_morse_even)
 from autoexp.budget import BudgetError
 from autoexp.exact import Cyclotomic
 from autoexp.expsums import correlation_sum
@@ -65,6 +65,50 @@ def test_transducer_tables_match_walks():
         for n in range(200):
             assert Fraction(int(val[n]), tr.weight_order) % 1 == tr.value_phase(n)
             assert st[n] == tr.dfao.state_at(n)
+
+
+def random_transducer(rng):
+    """A synchronizing transducer with S <= 4 states, base 2, 3 or 5, phases
+    over D <= 12, and a nonzero weight on digit 0 of the initial state."""
+    k = rng.choice((2, 3, 5))
+    S = rng.randrange(1, 5)
+    D = rng.randrange(2, 13)
+    while True:
+        trans = [[rng.randrange(S) for _ in range(k)] for _ in range(S)]
+        trans[0][0] = 0
+        if find_synchronizing_word(Dfao(k, trans, [0] * S)) is not None:
+            break
+    phases = [[Fraction(rng.randrange(D), D) for _ in range(k)] for _ in range(S)]
+    phases[0][0] = Fraction(rng.randrange(1, D), D)
+    return ScalarTransducer(Dfao(k, trans, [Fraction(s) for s in range(S)]), phases)
+
+
+def test_product_tables_and_windows_match_per_n_walks():
+    rng = random.Random(11)
+    for _ in range(40):
+        tr = random_transducer(rng)
+        D = tr.weight_order
+        S, k = tr.dfao.transitions.shape
+        assert D <= 12 and tr.weights.shape == (S, k)
+        assert tr.product.transitions.shape == (S * D, k)
+        assert all(tr.product.outputs[i] is tr.dfao.outputs[i // D] for i in range(S * D))
+
+        def want(n):
+            return tr.dfao.state_at(n), tr.value_phase(n) * D
+
+        st, val = tr.tables(150)
+        assert [(st[n], val[n]) for n in range(150)] == [want(n) for n in range(150)]
+        y = rng.choice((0, rng.randrange(10 ** 6), rng.randrange(2 ** 64, 2 ** 70)))
+        x = rng.randrange(1, 80)
+        q, j = divmod(tr.product.window_states(y, x), D)
+        assert list(zip(q, j)) == [want(n) for n in range(y + 1, y + x + 1)]
+
+
+def test_transducer_rejects_a_ragged_weight_table():
+    with pytest.raises(ValueError):
+        ScalarTransducer(block_11(), [[0, 0], [0], [0, 0]])
+    with pytest.raises(ValueError):
+        ScalarTransducer(block_11(), [[0, 0], [0, 0]])
 
 
 def test_truncated_T():
