@@ -10,7 +10,7 @@ the quadratic-reduction prime set, and the squarefree cofactor.
 
 from fractions import Fraction
 
-from autoexp import (FactoredModulus, eval_phase, parse_rational_function,
+from autoexp import (eval_phase, factorize, parse_rational_function,
                      phase_fraction, reduces_to_quadratic_poly, shift_scale,
                      squarefree_cofactor)
 
@@ -20,8 +20,7 @@ print("  phase at n=2 mod 5  :", phase_fraction(f, 5, 2), "(inverse of 2 is 3)")
 print("  phase at n=5 mod 5  :", phase_fraction(f, 5, 5), "(pole -> zero value)")
 print("  phase at n=2 mod 15 :", phase_fraction(f, 15, 2))
 
-q = FactoredModulus.of(15)
-print("  15 factors as       :", q.factors)
+print("  15 factors as       :", factorize(15))
 direct = Fraction(pow(2, -1, 15), 15)
 print("  direct formula      :", direct, "- same fraction, by CRT")
 

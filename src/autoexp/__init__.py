@@ -21,11 +21,11 @@ from .expsums import (IntervalProgression, SweepReport, check_gcd_lemma,
                       check_quadratic_geometric, check_weil, complete_sum,
                       correlation_sum, difference_sum, pv_range_scan,
                       weighted_sum)
-from .modring import (FactoredModulus, FractionPhase, IntPoly, PhaseValues,
-                      RationalFunction, add_linear, crt_combine, eval_phase,
-                      factorize, is_well_defined, mod_inverse,
-                      parse_rational_function, phase_fraction, phase_values,
-                      rational_gcd, reduces_to_quadratic_poly, shift_scale,
+from .modring import (FractionPhase, IntPoly, PhaseValues, RationalFunction,
+                      add_linear, crt_combine, eval_phase, factorize,
+                      is_well_defined, mod_inverse, parse_rational_function,
+                      phase_fraction, phase_values, rational_gcd,
+                      reduces_to_quadratic_poly, shift_scale,
                       squarefree_cofactor)
 from .presets import RunConfig, preset
 from .vandercorput import (ScalarTransducer, WeylReport, carry_violation_count,

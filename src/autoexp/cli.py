@@ -27,6 +27,17 @@ def _parse_int_list(text: str) -> List[int]:
     return [int(tok) for tok in str(text).split(",") if tok.strip()]
 
 
+def _int_params(text: str, count: int, error: str) -> List[int]:
+    """The count comma-separated integers of text; ValueError(error) otherwise."""
+    try:
+        params = _parse_int_list(text)
+    except ValueError:
+        params = []
+    if len(params) != count:
+        raise ValueError(error)
+    return params
+
+
 def _load_automaton(source: str) -> automata.Dfao:
     if os.path.sep in source or os.path.isfile(source) or source.endswith(".dfao"):
         try:
@@ -35,10 +46,8 @@ def _load_automaton(source: str) -> automata.Dfao:
             raise ValueError(f"cannot read automaton file {source!r}: {exc.strerror}") from None
     name, paren, rest = source.partition("(")
     if name.strip() == "digit_sum_mod":
-        params = [int(tok) for tok in rest.rstrip(")").split(",") if tok.strip()]
-        if len(params) != 2:
-            raise ValueError(f"use digit_sum_mod(k,m), not {source!r}")
-        return automata.digit_sum_mod(*params)
+        return automata.digit_sum_mod(*_int_params(
+            rest.rstrip(")"), 2, f"use digit_sum_mod(k,m), not {source!r}"))
     if paren:
         raise ValueError(f"unknown parametrized automaton {source!r}")
     return automata.builtin_sequences(source)
@@ -48,10 +57,8 @@ def _load_transducer(source: str) -> vandercorput.ScalarTransducer:
     if source == "thue_morse":
         return vandercorput.thue_morse_transducer()
     if source.startswith("digit_sum(") and source.endswith(")"):
-        params = source[len("digit_sum("):-1].split(",")
-        if len(params) != 2:
-            raise ValueError(f"bad transducer {source!r}; use digit_sum(k,m)")
-        return vandercorput.digit_sum_transducer(*(int(t) for t in params))
+        return vandercorput.digit_sum_transducer(*_int_params(
+            source[len("digit_sum("):-1], 2, f"bad transducer {source!r}; use digit_sum(k,m)"))
     raise ValueError(f"unknown transducer {source!r}; use thue_morse or digit_sum(k,m)")
 
 
@@ -61,7 +68,8 @@ def _tau_by_name(name: str):
     if name == "sign":
         return presets.tau_sign
     if name.startswith("pick:"):
-        return presets.tau_pick(int(name.split(":", 1)[1]))
+        return presets.tau_pick(*_int_params(
+            name[len("pick:"):], 1, f"bad output map {name!r}; use pick:STATE"))
     raise ValueError(f"unknown output map {name!r}; use evil, sign or pick:STATE")
 
 

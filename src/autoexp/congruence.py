@@ -13,14 +13,14 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .automata import Dfao
 from .budget import require_budget
 from .exact import Cyclotomic
-from .modring import FactoredModulus, RationalFunction, phase_numerators
+from .modring import RationalFunction, phase_numerators, prime_powers
 
 _ZERO = Cyclotomic.from_rational(0)
 _ONE = Cyclotomic.from_rational(1)
@@ -52,19 +52,18 @@ def _indicator_values(dfao: Dfao, q: int) -> np.ndarray:
     return picks[dfao.states_at(ns)]
 
 
-def value_histogram(dfao: Dfao, f: RationalFunction, q: Union[int, FactoredModulus],
+def value_histogram(dfao: Dfao, f: RationalFunction, q: int,
                     strict_poles: bool = False) -> ValueHistogram:
     """Distribution of f(n) mod q over {n in [1, q] : a_n = 1}, poles excluded."""
-    qv = FactoredModulus.of(q).value
-    member = _indicator_values(dfao, qv)
-    ns = np.arange(1, qv + 1, dtype=np.int64)
-    vals = phase_numerators(f, qv, ns)      # f(n) mod q, -1 at the poles
+    member = _indicator_values(dfao, q)
+    ns = np.arange(1, q + 1, dtype=np.int64)
+    vals = phase_numerators(f, q, ns)       # f(n) mod q, -1 at the poles
     if strict_poles and ((vals < 0) & (member == 1)).any():
         bad = ns[(vals < 0) & (member == 1)][:5]
-        raise ValueError(f"pole of {f} mod {qv} inside the set, e.g. n={bad.tolist()}")
+        raise ValueError(f"pole of {f} mod {q} inside the set, e.g. n={bad.tolist()}")
     keep = (member == 1) & (vals >= 0)
-    counts = np.bincount(vals[keep], minlength=qv)
-    return ValueHistogram(qv, tuple(int(c) for c in counts), int(keep.sum()))
+    counts = np.bincount(vals[keep], minlength=q)
+    return ValueHistogram(q, tuple(int(c) for c in counts), int(keep.sum()))
 
 
 def cyclic_convolve(h1: ValueHistogram, h2: ValueHistogram) -> ValueHistogram:
@@ -105,53 +104,51 @@ class CongruenceCount:
 
 
 def count_solutions(fs: Sequence[RationalFunction], set_dfao: Dfao,
-                    q: Union[int, FactoredModulus], m: int,
-                    strict_poles: bool = False) -> CongruenceCount:
+                    q: int, m: int, strict_poles: bool = False) -> CongruenceCount:
     """Exact number of tuples (n_j) in the set with sum of f_j(n_j) = m mod q."""
-    qv = FactoredModulus.of(q).value
+    prime_powers(q)     # rejects q < 1 first
     if not fs:
         raise ValueError("need at least one fraction")
-    require_budget(qv, f"q = {qv}")
+    require_budget(q, f"q = {q}")
     for f in fs:
         if f.is_polynomial() and f.num.degree <= 1:
             warnings.warn(f"f={f} is a linear or constant polynomial; "
                           "the equidistribution heuristic does not apply",
                           stacklevel=2)
-    hists = [value_histogram(set_dfao, f, qv, strict_poles=strict_poles)
+    hists = [value_histogram(set_dfao, f, q, strict_poles=strict_poles)
              for f in fs]
     conv = hists[0]
     for h in hists[1:]:
         conv = cyclic_convolve(conv, h)
-    n_sol = conv.counts[m % qv]
+    n_sol = conv.counts[m % q]
     supports = tuple(h.support_size for h in hists)
-    main = Fraction(math.prod(supports), qv)
-    raw = int(_indicator_values(set_dfao, qv).sum())
+    main = Fraction(math.prod(supports), q)
+    raw = int(_indicator_values(set_dfao, q).sum())
     rel = float(n_sol / main - 1) if main else math.inf
-    return CongruenceCount(n_sol, qv, m % qv, supports, main, raw, rel)
+    return CongruenceCount(n_sol, q, m % q, supports, main, raw, rel)
 
 
 def brute_force_count(fs: Sequence[RationalFunction], set_dfao: Dfao,
-                      q: Union[int, FactoredModulus], m: int) -> int:
+                      q: int, m: int) -> int:
     """Direct nested enumeration; must equal count_solutions exactly."""
-    qv = FactoredModulus.of(q).value
     r = len(fs)
-    require_budget(qv ** r, f"q^r = {qv}^{r}")
-    member = _indicator_values(set_dfao, qv)
-    ns = np.arange(1, qv + 1, dtype=np.int64)
+    require_budget(q ** r, f"q^r = {q}^{r}")
+    member = _indicator_values(set_dfao, q)
+    ns = np.arange(1, q + 1, dtype=np.int64)
     value_lists: List[List[int]] = []
     for f in fs:
-        vals = phase_numerators(f, qv, ns)
+        vals = phase_numerators(f, q, ns)
         value_lists.append([int(v) for v in vals[(member == 1) & (vals >= 0)]])
-    target = m % qv
+    target = m % q
 
     # plain nested loops, written recursively to support any r
     def rec(level: int, acc: int) -> int:
         if level == r - 1:
-            want = (target - acc) % qv
+            want = (target - acc) % q
             return sum(1 for v in value_lists[level] if v == want)
         total = 0
         for v in value_lists[level]:
-            total += rec(level + 1, (acc + v) % qv)
+            total += rec(level + 1, (acc + v) % q)
         return total
 
     return rec(0, 0)

@@ -19,8 +19,8 @@ import numpy as np
 from .automata import Dfao
 from .budget import require_budget
 from .exact import Cyclotomic, int_range
-from .modring import (FactoredModulus, PhaseValues, RationalFunction, mod_inverse,
-                      phase_numerators, phase_values, rational_gcd,
+from .modring import (PhaseValues, RationalFunction, mod_inverse, phase_numerators,
+                      phase_values, prime_powers, rational_gcd,
                       reduces_to_quadratic_poly, shift_scale, squarefree_cofactor)
 
 
@@ -51,26 +51,24 @@ class IntervalProgression:
         return self.y < n <= self.y + self.x and n % self.s == self.a
 
 
-def complete_sum(f: RationalFunction, q: Union[int, FactoredModulus]) -> Cyclotomic:
+def complete_sum(f: RationalFunction, q: int) -> Cyclotomic:
     """Exact sum of the fraction phases over one full period n mod q."""
-    fq = FactoredModulus.of(q)
-    qv = fq.value
-    require_budget(qv, "period q")
-    phases = phase_numerators(f, fq, np.arange(qv, dtype=np.int64))
-    return Cyclotomic.from_int_histogram(qv, np.bincount(phases[phases >= 0], minlength=qv))
+    require_budget(q, "period q")
+    phases = phase_numerators(f, q, np.arange(q, dtype=np.int64))
+    return Cyclotomic.from_int_histogram(q, np.bincount(phases[phases >= 0], minlength=q))
 
 
-def weighted_sum(dfao: Dfao, f: RationalFunction, q: Union[int, FactoredModulus],
+def weighted_sum(dfao: Dfao, f: RationalFunction, q: int,
                  region: IntervalProgression) -> Union[Cyclotomic, complex]:
     """Sum over the region of a_n times the fraction phase at n.
 
     Exact (Cyclotomic) when the automaton outputs are exact; complex otherwise.
     """
-    fq = FactoredModulus.of(q)
+    prime_powers(q)     # rejects q < 1 before the region's budget check
     require_budget(region.count, "region size")
     ns = region.values()
     # term by term: a_n shifted by the phase of n, poles dropped
-    phases = PhaseValues(fq.value, phase_numerators(f, fq, ns))
+    phases = PhaseValues(q, phase_numerators(f, q, ns))
     return phases.indexed_sum(dfao.outputs, dfao.states_at(ns))
 
 
@@ -88,20 +86,14 @@ def correlation_sum(g: Callable[[int], object], x: int, y: int, h: int,
                    math.fsum(u.imag * v.real - u.real * v.imag))
 
 
-def difference_sum(f: RationalFunction, q: Union[int, FactoredModulus], r: int,
+def difference_sum(f: RationalFunction, q: int, r: int,
                    region: IntervalProgression) -> Cyclotomic:
     """Exact sum over the region of the phase of f(n+r) - f(n), built once
     symbolically and evaluated pointwise (zero where the symbolic difference
     fraction has a pole mod q)."""
-    fq = FactoredModulus.of(q)
-    qv = fq.value
-    diff = shift_scale(f, 0, 1, r)
-    ns = region.values()
-    if ns.size == 0:
-        return Cyclotomic.zero()
-    phases = phase_numerators(diff, fq, ns)
+    phases = phase_numerators(shift_scale(f, 0, 1, r), q, region.values())
     uniq, cnt = np.unique(phases[phases >= 0], return_counts=True)
-    return Cyclotomic.from_int_histogram(qv, cnt, exps=uniq)
+    return Cyclotomic.from_int_histogram(q, cnt, exps=uniq)
 
 
 # ---------------------------------------------------------------------------
@@ -117,16 +109,15 @@ class WeilCheck:
     gcd_factor: int
 
 
-def check_weil(f: RationalFunction, q: Union[int, FactoredModulus]) -> WeilCheck:
+def check_weil(f: RationalFunction, q: int) -> WeilCheck:
     """|complete sum| against sqrt(q * (q, f')) for squarefree q; ratio only,
     no pass/fail here."""
-    fq = FactoredModulus.of(q)
-    if not fq.is_squarefree:
+    if any(e > 1 for _p, e, _m in prime_powers(q)):
         raise ValueError("modulus must be squarefree")
-    s = abs(complete_sum(f, fq))
-    gf = rational_gcd(fq, f.derivative())
-    comparator = math.sqrt(fq.value * gf)
-    return WeilCheck(fq.value, s, comparator, s / comparator, gf)
+    s = abs(complete_sum(f, q))
+    gf = rational_gcd(q, f.derivative())
+    comparator = math.sqrt(q * gf)
+    return WeilCheck(q, s, comparator, s / comparator, gf)
 
 
 def check_gcd_lemma(f: RationalFunction, r: int, ell: int,
@@ -167,33 +158,30 @@ class QuadGeometricCheck:
     comparator: float
 
 
-def check_quadratic_geometric(f: RationalFunction, q: Union[int, FactoredModulus],
-                              r: int, s: int, a: int, y: int,
-                              x: int) -> QuadGeometricCheck:
+def check_quadratic_geometric(f: RationalFunction, q: int, r: int, s: int,
+                              a: int, y: int, x: int) -> QuadGeometricCheck:
     """Geometric-sum bound for quadratic f = (u/v) X^2: the difference sum over
     the progression is at most min(x/s + 1, 1/||2 u v^-1 r s / q||).
 
     Raises ArithmeticError on violation -- the bound is a theorem.
     """
-    fq = FactoredModulus.of(q)
-    qv = fq.value
     if (f.num.degree != 2 or any(f.num.coeffs[:2]) or f.den.degree != 0):
         raise ValueError("f must be (u/v) X^2")
     u = f.num.coeffs[2]
     v = f.den.coeffs[0]
-    if math.gcd(u * qv, v) != 1:
+    if math.gcd(u * q, v) != 1:
         raise ValueError("need gcd(u*q, v) = 1")
     region = IntervalProgression(y, x, s, a % s)
-    lhs = abs(difference_sum(f, fq, r, region))
-    tnum = 2 * u * mod_inverse(v, qv) % qv * (r % qv) % qv * (s % qv) % qv
-    dist = min(tnum / qv, 1.0 - tnum / qv)
+    lhs = abs(difference_sum(f, q, r, region))
+    tnum = 2 * u * mod_inverse(v, q) % q * (r % q) % q * (s % q) % q
+    dist = min(tnum / q, 1.0 - tnum / q)
     comparator = x / s + 1.0
     if dist > 0:
         comparator = min(comparator, 1.0 / dist)
     if lhs > comparator * (1.0 + 1e-9):
         raise ArithmeticError(
-            f"geometric bound violated: {lhs} > {comparator} at q={qv} r={r} s={s}")
-    return QuadGeometricCheck(qv, r, s, x, lhs, comparator)
+            f"geometric bound violated: {lhs} > {comparator} at q={q} r={r} s={s}")
+    return QuadGeometricCheck(q, r, s, x, lhs, comparator)
 
 
 # ---------------------------------------------------------------------------
@@ -244,14 +232,16 @@ def pv_range_scan(dfao: Dfao, f: RationalFunction, qs: Sequence[int], theta: flo
                   c_display: float = 1.0 / 32.0) -> SweepReport:
     """For each modulus: x = ceil(q^theta), the weighted-sum ratio |S|/x over
     (y, y+x], and the reference envelope (1/q1 + q^2/(q1 x^2))^c."""
+    if not theta > 0:
+        raise ValueError("theta must be positive")
     rows = []
     for q in sorted(qs):
-        fq = FactoredModulus.of(q)
+        prime_powers(q)     # rejects q < 1 before q^theta
         x = math.ceil(q ** theta)
         yv = _resolve_y(y, q)
         region = IntervalProgression(yv, x)
-        s_abs = abs(weighted_sum(dfao, f, fq, region))
-        q1 = squarefree_cofactor(f, fq, dfao.base)
+        s_abs = abs(weighted_sum(dfao, f, q, region))
+        q1 = squarefree_cofactor(f, q, dfao.base)
         bound = (1.0 / q1 + q * q / (q1 * float(x) * x)) ** c_display
         rows.append((q, x, yv, s_abs, s_abs / x, q1, bound))
     return SweepReport(

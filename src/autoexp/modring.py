@@ -1,8 +1,9 @@
 """Exact arithmetic for rational fractions modulo integers.
 
 Central objects: integer polynomials, reduced rational functions P/Q,
-factored moduli, and the unit-modulus (or zero) value attached to f(n)
-mod q through prime-power local factors recombined by CRT.  All phases
+and the unit-modulus (or zero) value attached to f(n) mod q through
+prime-power local factors recombined by CRT.  A modulus is a plain int;
+its prime powers come from one cached factorize.  All phases
 are exact Fractions; complex conversion happens at the caller's edge.
 """
 
@@ -320,11 +321,14 @@ def _parse_poly(s: str) -> IntPoly:
     power: Optional[int] = None
     saw_x = False
     caret_pending = False
+    star_pending = False
 
     def flush():
         nonlocal acc, sign, coeff, power, saw_x, expect_term
         if caret_pending:
             raise ValueError(f"dangling ^ in {s!r}")
+        if star_pending:
+            raise ValueError(f"* must be followed by X in {s!r}")
         if coeff is None and not saw_x:
             raise ValueError(f"cannot parse polynomial {s!r}")
         c = sign * (1 if coeff is None else coeff)
@@ -339,6 +343,9 @@ def _parse_poly(s: str) -> IntPoly:
             raise ValueError(f"cannot parse polynomial {s!r} at {pos}")
         pos = m.end()
         num, x, caret, plus, minus, star, lpar, rpar = m.groups()
+        if star_pending and not x:
+            raise ValueError(f"* must be followed by X in {s!r}")
+        star_pending = bool(star)
         if num is not None:
             if saw_x:
                 if not caret_pending or power is not None:
@@ -391,7 +398,7 @@ def parse_rational_function(text: str) -> RationalFunction:
 
 
 # ---------------------------------------------------------------------------
-# factored moduli
+# primes and prime powers
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -434,6 +441,7 @@ def _pollard_rho(n: int, rng: random.Random) -> int:
             return d
 
 
+@lru_cache(maxsize=4096)
 def factorize(n: int) -> Tuple[Tuple[int, int], ...]:
     """Prime factorization, ascending; trial division then Pollard rho."""
     if n <= 0:
@@ -466,62 +474,11 @@ def factorize(n: int) -> Tuple[Tuple[int, int], ...]:
     return tuple(sorted(out.items()))
 
 
-class FactoredModulus:
-    """A positive integer together with its certified prime factorization."""
-
-    __slots__ = ("value", "factors")
-
-    def __init__(self, value: int, factors: Optional[Sequence[Tuple[int, int]]] = None):
-        value = int(value)
-        if value < 1:
-            raise ValueError("modulus must be >= 1")
-        if factors is None:
-            factors = factorize(value) if value > 1 else ()
-        factors = tuple((int(p), int(e)) for p, e in factors)
-        prod = 1
-        last = 1
-        for p, e in factors:
-            if p <= last:
-                raise ValueError("factors must be distinct and ascending")
-            if e < 1 or not is_prime(p):
-                raise ValueError(f"bad factor {p}^{e}")
-            prod *= p ** e
-            last = p
-        if prod != value:
-            raise ValueError("factorization does not multiply back to the value")
-        self.value = value
-        self.factors = factors
-
-    @staticmethod
-    def of(q: Union[int, "FactoredModulus"]) -> "FactoredModulus":
-        if isinstance(q, FactoredModulus):
-            return q
-        return _factored_cached(int(q))
-
-    @property
-    def is_squarefree(self) -> bool:
-        return all(e == 1 for _, e in self.factors)
-
-    def prime_powers(self) -> List[Tuple[int, int, int]]:
-        """(p, e, p**e) triples."""
-        return [(p, e, p ** e) for p, e in self.factors]
-
-    def __eq__(self, other):
-        return isinstance(other, FactoredModulus) and self.value == other.value
-
-    def __hash__(self):
-        return hash(self.value)
-
-    def __int__(self):
-        return self.value
-
-    def __repr__(self):
-        return f"FactoredModulus({self.value})"
-
-
-@lru_cache(maxsize=4096)
-def _factored_cached(q: int) -> FactoredModulus:
-    return FactoredModulus(q)
+def prime_powers(q: int) -> List[Tuple[int, int, int]]:
+    """(p, e, p**e) for each p^e || q, ascending; [] for q = 1."""
+    if q < 1:
+        raise ValueError("modulus must be >= 1")
+    return [(p, e, p ** e) for p, e in factorize(q)]
 
 
 # ---------------------------------------------------------------------------
@@ -557,43 +514,39 @@ def crt_combine(pairs: Sequence[Tuple[int, int]]) -> Tuple[int, int]:
 # the phase convention for rational fractions mod q
 
 
-def is_well_defined(f: RationalFunction, q: Union[int, FactoredModulus]) -> bool:
+def is_well_defined(f: RationalFunction, q: int) -> bool:
     """True iff gcd(q, Q) = 1 in Z[X], i.e. gcd(q, content(Q)) = 1."""
-    qv = int(FactoredModulus.of(q).value)
-    return math.gcd(qv, f.den.content()) == 1
+    return math.gcd(q, f.den.content()) == 1
 
 
-def _require_well_defined(f: RationalFunction, q: FactoredModulus) -> None:
+def _checked_prime_powers(f: RationalFunction, q: int) -> List[Tuple[int, int, int]]:
+    """prime_powers(q), once f is checked to be well-defined mod q."""
+    pps = prime_powers(q)
     if not is_well_defined(f, q):
-        raise ValueError(f"f={f} is not well-defined mod {q.value}")
+        raise ValueError(f"f={f} is not well-defined mod {q}")
+    return pps
 
 
-def phase_fraction(f: RationalFunction, q: Union[int, FactoredModulus],
-                   n: int) -> Optional[Fraction]:
+def phase_fraction(f: RationalFunction, q: int, n: int) -> Optional[Fraction]:
     """Exact phase a/q of the value at n, or None at a pole.
 
     Per prime power p^e || q the local factor is zero when p | Q(n) and
     otherwise contributes c * P(n) * Q(n)^-1 mod p^e with c the inverse of
     q/p^e; local phases recombine to a single fraction with denominator q.
     """
-    fq = FactoredModulus.of(q)
-    _require_well_defined(f, fq)
-    qv = fq.value
-    if qv == 1:
-        return Fraction(0)
     total = 0
-    for p, _e, m in fq.prime_powers():
+    for p, _e, m in _checked_prime_powers(f, q):
         qn = f.den.eval_mod(n, m)
         if qn % p == 0:
             return None
         pn = f.num.eval_mod(n, m)
-        cof = qv // m
+        cof = q // m
         local = pow(cof, -1, m) * pn * pow(qn, -1, m) % m
         total += local * cof
-    return Fraction(total % qv, qv)
+    return Fraction(total % q, q)
 
 
-def eval_phase(f: RationalFunction, q: Union[int, FactoredModulus], n: int) -> Cyclotomic:
+def eval_phase(f: RationalFunction, q: int, n: int) -> Cyclotomic:
     """The unit-modulus (or zero) value at n as an exact Cyclotomic."""
     t = phase_fraction(f, q, n)
     return Cyclotomic.zero() if t is None else Cyclotomic.from_phase(t)
@@ -611,30 +564,27 @@ def _pow_mod_vec(base: np.ndarray, exp: int, m: int) -> np.ndarray:
     return out
 
 
-def phase_numerators(f: RationalFunction, q: Union[int, FactoredModulus],
-                     ns) -> np.ndarray:
+def phase_numerators(f: RationalFunction, q: int, ns) -> np.ndarray:
     """Phase numerators mod q for an integer array in one vectorized CRT pass;
     -1 marks poles.  Residues are int64 below 2^31, where every product fits,
     and Python ints from there on; the result is int64 where it fits."""
-    fq = FactoredModulus.of(q)
-    _require_well_defined(f, fq)
-    qv = fq.value
+    pps = _checked_prime_powers(f, q)
     # from a list, numpy would turn ints in [2^63, 2^64) into floats
     ns = ns if isinstance(ns, np.ndarray) else _fit(ns)
     if ns.dtype.kind in "Ou":   # ints that may pass int64: f(n) mod q reads n mod q
-        ns = ns.astype(object) % qv
-    ns = ns.astype(np.int64 if qv < 1 << 31 else object, copy=False)
+        ns = ns.astype(object) % q
+    ns = ns.astype(np.int64 if q < 1 << 31 else object, copy=False)
     total = np.zeros_like(ns)
     pole = np.zeros(ns.shape, dtype=bool)
-    for p, e, m in fq.prime_powers():
+    for p, e, m in pps:
         qn = f.den.eval_mod_vec(ns, m)
         pn = f.num.eval_mod_vec(ns, m)
         pole |= qn % p == 0
         phi_m1 = (m // p) * (p - 1) - 1
         inv = _pow_mod_vec(np.where(pole, 1, qn), phi_m1, m)
-        cof = qv // m
+        cof = q // m
         local = pow(cof, -1, m) * pn % m * inv % m
-        total = (total + local * cof) % qv
+        total = (total + local * cof) % q
     return _narrow(np.where(pole, -1, total))
 
 
@@ -644,10 +594,10 @@ class FractionPhase:
 
     __slots__ = ("f", "q")
 
-    def __init__(self, f: RationalFunction, q: Union[int, FactoredModulus]):
-        self.q = FactoredModulus.of(q)
-        _require_well_defined(f, self.q)
+    def __init__(self, f: RationalFunction, q: int):
+        _checked_prime_powers(f, q)
         self.f = f
+        self.q = q
 
     def __call__(self, n: int) -> Cyclotomic:
         return eval_phase(self.f, self.q, n)
@@ -740,7 +690,7 @@ def phase_values(g: Callable[[int], object], ns) -> PhaseValues:
     per n and is exact when every value is 0 or an exact root of unity."""
     ns = ns if isinstance(ns, np.ndarray) else _fit(ns)
     if isinstance(g, FractionPhase):
-        return PhaseValues(g.q.value, g.numerators(ns))
+        return PhaseValues(g.q, g.numerators(ns))
     values = [g(int(n)) for n in ns]
     phases: List[Optional[Fraction]] = []
     for v in values:
@@ -783,14 +733,12 @@ def reduces_to_quadratic_poly(f: RationalFunction, p: int, strict: bool = False)
     return deg == 2 if strict else deg <= 2
 
 
-def squarefree_cofactor(f: RationalFunction, q: Union[int, FactoredModulus],
-                        base: int, strict: bool = False) -> int:
+def squarefree_cofactor(f: RationalFunction, q: int, base: int,
+                        strict: bool = False) -> int:
     """Product of p || q with p not dividing the base and f not reducing to a
     quadratic polynomial mod p."""
-    fq = FactoredModulus.of(q)
-    _require_well_defined(f, fq)
     out = 1
-    for p, e in fq.factors:
+    for p, e, _m in _checked_prime_powers(f, q):
         if e != 1 or base % p == 0:
             continue
         if not reduces_to_quadratic_poly(f, p, strict=strict):
@@ -798,16 +746,16 @@ def squarefree_cofactor(f: RationalFunction, q: Union[int, FactoredModulus],
     return out
 
 
-def rational_gcd(q: Union[int, FactoredModulus], g: RationalFunction) -> int:
+def rational_gcd(q: int, g: RationalFunction) -> int:
     """Product of p | q where g is identically zero mod p (q squarefree).
 
     Raises if q is not squarefree or if g's denominator vanishes mod some p | q.
     """
-    fq = FactoredModulus.of(q)
-    if not fq.is_squarefree:
+    pps = prime_powers(q)
+    if any(e > 1 for _p, e, _m in pps):
         raise ValueError("modulus must be squarefree")
     out = 1
-    for p, _e in fq.factors:
+    for p, _e, _m in pps:
         if not _trim(g.den.coeffs, p):
             raise ValueError(f"denominator of {g} vanishes identically mod {p}")
         if not _trim(g.num.coeffs, p):

@@ -150,17 +150,11 @@ def vdc_inequality_check(Z, R: float, k: int = 1) -> VdcCheck:
         raise ValueError("Z must be a sequence of square matrices")
     x = arr.shape[0]
     lhs = float(np.linalg.norm(arr.sum(axis=0)) ** 2)
+    # the shift -r correlates to the conjugate of shift r: same real part
     total = 0.0
-    r_max = int(math.ceil(R)) - 1
-    for r in range(-r_max, r_max + 1):
-        shift = k * r
-        if abs(shift) >= x:
-            continue
-        if shift >= 0:
-            corr = np.sum(np.conj(arr[shift:]) * arr[:x - shift])
-        else:
-            corr = np.sum(np.conj(arr[:x + shift]) * arr[-shift:])
-        total += (1.0 - abs(r) / R) * corr.real
+    for r in range(min(math.ceil(R), (x - 1) // k + 1)):
+        corr = np.vdot(arr[k * r:], arr[:x - k * r]).real
+        total += corr if r == 0 else 2.0 * (1.0 - r / R) * corr
     rhs = (x + k * (R - 1) + 1) / R * total
     slack = rhs - lhs
     if slack < -1e-9 * max(1.0, rhs):
@@ -301,7 +295,8 @@ def decompose_weyl(tr: ScalarTransducer, tau: Callable[[Cyclotomic, int], object
     identities are checked to 1e-9 relative.
     The van der Corput inequality is checked on each S_3 sequence, and the
     comparator x M^-eta + sum_m sqrt((x/(RM)) sum |S_5|) is reported next
-    to |S_0|.
+    to |S_0|.  lam1 = lam2 = 0 (M = R = 1) is a valid decomposition: each
+    regrouping has a single class, and every identity still holds.
     """
     if lam1 < 0 or lam2 < 0:
         raise ValueError("need lam1 >= 0 and lam2 >= 0")

@@ -276,3 +276,28 @@ def folded_exact_rational(x):
         if all(e == 1 for e in f.values()):
             total += coeffs[0] * (-1) ** len(f)
     return total
+
+
+# ---------------------------------------------------------------------------
+# the matrix van der Corput inequality
+
+
+def vdc_sides(Z, R, k):
+    """(lhs, rhs) of ||sum Z(n)||_F^2 <= ((x + k(R-1) + 1)/R) *
+    sum_{|r|<R} (1-|r|/R) * Re sum_n tr(Z(n+kr)^H Z(n)), every shift r from
+    -(R-1) to R-1 read on its own."""
+    arr = np.asarray(Z, dtype=complex)
+    x = arr.shape[0]
+    lhs = float(np.linalg.norm(arr.sum(axis=0)) ** 2)
+    total = 0.0
+    r_max = int(math.ceil(R)) - 1
+    for r in range(-r_max, r_max + 1):
+        shift = k * r
+        if abs(shift) >= x:
+            continue
+        if shift >= 0:
+            corr = np.sum(np.conj(arr[shift:]) * arr[:x - shift])
+        else:
+            corr = np.sum(np.conj(arr[:x + shift]) * arr[-shift:])
+        total += (1.0 - abs(r) / R) * corr.real
+    return lhs, (x + k * (R - 1) + 1) / R * total

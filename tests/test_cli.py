@@ -64,6 +64,14 @@ CARRY = ["carry-scan", "--lam", "2", "--alpha", "1", "--rho-list", "1", "--trans
     (["vdc-check", "--r-max", "0"], None, "--r-max"),
     (["eval", "--auto", "digit_sum_mod(2,3)", "--n", "3"], "abc", "AUTOEXP_BUDGET"),
     (["eval", "--auto", "digit_sum_mod(2,3)", "--n", "3"], "", "AUTOEXP_BUDGET"),
+    (CARRY + ["digit_sum(x,3)"], None, "use digit_sum(k,m)"),
+    (["scan-pv", "--auto", "thue_morse_even", "--f", "1/X", "--q-list", "101",
+      "--theta", "-1"], None, "theta must be positive"),
+    (["scan-pv", "--auto", "thue_morse_even", "--f", "1/X", "--q-list", "101",
+      "--theta", "0"], None, "theta must be positive"),
+    (["eval", "--auto", "digit_sum_mod(x,3)", "--n", "3"], None, "use digit_sum_mod(k,m)"),
+    (["weyl-decompose", "--transducer", "thue_morse", "--g-one", "--x", "100",
+      "--l1", "1", "--l2", "1", "--tau", "pick:x"], None, "use pick:STATE"),
 ])
 def test_bad_input_is_a_one_line_error_naming_it(capsys, monkeypatch, argv, budget, needle):
     if budget is not None:
@@ -99,6 +107,16 @@ def test_budget_checked_before_an_automaton_is_built(capsys, monkeypatch):
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("budget error") and err.count("\n") == 1
+
+
+def test_weyl_with_lam1_lam2_zero_is_a_valid_decomposition(capsys):
+    # M = R = 1: every regrouping has one class and every identity still holds
+    code = run(["weyl-decompose", "--transducer", "thue_morse", "--tau", "evil",
+                "--g-f", "1/X", "--g-q", "1009", "--x", "400", "--l1", "0", "--l2", "0",
+                "--json"])
+    meta = json.loads(capsys.readouterr().out)["metadata"]
+    assert code == 0
+    assert meta["identities_ok"] and (meta["M"], meta["R"]) == (1, 1)
 
 
 @pytest.mark.parametrize("y", [2 ** 63 - 1000, 2 ** 64 + 7], ids=["2^63-1000", "2^64+7"])

@@ -3,9 +3,11 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from autoexp.automata import constant_one, thue_morse_even
+from autoexp.congruence import count_solutions
 from autoexp.exact import Cyclotomic
 from autoexp.expsums import (IntervalProgression, check_gcd_lemma,
                              check_quadratic_geometric, check_weil,
@@ -13,7 +15,7 @@ from autoexp.expsums import (IntervalProgression, check_gcd_lemma,
                              pv_range_scan, weighted_sum)
 from autoexp.modring import (FractionPhase, IntPoly, RationalFunction,
                              is_well_defined, parse_rational_function,
-                             phase_fraction, shift_scale)
+                             phase_fraction, phase_numerators, shift_scale)
 from autoexp.presets import primes_upto
 
 INV_X = parse_rational_function("1/X")
@@ -256,8 +258,20 @@ def test_check_weil_kloosterman():
 
 
 def test_check_weil_requires_squarefree():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="modulus must be squarefree"):
         check_weil(INV_X, 12)
+
+
+@pytest.mark.parametrize("q", [0, -5])
+def test_modulus_below_one_is_rejected_by_every_entry(q):
+    region = IntervalProgression(0, 10)
+    for call in (lambda: complete_sum(INV_X, q),
+                 lambda: weighted_sum(thue_morse_even(), INV_X, q, region),
+                 lambda: phase_numerators(INV_X, q, np.arange(10)),
+                 lambda: FractionPhase(INV_X, q),
+                 lambda: count_solutions([INV_X], thue_morse_even(), q, 1)):
+        with pytest.raises(ValueError, match="modulus must be >= 1"):
+            call()
 
 
 def test_check_gcd_lemma_empty_for_good_fractions():

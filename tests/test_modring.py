@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from autoexp import modring
 from autoexp.exact import Cyclotomic
-from autoexp.modring import (FactoredModulus, FractionPhase, IntPoly, PhaseValues,
+from autoexp.modring import (FractionPhase, IntPoly, PhaseValues,
                              RationalFunction, add_linear, crt_combine,
                              eval_phase, factorize, is_prime, is_well_defined,
                              mod_inverse, parse_rational_function,
@@ -87,25 +88,30 @@ def test_parser_examples():
 
 
 def test_parser_rejects_garbage():
-    for bad in ("", "X//X", "1/X/X", "X^", "((X))"):
+    for bad in ("", "X//X", "1/X/X", "X^", "((X))", "3*", "2**X", "3*+X"):
         with pytest.raises(ValueError):
             parse_rational_function(bad)
 
 
-# -- factored moduli --------------------------------------------------------
+# -- moduli -----------------------------------------------------------------
 
 
 def test_factorize_and_validation():
     assert factorize(600) == ((2, 3), (3, 1), (5, 2))
-    fm = FactoredModulus.of(15)
-    assert fm.factors == ((3, 1), (5, 1)) and fm.is_squarefree
-    assert not FactoredModulus.of(12).is_squarefree
-    with pytest.raises(ValueError):
-        FactoredModulus(12, [(2, 1), (3, 1)])  # product mismatch
-    with pytest.raises(ValueError):
-        FactoredModulus(8, [(4, 1), (2, 1)])  # 4 not prime
+    assert factorize(15) == ((3, 1), (5, 1))
     big = 1000003 * 999983
-    assert FactoredModulus.of(big).factors == ((999983, 1), (1000003, 1))
+    assert factorize(big) == ((999983, 1), (1000003, 1))
+    with pytest.raises(ValueError):
+        factorize(0)
+
+
+def test_is_well_defined_never_factors_q(monkeypatch):
+    def no_factoring(n):
+        raise AssertionError("is_well_defined factored q")
+
+    monkeypatch.setattr(modring, "factorize", no_factoring)
+    assert is_well_defined(rf((1,), (0, 1)), (2 ** 61 - 1) * (2 ** 89 - 1))
+    assert not is_well_defined(rf((1,), (0, 3)), 15)
 
 
 def test_is_prime():
@@ -318,8 +324,8 @@ def test_rational_gcd():
                 if (2 * r) % p == 0:
                     continue
                 assert rational_gcd(p, gdiff) == 1
-    with pytest.raises(ValueError):
-        rational_gcd(12, rf((1,)))  # not squarefree
+    with pytest.raises(ValueError, match="modulus must be squarefree"):
+        rational_gcd(12, rf((1,)))
 
 
 # -- symbolic operations ------------------------------------------------------

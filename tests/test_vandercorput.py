@@ -160,6 +160,22 @@ def test_vdc_random_unit_scalars():
         assert chk.slack >= -1e-9 * max(1.0, chk.rhs)
 
 
+def test_vdc_sides_match_the_two_sided_oracle():
+    # one pass over r >= 0 with weight 2(1 - r/R) equals the sum over every
+    # shift -(R-1)..R-1, real and integer R, scalars and d x d matrices
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        d = int(rng.integers(1, 4))
+        x = int(rng.integers(1, 60))
+        k = int(rng.integers(1, 5))
+        R = float(rng.uniform(1, 20)) if rng.random() < 0.5 else int(rng.integers(1, 20))
+        Z = rng.normal(size=(x, d, d)) + 1j * rng.normal(size=(x, d, d))
+        chk = vdc_inequality_check(Z, R=R, k=k)
+        lhs, rhs = oracles.vdc_sides(Z, R, k)
+        assert chk.lhs == pytest.approx(lhs, rel=1e-12)
+        assert chk.rhs == pytest.approx(rhs, rel=1e-12)
+
+
 # -- carry property ------------------------------------------------------------------
 
 
