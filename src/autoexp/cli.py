@@ -38,16 +38,22 @@ def _int_params(text: str, count: int, error: str) -> List[int]:
     return params
 
 
+def _km_params(source: str, name: str, error: str) -> List[int]:
+    """k and m of source written exactly as name(k,m); ValueError(error) otherwise."""
+    exact = source.startswith(name + "(") and source.endswith(")")
+    return _int_params(source[len(name) + 1:-1] if exact else "", 2, error)
+
+
 def _load_automaton(source: str) -> automata.Dfao:
     if os.path.sep in source or os.path.isfile(source) or source.endswith(".dfao"):
         try:
             return automata.Dfao.load(source)
         except OSError as exc:
             raise ValueError(f"cannot read automaton file {source!r}: {exc.strerror}") from None
-    name, paren, rest = source.partition("(")
+    name, paren, _ = source.partition("(")
     if name.strip() == "digit_sum_mod":
-        return automata.digit_sum_mod(*_int_params(
-            rest.rstrip(")"), 2, f"use digit_sum_mod(k,m), not {source!r}"))
+        return automata.digit_sum_mod(*_km_params(
+            source, "digit_sum_mod", f"use digit_sum_mod(k,m), not {source!r}"))
     if paren:
         raise ValueError(f"unknown parametrized automaton {source!r}")
     return automata.builtin_sequences(source)
@@ -56,20 +62,22 @@ def _load_automaton(source: str) -> automata.Dfao:
 def _load_transducer(source: str) -> vandercorput.ScalarTransducer:
     if source == "thue_morse":
         return vandercorput.thue_morse_transducer()
-    if source.startswith("digit_sum(") and source.endswith(")"):
-        return vandercorput.digit_sum_transducer(*_int_params(
-            source[len("digit_sum("):-1], 2, f"bad transducer {source!r}; use digit_sum(k,m)"))
+    if source.startswith("digit_sum("):
+        return vandercorput.digit_sum_transducer(*_km_params(
+            source, "digit_sum", f"bad transducer {source!r}; use digit_sum(k,m)"))
     raise ValueError(f"unknown transducer {source!r}; use thue_morse or digit_sum(k,m)")
 
 
-def _tau_by_name(name: str):
+def _tau_by_name(name: str, n_states: int):
     if name == "evil":
         return presets.tau_evil
     if name == "sign":
         return presets.tau_sign
     if name.startswith("pick:"):
-        return presets.tau_pick(*_int_params(
-            name[len("pick:"):], 1, f"bad output map {name!r}; use pick:STATE"))
+        state, = _int_params(name[len("pick:"):], 1, f"bad output map {name!r}; use pick:STATE")
+        if not 0 <= state < n_states:
+            raise ValueError(f"pick:STATE needs a state in [0, {n_states}), not {state}")
+        return presets.tau_pick(state)
     raise ValueError(f"unknown output map {name!r}; use evil, sign or pick:STATE")
 
 
@@ -256,7 +264,7 @@ def cmd_sync_scan(args: Dict) -> SweepReport:
 
 def cmd_weyl_decompose(args: Dict) -> SweepReport:
     tr = _load_transducer(str(args["transducer"]))
-    tau = _tau_by_name(str(args["tau"]))
+    tau = _tau_by_name(str(args["tau"]), tr.dfao.n_states)
     g = _g_from_args(args)
     eta = args["eta"]
     if isinstance(eta, str) and eta not in ("fit",):

@@ -373,10 +373,3 @@ def as_exact(value) -> Optional[Cyclotomic]:
     if isinstance(value, (int, Fraction)):
         return Cyclotomic.from_rational(value)
     return None
-
-
-def phase_to_complex(t: Optional[Fraction]) -> complex:
-    """e(t) for a rational phase, 0 for the pole marker None."""
-    if t is None:
-        return 0j
-    return complex(math.cos(_TWO_PI * float(t)), math.sin(_TWO_PI * float(t)))

@@ -19,6 +19,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .budget import require_budget
 from .exact import Cyclotomic, _fit, _narrow, as_exact, indexed_phase_sum
 
 
@@ -299,102 +300,40 @@ def add_linear(f: RationalFunction, ell: int) -> RationalFunction:
     return f + RationalFunction(IntPoly([0, ell]))
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|(X)|(\^)|(\+)|(-)|(\*)|(\()|(\)))")
+# One term: signs, a coefficient, a '*' and X^power, each part optional and
+# each token after optional whitespace; _parse_poly enforces the rest.
+_TERM = re.compile(r"(?P<signs>(?:\s*[-+])*)(?:\s*(?P<coeff>\d+))?(?:\s*(?P<star>\*))?"
+                   r"(?:\s*(?P<x>X)(?:\s*\^\s*(?P<power>\d+))?)?")
 
 
 def _parse_poly(s: str) -> IntPoly:
+    """A sum of terms inside at most one outer pair of parentheses.  A term
+    needs a coefficient or X, a '*' needs both, every term after the first
+    starts with a sign, and its sign is -1 to the number of '-'."""
     s = s.strip()
-    if s.startswith("(") and s.endswith(")"):
-        depth = 0
-        for i, ch in enumerate(s):
-            depth += ch == "("
-            depth -= ch == ")"
-            if depth == 0 and i < len(s) - 1:
-                break
-        else:
-            s = s[1:-1]
-    acc = IntPoly()
+    if s[:1] == "(" and s[-1:] == ")":
+        s = s[1:-1]
+    terms: Dict[int, int] = {}
     pos = 0
-    sign = 1
-    expect_term = True
-    coeff: Optional[int] = None
-    power: Optional[int] = None
-    saw_x = False
-    caret_pending = False
-    star_pending = False
-
-    def flush():
-        nonlocal acc, sign, coeff, power, saw_x, expect_term
-        if caret_pending:
-            raise ValueError(f"dangling ^ in {s!r}")
-        if star_pending:
-            raise ValueError(f"* must be followed by X in {s!r}")
-        if coeff is None and not saw_x:
-            raise ValueError(f"cannot parse polynomial {s!r}")
-        c = sign * (1 if coeff is None else coeff)
-        e = (power if power is not None else 1) if saw_x else 0
-        term = [0] * e + [c]
-        acc = acc + IntPoly(term)
-        sign, coeff, power, saw_x, expect_term = 1, None, None, False, False
-
-    while pos < len(s):
-        m = _TOKEN.match(s, pos)
-        if not m or m.end() == pos:
+    while pos < len(s) or not terms:
+        m = _TERM.match(s, pos)
+        signs, coeff, star, x, power = m.groups()
+        if not (coeff or x) or (star and not (coeff and x)) or (terms and not signs):
             raise ValueError(f"cannot parse polynomial {s!r} at {pos}")
+        e = int(power or 1) if x else 0
+        require_budget(e + 1, f"coefficients of the term X^{e}")
+        terms[e] = terms.get(e, 0) + (-1) ** signs.count("-") * int(coeff or 1)
         pos = m.end()
-        num, x, caret, plus, minus, star, lpar, rpar = m.groups()
-        if star_pending and not x:
-            raise ValueError(f"* must be followed by X in {s!r}")
-        star_pending = bool(star)
-        if num is not None:
-            if saw_x:
-                if not caret_pending or power is not None:
-                    raise ValueError(f"unexpected number in {s!r}")
-                power = int(num)
-                caret_pending = False
-            else:
-                if coeff is not None:
-                    raise ValueError(f"unexpected number in {s!r}")
-                coeff = int(num)
-        elif x:
-            if saw_x:
-                raise ValueError(f"unexpected X in {s!r}")
-            saw_x = True
-        elif caret:
-            if not saw_x or power is not None or caret_pending:
-                raise ValueError(f"dangling ^ in {s!r}")
-            caret_pending = True
-        elif star:
-            if coeff is None or saw_x:
-                raise ValueError(f"dangling * in {s!r}")
-        elif plus or minus:
-            if expect_term and coeff is None and not saw_x:
-                sign = -sign if minus else sign
-            else:
-                flush()
-                if minus:
-                    sign = -1
-                expect_term = True
-        elif lpar or rpar:
-            raise ValueError(f"nested parentheses unsupported in {s!r}")
-    flush()
-    return acc
+    return IntPoly([terms.get(i, 0) for i in range(max(terms) + 1)])
 
 
 def parse_rational_function(text: str) -> RationalFunction:
-    """Parse strings like '1/X', '(X^3+2X)/(X^2-1)', 'X^2/3', '-2X+1'."""
-    depth = 0
-    split = None
-    for i, ch in enumerate(text):
-        depth += ch == "("
-        depth -= ch == ")"
-        if ch == "/" and depth == 0:
-            if split is not None:
-                raise ValueError(f"more than one top-level '/' in {text!r}")
-            split = i
-    if split is None:
-        return RationalFunction(_parse_poly(text))
-    return RationalFunction(_parse_poly(text[:split]), _parse_poly(text[split + 1:]))
+    """Parse strings like '1/X', '(X^3+2X)/(X^2-1)', 'X^2/3', '-2X+1': at most
+    one '/', each side parsed by _parse_poly."""
+    parts = text.split("/")
+    if len(parts) > 2:
+        raise ValueError(f"more than one '/' in {text!r}")
+    return RationalFunction(*map(_parse_poly, parts))
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +346,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0

@@ -72,6 +72,12 @@ CARRY = ["carry-scan", "--lam", "2", "--alpha", "1", "--rho-list", "1", "--trans
     (["eval", "--auto", "digit_sum_mod(x,3)", "--n", "3"], None, "use digit_sum_mod(k,m)"),
     (["weyl-decompose", "--transducer", "thue_morse", "--g-one", "--x", "100",
       "--l1", "1", "--l2", "1", "--tau", "pick:x"], None, "use pick:STATE"),
+    (["eval", "--auto", "digit_sum_mod(2,3", "--n", "3"], None, "use digit_sum_mod(k,m)"),
+    (["eval", "--auto", "digit_sum_mod(2,3)))", "--n", "3"], None, "use digit_sum_mod(k,m)"),
+    (["weyl-decompose", "--transducer", "thue_morse", "--g-one", "--x", "100",
+      "--l1", "1", "--l2", "1", "--tau", "pick:99"], None, "a state in [0, 1)"),
+    (["weyl-decompose", "--transducer", "thue_morse", "--g-one", "--x", "100",
+      "--l1", "1", "--l2", "1", "--tau", "pick:-1"], None, "a state in [0, 1)"),
 ])
 def test_bad_input_is_a_one_line_error_naming_it(capsys, monkeypatch, argv, budget, needle):
     if budget is not None:
@@ -107,6 +113,19 @@ def test_budget_checked_before_an_automaton_is_built(capsys, monkeypatch):
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("budget error") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("budget, f", [(None, "X^1000000000000"), ("1000", "X^200000")])
+def test_budget_checked_before_a_term_is_built(capsys, monkeypatch, budget, f):
+    # X^e is a list of e + 1 coefficients: 10^12 of them would need terabytes
+    if budget is None:
+        monkeypatch.delenv("AUTOEXP_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("AUTOEXP_BUDGET", budget)
+    code = run(["sum", "--auto", "thue_morse_even", "--f", f, "--q", "101", "--x", "10"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("budget error") and err.count("\n") == 1
 
 
 def test_weyl_with_lam1_lam2_zero_is_a_valid_decomposition(capsys):

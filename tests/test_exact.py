@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 
 from autoexp import expsums
-from autoexp.exact import Cyclotomic, as_exact, phase_to_complex
+from autoexp.exact import Cyclotomic, as_exact
 from autoexp.modring import parse_rational_function
 
 
@@ -110,11 +110,6 @@ def test_as_exact():
     assert as_exact(Fraction(1, 3)) is not None
     assert as_exact(0.5) is None
     assert as_exact(1 + 2j) is None
-
-
-def test_phase_to_complex():
-    assert phase_to_complex(None) == 0
-    assert abs(phase_to_complex(Fraction(1, 4)) - 1j) < 1e-15
 
 
 def test_unit_phase_extraction():

@@ -85,10 +85,16 @@ def test_parser_examples():
     assert parse_rational_function("X^2/3") == rf((0, 0, 1), (3,))
     assert parse_rational_function("-2X+1") == rf((1, -2))
     assert parse_rational_function("2*X^2") == rf((0, 0, 2))
+    assert parse_rational_function("--X") == rf((0, 1))
+    assert parse_rational_function("+ - X") == rf((0, -1))
+    assert parse_rational_function("2 * X ^ 3") == rf((0, 0, 0, 2))
+    assert parse_rational_function("( X^2+1)") == rf((1, 0, 1))
 
 
 def test_parser_rejects_garbage():
-    for bad in ("", "X//X", "1/X/X", "X^", "((X))", "3*", "2**X", "3*+X"):
+    for bad in ("", "X//X", "1/X/X", "X^", "((X))", "3*", "2**X", "3*+X",
+                "*X", "X*2", "2X3", "X X", "1 2", "X^2^3", "(X))", "((X)", "X+",
+                "-", "()", "(X/2)", "X^-1", "( X )"):
         with pytest.raises(ValueError):
             parse_rational_function(bad)
 

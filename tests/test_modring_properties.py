@@ -1,5 +1,6 @@
 """Property tests: the integer Euclid of modring against sympy, the printer
-against the parser, and the vectorized phase pass against phase_fraction.
+against the parser, the parser against the term grammar, and the vectorized
+phase pass against phase_fraction.
 
 sympy is a test-only reference.  Pairs (P, Q) often share a planted factor
 G over Z, or a factor that only appears mod p (G and G + p*K), so both the
@@ -7,6 +8,7 @@ Z and the F_p remainder sequences run past their first step.
 """
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ sympy = pytest.importorskip("sympy")
 from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from autoexp.budget import BudgetError  # noqa: E402
 from autoexp.modring import (IntPoly, RationalFunction, is_well_defined,  # noqa: E402
                              parse_rational_function, phase_fraction,
                              phase_numerators, reduce_mod_p)
@@ -119,3 +122,71 @@ def test_phase_numerators_match_phase_fraction(pq, q, ns):
                             for t in want]
     # int64 where the numerators fit, Python ints beyond
     assert (got.dtype == object) == (max(got.tolist()) >= 2 ** 62)
+
+
+# -- the fraction grammar ---------------------------------------------------
+
+blank = st.sampled_from(["", " ", "\t"])
+
+
+@st.composite
+def term(draw, first):
+    """One term as text, with the exponent and the coefficient it stands for."""
+    signs = draw(st.lists(st.sampled_from("+-"), min_size=0 if first else 1, max_size=3))
+    coeff = draw(st.none() | st.integers(0, 99))
+    has_x = coeff is None or draw(st.booleans())
+    power = draw(st.none() | st.integers(0, 12)) if has_x else None
+    tokens = signs + ([] if coeff is None else [str(coeff)])
+    if has_x:
+        tokens += (["*"] if coeff is not None and draw(st.booleans()) else []) + ["X"]
+        tokens += [] if power is None else ["^", str(power)]
+    text = "".join(draw(blank) + tok for tok in tokens)
+    e = (1 if power is None else power) if has_x else 0
+    return text, e, (-1) ** signs.count("-") * (1 if coeff is None else coeff)
+
+
+@st.composite
+def side(draw):
+    """A sum of one to five terms, maybe inside one pair of parentheses, as
+    text and as the polynomial summed term by term."""
+    terms = [draw(term(i == 0)) for i in range(draw(st.integers(1, 5)))]
+    text = "".join(t for t, _, _ in terms)
+    if draw(st.booleans()):
+        text = "(" + text + ")"
+    coeffs = {}
+    for _, e, c in terms:
+        coeffs[e] = coeffs.get(e, 0) + c
+    return draw(blank) + text, IntPoly([coeffs.get(i, 0) for i in range(max(coeffs) + 1)])
+
+
+@st.composite
+def fraction(draw):
+    """Text with at most one '/', and its numerator and denominator."""
+    text, num = draw(side())
+    if draw(st.booleans()):
+        return text, num, IntPoly([1])
+    den_text, den = draw(side())
+    return text + draw(blank) + "/" + den_text, num, den
+
+
+@given(fraction())
+def test_parser_reads_the_term_grammar(case):
+    text, num, den = case
+    if den.is_zero():
+        with pytest.raises(ValueError):
+            parse_rational_function(text)
+        return
+    assert parse_rational_function(text) == RationalFunction(num, den)
+
+
+@given(st.text(alphabet="0123456789X^+-*()/ \t", max_size=24))
+def test_any_token_text_parses_or_is_a_value_error(text):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("AUTOEXP_BUDGET", "1000")
+        try:
+            parse_rational_function(text)
+        except ValueError:
+            pass
+        except BudgetError:
+            # only a term of degree past the budget may stop the parser
+            assert any(int(d) >= 1000 for d in re.findall(r"\^\s*(\d+)", text))
