@@ -20,7 +20,7 @@ from .exact import Cyclotomic
 from .expsums import (IntervalProgression, SweepReport, check_gcd_lemma,
                       check_quadratic_geometric, check_weil, complete_sum,
                       correlation_sum, difference_sum, pv_range_scan,
-                      weighted_sum)
+                      twisted_spectrum, weighted_sum)
 from .modring import (FractionPhase, IntPoly, PhaseValues, RationalFunction,
                       add_linear, crt_combine, eval_phase, factorize,
                       is_well_defined, mod_inverse, parse_rational_function,

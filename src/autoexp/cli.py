@@ -150,7 +150,7 @@ def cmd_verify_weil(args: Dict) -> SweepReport:
         chk = expsums.check_weil(f, q)
         if assert_exact is not None:
             want = Fraction(str(assert_exact))
-            got = expsums.complete_sum(f, q).exact_rational()
+            got = chk.exact_sum.exact_rational()
             if got != want:
                 raise ArithmeticError(f"complete sum at q={q} is {got}, wanted {want}")
         if assert_bound is not None and chk.sum_abs > float(assert_bound) * chk.comparator + 1e-6:

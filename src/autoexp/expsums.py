@@ -58,6 +58,18 @@ def complete_sum(f: RationalFunction, q: int) -> Cyclotomic:
     return Cyclotomic.from_int_histogram(q, np.bincount(phases[phases >= 0], minlength=q))
 
 
+def twisted_spectrum(f: RationalFunction, q: int) -> np.ndarray:
+    """Complete sums of f + aX for every a mod q, in floats: entry a is the
+    sum over n mod q of e((f(n) + a n)/q), poles dropped as in complete_sum.
+
+    One phase_numerators pass gives v[n] = e(f(n)/q), and entry a is
+    sum_n v[n] e(a n/q) = q * ifft(v)[a].
+    """
+    require_budget(q, "period q")
+    phases = PhaseValues(q, phase_numerators(f, q, np.arange(q, dtype=np.int64)))
+    return q * np.fft.ifft(phases.to_complex())
+
+
 def weighted_sum(dfao: Dfao, f: RationalFunction, q: int,
                  region: IntervalProgression) -> Union[Cyclotomic, complex]:
     """Sum over the region of a_n times the fraction phase at n.
@@ -107,17 +119,19 @@ class WeilCheck:
     comparator: float
     ratio: float
     gcd_factor: int
+    exact_sum: Cyclotomic
 
 
 def check_weil(f: RationalFunction, q: int) -> WeilCheck:
     """|complete sum| against sqrt(q * (q, f')) for squarefree q; ratio only,
-    no pass/fail here."""
+    no pass/fail here.  The exact sum rides along for callers that read it."""
     if any(e > 1 for _p, e, _m in prime_powers(q)):
         raise ValueError("modulus must be squarefree")
-    s = abs(complete_sum(f, q))
+    total = complete_sum(f, q)
+    s = abs(total)
     gf = rational_gcd(q, f.derivative())
     comparator = math.sqrt(q * gf)
-    return WeilCheck(q, s, comparator, s / comparator, gf)
+    return WeilCheck(q, s, comparator, s / comparator, gf, total)
 
 
 def check_gcd_lemma(f: RationalFunction, r: int, ell: int,

@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .budget import require_budget
+from .budget import BudgetError, enumeration_budget, require_budget
 from .exact import Cyclotomic, _fit, _narrow, as_exact, indexed_phase_sum
 
 
@@ -167,38 +167,70 @@ def _normal(v: Sequence[int], p: int = 0) -> List[int]:
     return [x // c for x in v] if c != 1 else v
 
 
-def _prem(a: List[int], b: List[int], p: int = 0) -> List[int]:
-    """Pseudo-remainder lc(b)^k * a mod b, division-free; b nonzero."""
-    r, lb, nb = a, b[-1], len(b) - 1
-    while len(r) > nb:
-        lr, shift = r[-1], len(r) - 1 - nb
-        r = _trim([c * lb for c in r[:shift]]
-                  + [r[shift + j] * lb - lr * b[j] for j in range(nb)], p)
-    return r
+_DIVISION_OVER_BUDGET = "work of the polynomial division exceeds the enumeration budget"
 
 
-def _poly_gcd(a: Sequence[int], b: Sequence[int], p: int = 0) -> List[int]:
-    """gcd by the primitive remainder sequence, normalised; [] if both are zero."""
-    a, b = _normal(a, p), _normal(b, p)
-    while b:
-        a, b = b, _normal(_prem(a, b, p), p)
-    return a
+def _divide(a: Sequence[int], b: List[int], p: int = 0, k: int = 0,
+            left: Optional[int] = None) -> Tuple[List[int], List[int], int]:
+    """(quotient, remainder, left) of lc(b)^k * a by b (b normalised, so
+    monic over F_p), by long division on one list updated in place; every
+    quotient coefficient must divide exactly.
 
-
-def _poly_quo(a: Sequence[int], b: List[int], p: int = 0) -> List[int]:
-    """a / b when b divides a (b normalised, so monic over F_p)."""
-    r, lb, nb = list(a), b[-1], len(b) - 1
+    left is what the enumeration budget still allows (all of it when None),
+    counted in 64-bit word products: scaling a costs len(a) * words(lc(b)^k),
+    and a quotient coefficient c times the row b costs
+    len(b) * words(c) * words(max |b|).  BudgetError before the scaling or
+    a step that would take it below zero.
+    """
+    lb, nb = b[-1], len(b) - 1
+    left = enumeration_budget() if left is None else left
+    left -= len(a) * (1 + k * (abs(lb) - 1).bit_length() // 64)
+    if left < 0:
+        raise BudgetError(_DIVISION_OVER_BUDGET)
+    row = len(b) * (1 + max(map(int.bit_length, b)) // 64)
+    scale = lb ** k
+    r = [c * scale for c in a]
     out = [0] * max(len(r) - nb, 0)
     for shift in range(len(out) - 1, -1, -1):
         c, rest = divmod(r[shift + nb] % p if p else r[shift + nb], lb)
         if rest:
             raise ArithmeticError("inexact polynomial division")
         out[shift] = c
-        for j, bj in enumerate(b):
-            r[shift + j] -= c * bj
-    if _trim(r, p):
+        if c:
+            left -= row * (1 + c.bit_length() // 64)
+            if left < 0:
+                raise BudgetError(_DIVISION_OVER_BUDGET)
+            for j, bj in enumerate(b):
+                r[shift + j] -= c * bj
+    return out, _trim(r[:nb], p), left
+
+
+def _prem(a: List[int], b: List[int], p: int = 0,
+          left: Optional[int] = None) -> Tuple[List[int], int]:
+    """(lc(b)^k * a mod b, left), k = deg a - deg b + 1; b normalised.  Each
+    quotient coefficient of lc(b)^k * a by b is an integer, so the long
+    division is exact and touches only deg b + 1 coefficients per step."""
+    _quo, rem, left = _divide(a, b, p, max(len(a) - len(b) + 1, 0), left)
+    return rem, left
+
+
+def _poly_gcd(a: Sequence[int], b: Sequence[int], p: int = 0) -> List[int]:
+    """gcd by the primitive remainder sequence, normalised; [] if both are
+    zero.  The divisions share one enumeration budget."""
+    a, b = _normal(a, p), _normal(b, p)
+    left = enumeration_budget()
+    while b:
+        rem, left = _prem(a, b, p, left)
+        a, b = b, _normal(rem, p)
+    return a
+
+
+def _poly_quo(a: Sequence[int], b: List[int], p: int = 0) -> List[int]:
+    """a / b when b divides a (b normalised, so monic over F_p)."""
+    quo, rem, _left = _divide(a, b, p)
+    if rem:
         raise ArithmeticError("inexact polynomial division")
-    return out
+    return quo
 
 
 # ---------------------------------------------------------------------------

@@ -88,14 +88,15 @@ def primes_upto(n: int) -> List[int]:
 
 
 def kloosterman_grid(p_min: int, p_max: int):
-    """Yield (p, a, |S|, 2*sqrt(p), |Im S|) over all primes and a in [1, p)."""
-    x_poly = IntPoly([0, 1])
+    """Yield (p, a, |S|, 2*sqrt(p), |Im S|) over all primes and a in [1, p),
+    every a of one prime read from one float spectrum of 1/X."""
+    inv_x = parse_rational_function("1/X")
     for p in primes_upto(p_max):
         if p < p_min:
             continue
+        spectrum = expsums.twisted_spectrum(inv_x, p).tolist()
         for a in range(1, p):
-            f = RationalFunction(IntPoly([1, 0, a]), x_poly)
-            s = expsums.complete_sum(f, p).to_complex()
+            s = spectrum[a]
             yield p, a, abs(s), 2.0 * math.sqrt(p), abs(s.imag)
 
 

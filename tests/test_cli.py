@@ -1,9 +1,10 @@
 import json
+import time
 
 import pytest
 
 import oracles
-from autoexp import cli, presets
+from autoexp import cli, expsums, presets
 
 
 def run(argv):
@@ -219,6 +220,32 @@ def test_count_congruence_without_a_modulus_is_a_one_line_error(capsys):
     assert run(["count-congruence", "--set", "thue_morse_even", "--f", "1/X"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("f, code", [("X^100000/(X+1)", 0), ("X^100000/(2*X+1)", 2),
+                                     ("X^100000/(X+2)", 2)])
+def test_high_degree_fraction_gives_a_result_or_one_budget_line(capsys, monkeypatch, f, code):
+    # reducing P/Q counts its word products against the budget as it goes:
+    # over X + 1 the remainders stay small, over 2X + 1 and X + 2 they grow
+    # to 2^100000, which the count refuses before the run gets long
+    monkeypatch.delenv("AUTOEXP_BUDGET", raising=False)
+    t0 = time.monotonic()
+    assert run(["sum", "--auto", "thue_morse_even", "--f", f, "--q", "101", "--x", "1000"]) == code
+    assert time.monotonic() - t0 < 30.0
+    out, err = capsys.readouterr()
+    if code:
+        assert err.startswith("budget error") and err.count("\n") == 1
+    else:
+        assert out.startswith("re,im,abs\n") and err == ""
+
+
+def test_verify_weil_assert_exact_computes_each_sum_once(capsys, monkeypatch):
+    calls = []
+    complete_sum = expsums.complete_sum
+    monkeypatch.setattr(expsums, "complete_sum", lambda f, q: calls.append(q) or complete_sum(f, q))
+    assert run(["verify-weil", "--f", "1/X", "--q-list", "101,103", "--assert-exact", "-1"]) == 0
+    assert calls == [101, 103]
+    assert capsys.readouterr().out.startswith("q,abs,comparator,ratio,gcd_factor\n")
 
 
 def test_verify_weil_checks_the_budget_before_the_period(capsys, monkeypatch):

@@ -6,15 +6,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from autoexp import expsums
 from autoexp.automata import constant_one, thue_morse_even
+from autoexp.budget import BudgetError
 from autoexp.congruence import count_solutions
 from autoexp.exact import Cyclotomic
 from autoexp.expsums import (IntervalProgression, check_gcd_lemma,
                              check_quadratic_geometric, check_weil,
                              complete_sum, correlation_sum, difference_sum,
-                             pv_range_scan, weighted_sum)
+                             pv_range_scan, twisted_spectrum, weighted_sum)
 from autoexp.modring import (FractionPhase, IntPoly, RationalFunction,
-                             is_well_defined, parse_rational_function,
+                             add_linear, is_well_defined, parse_rational_function,
                              phase_fraction, phase_numerators, shift_scale)
 from autoexp.presets import primes_upto
 
@@ -102,6 +104,44 @@ def test_complete_sum_crt_product_exact():
             local = local * Cyclotomic.from_terms(terms)
         assert total == local
         done += 1
+
+
+# -- twisted spectra ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("fs", ["1/X", "(X^2+1)/X", "X^3"])
+def test_twisted_spectrum_is_the_exact_complete_sum_at_every_twist(fs):
+    f = parse_rational_function(fs)
+    # composite moduli where 1/X has several poles, prime powers included
+    for q in primes_upto(61) + [12, 15, 49]:
+        spectrum = twisted_spectrum(f, q)
+        exact = [complete_sum(add_linear(f, a), q).to_complex() for a in range(q)]
+        assert spectrum.shape == (q,)
+        np.testing.assert_allclose(spectrum, exact, rtol=1e-9, atol=1e-9 * math.sqrt(q))
+
+
+def test_kloosterman_spectrum_sum_and_parseval():
+    # sum_a v-hat(a) = q v[0] = 0 and sum_a |v-hat(a)|^2 = q sum_x |v[x]|^2 = q (q - 1),
+    # with K(0, 1; p) = sum_{x != 0} e(x^-1 / p) = -1 taken out
+    for p in primes_upto(499):
+        k = twisted_spectrum(INV_X, p)[1:]
+        assert abs(k.sum() - 1) <= 1e-9
+        assert float(np.sum(np.abs(k) ** 2)) == pytest.approx(p * p - p - 1, rel=1e-9)
+
+
+def test_kloosterman_argmax_is_not_decided_by_rounding():
+    for p in primes_upto(499)[1:]:
+        top = np.sort(np.abs(twisted_spectrum(INV_X, p)[1:]))[-2:]
+        assert top[1] - top[0] > 1e-6, p
+
+
+def test_twisted_spectrum_checks_the_budget_before_the_period(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("enumerated past the budget")
+    monkeypatch.setenv("AUTOEXP_BUDGET", "1000")
+    monkeypatch.setattr(expsums, "phase_numerators", unreachable)
+    with pytest.raises(BudgetError, match="period q"):
+        twisted_spectrum(INV_X, 10 ** 12)
 
 
 # -- weighted sums -----------------------------------------------------------------
@@ -241,6 +281,7 @@ def test_check_weil_inverse():
     for p in (13, 101):
         row = check_weil(INV_X, p)
         assert abs(row.ratio - 1 / math.sqrt(p)) < 1e-12
+        assert row.exact_sum.exact_rational() == -1
 
 
 def test_check_weil_derivative_vanishes():
@@ -266,6 +307,7 @@ def test_check_weil_requires_squarefree():
 def test_modulus_below_one_is_rejected_by_every_entry(q):
     region = IntervalProgression(0, 10)
     for call in (lambda: complete_sum(INV_X, q),
+                 lambda: twisted_spectrum(INV_X, q),
                  lambda: weighted_sum(thue_morse_even(), INV_X, q, region),
                  lambda: phase_numerators(INV_X, q, np.arange(10)),
                  lambda: FractionPhase(INV_X, q),

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from autoexp import modring
+from autoexp.budget import BudgetError
 from autoexp.exact import Cyclotomic
 from autoexp.modring import (FractionPhase, IntPoly, PhaseValues,
                              RationalFunction, add_linear, crt_combine,
@@ -63,6 +64,18 @@ def test_reduce_leaves_reduced_alone_and_is_idempotent():
         again = RationalFunction(f.num, f.den)
         assert again == f
         assert f.den.leading > 0
+
+
+def test_reduction_work_counts_coefficient_growth(monkeypatch):
+    # same degrees: over X + 1 the remainders stay +-1, over X + 2 they grow
+    # to 2^30000, so only the first reduction fits a budget of 10^5
+    monkeypatch.setenv("AUTOEXP_BUDGET", str(10 ** 5))
+    f = rf([0] * 30000 + [1], [1, 1])
+    assert f.num.degree == 30000 and f.den.coeffs == (1, 1)
+    with pytest.raises(BudgetError, match="polynomial division"):
+        rf([0] * 30000 + [1], [2, 1])
+    with pytest.raises(BudgetError, match="polynomial division"):
+        rf([0] * 30000 + [1], [1, 2])
 
 
 def test_zero_denominator_rejected():

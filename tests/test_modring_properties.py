@@ -20,8 +20,8 @@ from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from autoexp.budget import BudgetError  # noqa: E402
-from autoexp.modring import (IntPoly, RationalFunction, is_well_defined,  # noqa: E402
-                             parse_rational_function, phase_fraction,
+from autoexp.modring import (IntPoly, RationalFunction, _prem,  # noqa: E402
+                             is_well_defined, parse_rational_function, phase_fraction,
                              phase_numerators, reduce_mod_p)
 
 SYM_X = sympy.Symbol("X")
@@ -72,6 +72,14 @@ def test_rational_function_is_sympy_cancel(pq):
     c = math.gcd(*n_cs, *d_cs) * (1 if d_cs[-1] > 0 else -1)
     assert list(f.num.coeffs) == [x // c for x in n_cs]
     assert list(f.den.coeffs) == [x // c for x in d_cs]
+
+
+@given(pairs())
+def test_prem_is_sympy_prem(pq):
+    # lc(Q)^(deg P - deg Q + 1) * P mod Q, the convention of sympy's prem
+    num, den = pq
+    rem, _left = _prem(list(num.coeffs), list(den.coeffs))
+    assert [Fraction(c) for c in rem] == coeffs_of(sympy.prem(sym(num), sym(den), SYM_X))
 
 
 @st.composite
