@@ -103,6 +103,10 @@ class Dfao:
         """Output after reading only the lowest lam digits, i.e. at n mod k^lam."""
         if lam < 0:
             raise ValueError("lam must be non-negative")
+        if n < 0:       # n mod k^lam has lam digits, every one read
+            require_budget(lam, "digits read lam")
+        elif lam >= len(base_digits(n, self.base)):     # k^lam > n
+            return self.evaluate(n)
         return self.evaluate(n % self.base ** lam)
 
     def state_table(self, limit: int, start: Optional[int] = None) -> np.ndarray:
@@ -413,7 +417,7 @@ def sync_failure_counts(dfao: Dfao, y: int, x: int, lams: Sequence[int]) -> List
     for lam in lams:
         if y < 0 or x < 1 or lam < 0:
             raise ValueError("need y >= 0, x >= 1, lam >= 0")
-        if k ** lam > x:
+        if lam >= len(base_digits(x, k)):      # k^lam > x
             raise ValueError("lam exceeds floor(log_k(x))")
     require_budget(dfao.n_states * x, "state reads n_states * x")
     mism = np.zeros((len(lams), x), dtype=bool)
@@ -465,9 +469,9 @@ def block_decompose_sum(dfao: Dfao, g: Callable[[int], object], y: int, x: int,
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
     k = dfao.base
-    K = k ** sigma
-    if K > x:
+    if x < 1 or sigma >= len(base_digits(x, k)):     # k^sigma > x
         raise ValueError("k^sigma must not exceed x")
+    K = k ** sigma
     r0, m0 = divmod(y + 1, K)
     require_budget(((y + x) // K - r0 + 1) * K, "block table length")
     decomp = strongly_connected_components(dfao)

@@ -97,11 +97,6 @@ class CongruenceCount:
     raw_set_size: int              # |S ∩ [1, q]| with no pole exclusion
     rel_error: float
 
-    @property
-    def raw_main_term(self) -> Fraction:
-        r = len(self.support_sizes)
-        return Fraction(self.raw_set_size ** r, self.modulus)
-
 
 def count_solutions(fs: Sequence[RationalFunction], set_dfao: Dfao,
                     q: int, m: int, strict_poles: bool = False) -> CongruenceCount:

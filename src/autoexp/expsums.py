@@ -44,6 +44,8 @@ class IntervalProgression:
         return (self.y + self.x - self.a) // self.s - (self.y - self.a) // self.s
 
     def values(self) -> np.ndarray:
+        """The members in increasing order, after the budget check on their count."""
+        require_budget(self.count, "region size")
         first = self.y + 1 + (self.a - (self.y + 1)) % self.s
         return int_range(first, self.y + self.x + 1, self.s)
 
@@ -77,7 +79,6 @@ def weighted_sum(dfao: Dfao, f: RationalFunction, q: int,
     Exact (Cyclotomic) when the automaton outputs are exact; complex otherwise.
     """
     prime_powers(q)     # rejects q < 1 before the region's budget check
-    require_budget(region.count, "region size")
     ns = region.values()
     # term by term: a_n shifted by the phase of n, poles dropped
     phases = PhaseValues(q, phase_numerators(f, q, ns))

@@ -1,10 +1,12 @@
 """Exact arithmetic for rational fractions modulo integers.
 
 Central objects: integer polynomials, reduced rational functions P/Q,
-and the unit-modulus (or zero) value attached to f(n) mod q through
-prime-power local factors recombined by CRT.  A modulus is a plain int;
-its prime powers come from one cached factorize.  All phases
-are exact Fractions; complex conversion happens at the caller's edge.
+and the unit-modulus (or zero) value e(r/q) attached to f(n) mod q, where
+r = P(n) * Q(n)^-1 mod q, zero where gcd(Q(n), q) > 1.  By CRT it is the
+product of prime-power local factors, which phase_fraction computes and the
+vectorized phase_numerators pass is checked against.  A modulus is a plain
+int; its prime powers come from one cached factorize.  All phases are exact
+Fractions; complex conversion happens at the caller's edge.
 """
 
 from __future__ import annotations
@@ -67,11 +69,18 @@ class IntPoly:
         return acc
 
     def eval_mod_vec(self, ns: np.ndarray, m: int) -> np.ndarray:
-        """Vectorized eval_mod: m < 2**31 for int64 ns, any m for Python ints."""
+        """Vectorized eval_mod: m < 2**31 for int64 ns, any m for Python ints.
+        Horner over the nonzero coefficients and the constant term: a run of
+        zeros between two of them multiplies by one power of n, so a dense
+        polynomial costs one step per coefficient and a sparse one about
+        log(gap) per gap."""
         acc = np.zeros_like(ns)
         nm = ns % m
-        for c in reversed(self.coeffs):
-            acc = (acc * nm + c % m) % m
+        prev = len(self.coeffs)
+        for i in reversed([i for i, c in enumerate(self.coeffs) if c or not i]):
+            step = nm if prev - i == 1 else _pow_mod_vec(nm, prev - i, m)
+            acc = (acc * step + self.coeffs[i] % m) % m
+            prev = i
         return acc
 
     def __add__(self, other: "IntPoly") -> "IntPoly":
@@ -536,27 +545,24 @@ def _pow_mod_vec(base: np.ndarray, exp: int, m: int) -> np.ndarray:
 
 
 def phase_numerators(f: RationalFunction, q: int, ns) -> np.ndarray:
-    """Phase numerators mod q for an integer array in one vectorized CRT pass;
-    -1 marks poles.  Residues are int64 below 2^31, where every product fits,
-    and Python ints from there on; the result is int64 where it fits."""
+    """Phase numerators P(n) * Q(n)^-1 mod q for an integer array in one
+    vectorized pass mod q, Q(n) inverted as Q(n)^(phi(q) - 1); -1 marks the
+    poles, where some p | q divides Q(n).  Residues are int64 below 2^31,
+    where every product fits, and Python ints from there on; the result is
+    int64 where it fits."""
     pps = _checked_prime_powers(f, q)
     # from a list, numpy would turn ints in [2^63, 2^64) into floats
     ns = ns if isinstance(ns, np.ndarray) else _fit(ns)
     if ns.dtype.kind in "Ou":   # ints that may pass int64: f(n) mod q reads n mod q
         ns = ns.astype(object) % q
     ns = ns.astype(np.int64 if q < 1 << 31 else object, copy=False)
-    total = np.zeros_like(ns)
+    qn = f.den.eval_mod_vec(ns, q)
     pole = np.zeros(ns.shape, dtype=bool)
-    for p, e, m in pps:
-        qn = f.den.eval_mod_vec(ns, m)
-        pn = f.num.eval_mod_vec(ns, m)
+    for p, _e, _m in pps:
         pole |= qn % p == 0
-        phi_m1 = (m // p) * (p - 1) - 1
-        inv = _pow_mod_vec(np.where(pole, 1, qn), phi_m1, m)
-        cof = q // m
-        local = pow(cof, -1, m) * pn % m * inv % m
-        total = (total + local * cof) % q
-    return _narrow(np.where(pole, -1, total))
+    phi = math.prod(m // p * (p - 1) for p, _e, m in pps)
+    inv = _pow_mod_vec(np.where(pole, 1, qn), phi - 1, q)
+    return _narrow(np.where(pole, -1, f.num.eval_mod_vec(ns, q) * inv % q))
 
 
 class FractionPhase:

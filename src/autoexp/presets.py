@@ -17,6 +17,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from . import automata, congruence, expsums, modring, vandercorput
+from .budget import require_budget
 from .exact import Cyclotomic
 from .modring import (FractionPhase, IntPoly, RationalFunction,
                       parse_rational_function, phase_fraction)
@@ -75,6 +76,10 @@ def preset(name: str) -> RunConfig:
 
 
 def primes_upto(n: int) -> List[int]:
+    """The primes <= n, from a sieve of n + 1 flags checked against the budget."""
+    if n < 2:
+        return []
+    require_budget(n + 1, "prime sieve length")
     sieve = np.ones(n + 1, dtype=bool)
     sieve[:2] = False
     for p in range(2, int(n ** 0.5) + 1):
@@ -89,11 +94,12 @@ def primes_upto(n: int) -> List[int]:
 
 def kloosterman_grid(p_min: int, p_max: int):
     """Yield (p, a, |S|, 2*sqrt(p), |Im S|) over all primes and a in [1, p),
-    every a of one prime read from one float spectrum of 1/X."""
+    every a of one prime read from one float spectrum of 1/X; the spectra's
+    total length is checked against the budget before the first one."""
     inv_x = parse_rational_function("1/X")
-    for p in primes_upto(p_max):
-        if p < p_min:
-            continue
+    primes = [p for p in primes_upto(p_max) if p >= p_min]
+    require_budget(sum(primes), "total spectrum length (sum of the primes)")
+    for p in primes:
         spectrum = expsums.twisted_spectrum(inv_x, p).tolist()
         for a in range(1, p):
             s = spectrum[a]
@@ -114,7 +120,8 @@ def run_crt_consistency(trials: int = 100, q_max: int = 10000,
     while checked < trials:
         attempts += 1
         if attempts > 100 * trials:
-            raise RuntimeError("could not generate enough CRT test cases")
+            raise ValueError(f"could not generate {trials} CRT test cases "
+                             f"with q1 * q2 <= --q-max {q_max}")
         dp = int(rng.integers(0, 4))
         dq = int(rng.integers(0, 3))
         p_coeffs = [int(c) for c in rng.integers(-9, 10, dp + 1)]
@@ -148,6 +155,7 @@ def run_vdc_fuzz(trials: int = 10000, d_max: int = 3, x_max: int = 200,
                         ("--k-max", k_max)):
         if top < 1:
             raise ValueError(f"{option} must be at least 1")
+    require_budget(x_max * d_max * d_max, "entries per trial --x-max * --d-max^2")
     rng = np.random.default_rng(seed)
     min_rel_slack = math.inf
     for i in range(trials):

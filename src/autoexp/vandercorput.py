@@ -25,7 +25,7 @@ import numpy as np
 # reach it through this module
 from .automata import (Dfao, base_digits, find_synchronizing_word,  # noqa: F401
                        sync_failure_count, sync_failure_counts)
-from .budget import require_budget
+from .budget import BudgetError, enumeration_budget, require_budget
 from .exact import Cyclotomic, as_exact, int_range
 from .modring import PhaseValues, phase_values
 
@@ -106,6 +106,7 @@ def digit_sum_transducer(k: int, m: int) -> ScalarTransducer:
     """One-state cocycle with T(n) = e(digit sum of n / m) in base k."""
     if m < 1:
         raise ValueError("m must be positive")
+    require_budget(k, "digits per state k")
     dfao = Dfao(k, [[0] * k], [Fraction(1)], name=f"digit_sum({k},{m})")
     return ScalarTransducer(dfao, [[Fraction(d % m, m) for d in range(k)]])
 
@@ -175,13 +176,17 @@ def carry_violation_count(tr: ScalarTransducer, lam: int, alpha: int, rho: int,
         raise ValueError("need 0 <= rho < lam")
     if alpha < 0 or r < 0:
         raise ValueError("need alpha >= 0 and r >= 0")
-    k = tr.base
-    require_budget(k ** (lam + 2 * alpha), f"k^(lam+2*alpha) = {k}^{lam + 2 * alpha}")
+    k, e = tr.base, lam + 2 * alpha
+    what, budget = f"k^(lam+2*alpha) = {k}^{e}", enumeration_budget()
+    if e >= budget.bit_length():    # k^e >= 2^e > budget, known before k is raised to e
+        raise BudgetError(f"{what} exceeds the enumeration budget ({budget})")
+    require_budget(k ** e, what)
     ka = k ** alpha
     L = k ** lam
     trunc_mod = k ** (alpha + rho)
-    top = (L - 1) * ka + 2 * (ka - 1) + r + 1
-    _, val = tr.tables(max(top, trunc_mod))
+    top = max((L - 1) * ka + 2 * (ka - 1) + r + 1, trunc_mod)
+    require_budget(top, "weight table length k^(lam+alpha) + r")
+    _, val = tr.tables(top)
     dev = (val - val[np.arange(len(val)) % trunc_mod]) % tr.weight_order
 
     violated = np.zeros(L, dtype=bool)
@@ -301,13 +306,14 @@ def decompose_weyl(tr: ScalarTransducer, tau: Callable[[Cyclotomic, int], object
     if lam1 < 0 or lam2 < 0:
         raise ValueError("need lam1 >= 0 and lam2 >= 0")
     k = tr.base
+    if y < 0 or x < 1:
+        raise ValueError("need y >= 0 and x >= 1")
+    # R*M^2 = k^(lam2 + 2 lam1) > x exactly when the exponent reaches x's digit count
+    if lam2 + 2 * lam1 >= len(base_digits(x, k)) or k ** (lam2 + 2 * lam1) > x / 10:
+        raise ValueError("need R*M^2 <= x/10")
     M = k ** lam1
     R = k ** lam2
     RM2 = R * M * M
-    if y < 0 or x < 1:
-        raise ValueError("need y >= 0 and x >= 1")
-    if RM2 > x / 10:
-        raise ValueError("need R*M^2 <= x/10")
     D = tr.weight_order
     S = tr.dfao.n_states
     span = x + (R - 1) * M

@@ -79,6 +79,17 @@ CARRY = ["carry-scan", "--lam", "2", "--alpha", "1", "--rho-list", "1", "--trans
       "--l1", "1", "--l2", "1", "--tau", "pick:99"], None, "a state in [0, 1)"),
     (["weyl-decompose", "--transducer", "thue_morse", "--g-one", "--x", "100",
       "--l1", "1", "--l2", "1", "--tau", "pick:-1"], None, "a state in [0, 1)"),
+    (["check", "--property", "crt", "--q-max", "2"], None, "--q-max 2"),
+    (["check", "--property", "crt", "--q-max", "-1"], None, "--q-max -1"),
+    # exponents of 2^70 are compared with the digit count of x, never raised
+    (["sync-scan", "--auto", "block_11", "--x", "100", "--lam-list", str(2 ** 70)],
+     None, "lam exceeds"),
+    (["weyl-decompose", "--transducer", "thue_morse", "--g-one", "--x", "100",
+      "--l1", str(2 ** 70), "--l2", "1"], None, "R*M^2 <= x/10"),
+    (["weyl-decompose", "--transducer", "thue_morse", "--g-one", "--x", "100",
+      "--l1", "1", "--l2", str(2 ** 70)], None, "R*M^2 <= x/10"),
+    (["block-decompose", "--auto", "block_11", "--g-one", "--x", "100",
+      "--sigma", str(2 ** 70)], None, "k^sigma must not exceed x"),
 ])
 def test_bad_input_is_a_one_line_error_naming_it(capsys, monkeypatch, argv, budget, needle):
     if budget is not None:
@@ -101,6 +112,54 @@ def test_budget_checked_before_the_tables_are_allocated(capsys):
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("budget error") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, budget, needle", [
+    # 10^11 n: hundreds of GiB of arrays unless the count is checked first
+    (["correlate", "--f", "-1", "--q", str(2 ** 63), "--x", "99999999999", "--h", "0"],
+     "100000", "region size"),
+    (["correlate", "--f", "-1", "--q", "2", "--x", str(2 ** 70), "--h", "0"],
+     "100000", "region size"),
+    (["verify-weil", "--f", "1/X", "--primes-max", "99999999999"], "100000", "sieve"),
+    (["verify-gcd", "--f-list", "1/X", "--r-list", "1", "--ell-list", "0",
+      "--p-max", "99999999999"], "100000", "sieve"),
+    # the primes <= 200 sum to 4,227 spectrum entries
+    (["verify-weil", "--kloosterman", "--primes-max", "200"], "1000", "sum of the primes"),
+    (["carry-scan", "--transducer", "thue_morse", "--lam", "4", "--alpha", "1",
+      "--rho-list", "1", "--r-list", "5000"], "1000", "weight table length"),
+    (CARRY + ["digit_sum(5000,2)"], "1000", "digits per state k"),
+    (["vdc-check", "--x-max", "99999999999", "--trials", "1"], "100000", "--x-max"),
+    (["carry-scan", "--transducer", "thue_morse", "--lam", str(2 ** 70), "--alpha", "1",
+      "--rho-list", "1"], None, "k^(lam+2*alpha) = 2^" + str(2 ** 70 + 2)),
+    (["carry-scan", "--transducer", "thue_morse", "--lam", "4", "--alpha", str(2 ** 70),
+      "--rho-list", "1"], None, "k^(lam+2*alpha) = 2^" + str(2 ** 71 + 4)),
+    (["eval", "--auto", "digit_sum_mod(2,3)", "--n", "-1", "--lam", str(2 ** 70)],
+     None, "digits read lam"),
+])
+def test_sizes_are_checked_before_allocation(capsys, monkeypatch, argv, budget, needle):
+    if budget is not None:
+        monkeypatch.setenv("AUTOEXP_BUDGET", budget)
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("budget error") and err.count("\n") == 1
+    assert needle in err
+
+
+def test_primes_below_two_are_an_empty_range(capsys):
+    # no prime is <= -1: no rows and no violations, not a complex square root
+    assert run(["verify-weil", "--f", "1/X", "--primes-max", "-1"]) == 0
+    assert capsys.readouterr().out == "q,abs,comparator,ratio,gcd_factor\n"
+    assert run(["verify-gcd", "--f-list", "1/X", "--r-list", "1", "--ell-list", "0",
+                "--p-max", "-1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "1/X,1,0,0,"
+
+
+def test_truncation_past_the_digits_of_n_reads_n(capsys):
+    # k^lam > n for lam = 2^70: eval reads n itself, without the power
+    assert run(["eval", "--auto", "digit_sum_mod(2,3)", "--n", "5", "--lam", str(2 ** 70)]) == 0
+    truncated = capsys.readouterr().out
+    assert run(["eval", "--auto", "digit_sum_mod(2,3)", "--n", "5"]) == 0
+    assert truncated == capsys.readouterr().out
 
 
 def test_budget_checked_before_an_automaton_is_built(capsys, monkeypatch):

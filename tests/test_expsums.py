@@ -46,6 +46,30 @@ def test_progression_validation():
         IntervalProgression(0, 5, 3, 3)
 
 
+def test_every_progression_is_sized_where_it_is_enumerated(monkeypatch):
+    # 10^6 members against a budget of 1000: each sum stops before its array
+    monkeypatch.setenv("AUTOEXP_BUDGET", "1000")
+    big = IntervalProgression(0, 10 ** 6)
+    for call in (lambda: big.values(),
+                 lambda: weighted_sum(thue_morse_even(), INV_X, 101, big),
+                 lambda: difference_sum(INV_X, 101, 1, big),
+                 lambda: correlation_sum(FractionPhase(INV_X, 101), 10 ** 6, 0, 1, 1, 0),
+                 lambda: correlation_sum(FractionPhase(INV_X, 2), 2 ** 70, 0, 0, 1, 0)):
+        with pytest.raises(BudgetError, match="region size"):
+            call()
+    # the modulus is still checked first
+    with pytest.raises(ValueError, match="modulus must be >= 1"):
+        weighted_sum(thue_morse_even(), INV_X, 0, big)
+
+
+def test_primes_upto_edges(monkeypatch):
+    assert primes_upto(-1) == primes_upto(0) == primes_upto(1) == []
+    assert primes_upto(2) == [2] and primes_upto(30)[-1] == 29
+    monkeypatch.setenv("AUTOEXP_BUDGET", "1000")
+    with pytest.raises(BudgetError, match="sieve"):
+        primes_upto(99999999999)
+
+
 # -- complete sums ----------------------------------------------------------------
 
 

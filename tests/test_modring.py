@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -284,6 +285,47 @@ def test_phase_numerators_vector_matches_scalar():
                 assert vec[n] == -1
             else:
                 assert Fraction(int(vec[n]), q) == t
+
+
+def test_phase_numerators_evaluate_p_and_q_once(monkeypatch):
+    # one pass mod q whatever its factorization: 30030 has six primes, and
+    # a pass per prime power would evaluate twelve polynomials
+    import numpy as np
+    calls = []
+    real = IntPoly.eval_mod_vec
+
+    def counted(self, ns, m):
+        calls.append(m)
+        return real(self, ns, m)
+    monkeypatch.setattr(IntPoly, "eval_mod_vec", counted)
+    f = parse_rational_function("(X^3+2)/(X^2+1)")
+    phase_numerators(f, 30030, np.arange(500))
+    assert calls == [30030, 30030]
+
+
+@pytest.mark.parametrize("q", [101, 101 * 103])
+def test_sparse_fraction_against_power_oracle(q):
+    # X^100000/(X+1) skips its 99,999 zero coefficients; the oracle is
+    # n^100000 (n + 1)^-1 mod q by pow, a pole where n + 1 shares a prime with q
+    import numpy as np
+    ns = np.arange(0, 2000, 7)
+    got = phase_numerators(parse_rational_function("X^100000/(X+1)"), q, ns)
+    want = [-1 if math.gcd(n + 1, q) > 1 else pow(n, 100000, q) * pow(n + 1, -1, q) % q
+            for n in ns.tolist()]
+    assert got.tolist() == want
+    assert -1 in want
+
+
+def test_eval_mod_vec_with_zero_runs_matches_eval_mod():
+    import numpy as np
+    rng = random.Random(5)
+    for _ in range(200):
+        poly = IntPoly([rng.choice([0, 0, 0, rng.randrange(-50, 50)])
+                        for _ in range(rng.randrange(0, 40))])
+        m = rng.choice([1, 2, 97, 360, 2 ** 31 - 1, 2 ** 61 - 1, 2 ** 64 + 13])
+        ns = [rng.randrange(0, 10 ** 6) for _ in range(20)]
+        vec = poly.eval_mod_vec(np.array(ns, dtype=np.int64 if m < 2 ** 31 else object), m)
+        assert vec.tolist() == [poly.eval_mod(n, m) for n in ns], (poly, m)
 
 
 def test_crt_direct_formula_agreement_bulk():

@@ -116,11 +116,14 @@ def test_printed_fraction_parses_back(pq):
 big_n = st.one_of(st.integers(0, 10 ** 4), st.integers(2 ** 62, 2 ** 70))
 
 
-@given(pairs(), st.sampled_from([1, 12, 101, 3 ** 5, 2 ** 31 + 11, 3 * 2 ** 61 + 1,
-                                  2 ** 64 + 13]),
+@given(pairs(), st.sampled_from([1, 12, 101, 3 ** 5, 360, 30030, 2 ** 31 - 2,
+                                  2 ** 31 + 11, 3 * 2 ** 61 + 1, 2 ** 64 + 13]),
        st.lists(big_n, min_size=1, max_size=12))
 def test_phase_numerators_match_phase_fraction(pq, q, ns):
-    # a plain list, as a caller would pass it: ints past 2^63 beside small ones
+    # one pass mod q against the product of prime-power local factors, on
+    # moduli with six primes (30030) and seven just below the int64 path's
+    # limit 2^31 (2^31 - 2 = 2 * 3^2 * 7 * 11 * 31 * 151 * 331); a plain list,
+    # as a caller would pass it: ints past 2^63 beside small ones
     f = RationalFunction(*pq)
     if not is_well_defined(f, q):
         return

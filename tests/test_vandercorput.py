@@ -222,6 +222,16 @@ def test_carry_validation_and_budget():
         del os.environ["AUTOEXP_BUDGET"]
 
 
+def test_sizes_checked_before_the_tables(monkeypatch):
+    # k-entry rows, and a weight table of k^(lam+alpha) + r entries
+    monkeypatch.setenv("AUTOEXP_BUDGET", "1000")
+    with pytest.raises(BudgetError, match="digits per state k"):
+        digit_sum_transducer(5000, 2)
+    with pytest.raises(BudgetError, match="weight table length"):
+        carry_violation_count(thue_morse_transducer(), 4, 1, 1, 5000)
+    assert carry_violation_count(thue_morse_transducer(), 4, 1, 1, 900) >= 0
+
+
 # -- eta fit ----------------------------------------------------------------------
 
 
