@@ -14,8 +14,9 @@ from .automata import (BlockDecomposition, ComponentDecomposition, Dfao,
                        strongly_connected_components, sync_failure_count,
                        sync_failure_counts, thue_morse_even)
 from .budget import BudgetError, enumeration_budget
-from .congruence import (CongruenceCount, ValueHistogram, brute_force_count,
-                         count_solutions, cyclic_convolve, value_histogram)
+from .congruence import (CongruenceCount, SolutionTable, ValueHistogram,
+                         brute_force_count, convolve, count_solutions,
+                         cyclic_convolve, solution_table, value_histogram)
 from .exact import Cyclotomic
 from .expsums import (IntervalProgression, SweepReport, check_gcd_lemma,
                       check_quadratic_geometric, check_weil, complete_sum,

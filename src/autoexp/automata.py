@@ -103,9 +103,7 @@ class Dfao:
         """Output after reading only the lowest lam digits, i.e. at n mod k^lam."""
         if lam < 0:
             raise ValueError("lam must be non-negative")
-        if n < 0:       # n mod k^lam has lam digits, every one read
-            require_budget(lam, "digits read lam")
-        elif lam >= len(base_digits(n, self.base)):     # k^lam > n
+        if lam >= len(base_digits(n, self.base)):     # k^lam > n; rejects n < 0
             return self.evaluate(n)
         return self.evaluate(n % self.base ** lam)
 

@@ -212,9 +212,13 @@ def cmd_count_congruence(args: Dict) -> SweepReport:
     brute_max = int(args["brute_check_max"])
     rows = []
     for q in qs:
-        targets = range(q) if args["all_m"] else [int(args["m"])]
-        for m in targets:
-            res = congruence.count_solutions(fs, dfao, q, m, strict_poles=strict)
+        if args["all_m"]:       # one convolution, read at every target
+            table = congruence.solution_table(fs, dfao, q, strict_poles=strict)
+            counts = [(m, table.count(m)) for m in range(q)]
+        else:
+            m = int(args["m"])
+            counts = [(m, congruence.count_solutions(fs, dfao, q, m, strict_poles=strict))]
+        for m, res in counts:
             brute = ""
             if brute_max and q <= brute_max:
                 bf = congruence.brute_force_count(fs, dfao, q, m)

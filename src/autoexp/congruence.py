@@ -1,8 +1,14 @@
 """Counting solutions of f_1(n_1) + ... + f_r(n_r) = m mod q over automatic sets.
 
 The pipeline is exact end to end: per-coordinate value histograms (integer
-counts of residues), cyclic convolution through big-integer Kronecker
-packing, and a nested-loop brute-force oracle for budget-feasible sizes.
+counts of residues), their cyclic convolution, and a nested-loop brute-force
+oracle for budget-feasible sizes.  `convolve` multiplies zero-padded float
+spectra (`numpy.fft`, length 2^n >= 2q - 1) and rounds, but only when
+Percival's bound on the rounding error of that FFT convolution (C. Percival,
+Math. Comp. 72 (2003), Thm. 5.1) is below 1/2, so that rounding gives the
+exact integers; otherwise it falls back to `cyclic_convolve`, big-integer
+Kronecker packing.  `solution_table` builds each distinct histogram once and
+convolves once; every target m is read from the result.
 Arguments at poles of f_j are excluded from the effective support (strict
 mode raises instead); the main term uses the pole-adjusted support product.
 """
@@ -10,10 +16,11 @@ mode raises instead); the main term uses the pole-adjusted support product.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,6 +31,16 @@ from .modring import RationalFunction, phase_numerators, prime_powers
 
 _ZERO = Cyclotomic.from_rational(0)
 _ONE = Cyclotomic.from_rational(1)
+
+# Percival's error model: every double operation is correct to the unit
+# roundoff EPS, and every precomputed root of unity is within BETA of the
+# exact one.  numpy's pocketfft forms each root as the complex product of two
+# table entries, each from libm sin/cos of a rounded angle (a few EPS each),
+# so |error| < 9 EPS; BETA = 16 EPS is stated with that margin.  Its
+# power-of-two transform runs radix-4 and radix-2 passes; a radix-4 pass is
+# two radix-2 levels whose inner twiddles are the exact +-1, +-i.
+_EPS = 2.0 ** -53
+_BETA = 2.0 ** -49
 
 
 @dataclass
@@ -52,10 +69,8 @@ def _indicator_values(dfao: Dfao, q: int) -> np.ndarray:
     return picks[dfao.states_at(ns)]
 
 
-def value_histogram(dfao: Dfao, f: RationalFunction, q: int,
-                    strict_poles: bool = False) -> ValueHistogram:
-    """Distribution of f(n) mod q over {n in [1, q] : a_n = 1}, poles excluded."""
-    member = _indicator_values(dfao, q)
+def _histogram(member: np.ndarray, f: RationalFunction, q: int,
+               strict_poles: bool) -> ValueHistogram:
     ns = np.arange(1, q + 1, dtype=np.int64)
     vals = phase_numerators(f, q, ns)       # f(n) mod q, -1 at the poles
     if strict_poles and ((vals < 0) & (member == 1)).any():
@@ -63,7 +78,13 @@ def value_histogram(dfao: Dfao, f: RationalFunction, q: int,
         raise ValueError(f"pole of {f} mod {q} inside the set, e.g. n={bad.tolist()}")
     keep = (member == 1) & (vals >= 0)
     counts = np.bincount(vals[keep], minlength=q)
-    return ValueHistogram(q, tuple(int(c) for c in counts), int(keep.sum()))
+    return ValueHistogram(q, tuple(counts.tolist()), int(keep.sum()))
+
+
+def value_histogram(dfao: Dfao, f: RationalFunction, q: int,
+                    strict_poles: bool = False) -> ValueHistogram:
+    """Distribution of f(n) mod q over {n in [1, q] : a_n = 1}, poles excluded."""
+    return _histogram(_indicator_values(dfao, q), f, q, strict_poles)
 
 
 def cyclic_convolve(h1: ValueHistogram, h2: ValueHistogram) -> ValueHistogram:
@@ -87,6 +108,57 @@ def cyclic_convolve(h1: ValueHistogram, h2: ValueHistogram) -> ValueHistogram:
     return ValueHistogram(q, tuple(counts), h1.support_size * h2.support_size)
 
 
+def fft_error_bound(norm_x: float, norm_y: float, n: int) -> float:
+    """Percival's bound on max_i |computed - exact| of the cyclic convolution
+    of x and y by a length-2^n complex float FFT:
+    |x|_2 |y|_2 ((1+EPS)^3n (1+EPS sqrt5)^(3n+1) (1+BETA)^3n - 1)."""
+    growth = math.expm1(3 * n * math.log1p(_EPS)
+                        + (3 * n + 1) * math.log1p(_EPS * math.sqrt(5))
+                        + 3 * n * math.log1p(_BETA))
+    # the last factor covers the few roundings of this evaluation itself
+    return norm_x * norm_y * growth * (1 + 2.0 ** -40)
+
+
+def _norm(counts: Sequence[int]) -> float:
+    """Euclidean norm, from the exact integer sum of squares."""
+    try:
+        return math.sqrt(sum(map(operator.mul, counts, counts)))
+    except OverflowError:       # beyond float range: no FFT can be certified
+        return math.inf
+
+
+def fft_convolve(h1: ValueHistogram, h2: ValueHistogram) -> Optional[ValueHistogram]:
+    """Exact cyclic convolution by a rounded float FFT, or None when Percival's
+    bound does not certify the rounding (bound >= 1/2)."""
+    if h1.modulus != h2.modulus:
+        raise ValueError("histograms must share a modulus")
+    q = h1.modulus
+    n = (2 * q - 2).bit_length()        # 2^n >= 2q - 1: no wrap-around
+    if not fft_error_bound(_norm(h1.counts), _norm(h2.counts), n) < 0.5:
+        return None
+    # every |entry| <= |x|_2 |y|_2 < 2^53 now, so the floats hold exact integers
+    from numpy import fft       # `import numpy` leaves numpy.fft unloaded
+    size = 1 << n
+    spectrum = (fft.fft(np.array(h1.counts, dtype=np.float64), size)
+                * fft.fft(np.array(h2.counts, dtype=np.float64), size))
+    lin = np.rint(fft.ifft(spectrum).real[:2 * q - 1]).astype(np.int64)
+    folded = lin[:q]
+    folded[:q - 1] += lin[q:]
+    counts = folded.tolist()
+    mass = h1.support_size * h2.support_size
+    if sum(counts) != mass:
+        raise ArithmeticError(f"FFT convolution mod {q} has mass {sum(counts)}, "
+                              f"not {mass}, inside Percival's bound")
+    return ValueHistogram(q, tuple(counts), mass)
+
+
+def convolve(h1: ValueHistogram, h2: ValueHistogram) -> ValueHistogram:
+    """Exact cyclic convolution: the certified FFT where Percival's bound
+    allows it, `cyclic_convolve` otherwise."""
+    conv = fft_convolve(h1, h2)
+    return cyclic_convolve(h1, h2) if conv is None else conv
+
+
 @dataclass
 class CongruenceCount:
     n_solutions: int
@@ -98,9 +170,27 @@ class CongruenceCount:
     rel_error: float
 
 
-def count_solutions(fs: Sequence[RationalFunction], set_dfao: Dfao,
-                    q: int, m: int, strict_poles: bool = False) -> CongruenceCount:
-    """Exact number of tuples (n_j) in the set with sum of f_j(n_j) = m mod q."""
+@dataclass
+class SolutionTable:
+    """N[m] for every target m mod q: one convolution of the value histograms."""
+
+    conv: ValueHistogram
+    support_sizes: Tuple[int, ...]
+    raw_set_size: int
+
+    def count(self, m: int) -> CongruenceCount:
+        q = self.conv.modulus
+        n_sol = self.conv.counts[m % q]
+        main = Fraction(math.prod(self.support_sizes), q)
+        rel = float(n_sol / main - 1) if main else math.inf
+        return CongruenceCount(n_sol, q, m % q, self.support_sizes, main,
+                               self.raw_set_size, rel)
+
+
+def solution_table(fs: Sequence[RationalFunction], set_dfao: Dfao, q: int,
+                   strict_poles: bool = False) -> SolutionTable:
+    """The number of tuples (n_j) in the set with sum of f_j(n_j) = m mod q,
+    for every m at once."""
     prime_powers(q)     # rejects q < 1 first
     if not fs:
         raise ValueError("need at least one fraction")
@@ -110,17 +200,19 @@ def count_solutions(fs: Sequence[RationalFunction], set_dfao: Dfao,
             warnings.warn(f"f={f} is a linear or constant polynomial; "
                           "the equidistribution heuristic does not apply",
                           stacklevel=2)
-    hists = [value_histogram(set_dfao, f, q, strict_poles=strict_poles)
-             for f in fs]
-    conv = hists[0]
-    for h in hists[1:]:
-        conv = cyclic_convolve(conv, h)
-    n_sol = conv.counts[m % q]
-    supports = tuple(h.support_size for h in hists)
-    main = Fraction(math.prod(supports), q)
-    raw = int(_indicator_values(set_dfao, q).sum())
-    rel = float(n_sol / main - 1) if main else math.inf
-    return CongruenceCount(n_sol, q, m % q, supports, main, raw, rel)
+    member = _indicator_values(set_dfao, q)
+    hists = {f: _histogram(member, f, q, strict_poles) for f in dict.fromkeys(fs)}
+    conv = hists[fs[0]]
+    for f in fs[1:]:
+        conv = convolve(conv, hists[f])
+    return SolutionTable(conv, tuple(hists[f].support_size for f in fs),
+                         int(member.sum()))
+
+
+def count_solutions(fs: Sequence[RationalFunction], set_dfao: Dfao,
+                    q: int, m: int, strict_poles: bool = False) -> CongruenceCount:
+    """Exact number of tuples (n_j) in the set with sum of f_j(n_j) = m mod q."""
+    return solution_table(fs, set_dfao, q, strict_poles).count(m)
 
 
 def brute_force_count(fs: Sequence[RationalFunction], set_dfao: Dfao,

@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Sequence, Tuple, Union
 import numpy as np
 
 from .automata import Dfao
-from .budget import require_budget
+from .budget import BudgetError, require_budget
 from .exact import Cyclotomic, int_range
 from .modring import (PhaseValues, RationalFunction, mod_inverse, phase_numerators,
                       phase_values, prime_powers, rational_gcd,
@@ -248,11 +248,15 @@ def pv_range_scan(dfao: Dfao, f: RationalFunction, qs: Sequence[int], theta: flo
     """For each modulus: x = ceil(q^theta), the weighted-sum ratio |S|/x over
     (y, y+x], and the reference envelope (1/q1 + q^2/(q1 x^2))^c."""
     if not theta > 0:
-        raise ValueError("theta must be positive")
+        raise ValueError("--theta must be positive")
     rows = []
     for q in sorted(qs):
         prime_powers(q)     # rejects q < 1 before q^theta
-        x = math.ceil(q ** theta)
+        try:
+            x = math.ceil(q ** theta)
+        except OverflowError:       # q^theta beyond float range
+            raise BudgetError(f"x = q^theta for q = {q}, --theta {theta} "
+                              "exceeds the enumeration budget") from None
         yv = _resolve_y(y, q)
         region = IntervalProgression(yv, x)
         s_abs = abs(weighted_sum(dfao, f, q, region))

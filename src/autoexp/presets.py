@@ -110,11 +110,17 @@ def kloosterman_grid(p_min: int, p_max: int):
 # property runners
 
 
+def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise ValueError(f"--seed must be non-negative, not {seed}")
+    return np.random.default_rng(seed)
+
+
 def run_crt_consistency(trials: int = 100, q_max: int = 10000,
                         seed: int = _SEED) -> dict:
     """Random (f, coprime q1*q2, n): the local-factor product phase must equal
     the direct-formula phase P(n) * Q(n)^-1 mod q whenever gcd(Q(n), q) = 1."""
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     checked = 0
     attempts = 0
     while checked < trials:
@@ -156,7 +162,10 @@ def run_vdc_fuzz(trials: int = 10000, d_max: int = 3, x_max: int = 200,
         if top < 1:
             raise ValueError(f"{option} must be at least 1")
     require_budget(x_max * d_max * d_max, "entries per trial --x-max * --d-max^2")
-    rng = np.random.default_rng(seed)
+    for option, top in (("--r-max", r_max), ("--k-max", k_max)):
+        if top >= 2 ** 63:
+            raise ValueError(f"{option} must be below 2^63, the range of its random draws")
+    rng = _rng(seed)
     min_rel_slack = math.inf
     for i in range(trials):
         d = int(rng.integers(1, d_max + 1))
@@ -208,7 +217,7 @@ def run_quad_grid() -> dict:
 
 def run_conv_algebra(trials: int = 200, seed: int = _SEED) -> dict:
     """Exact convolution algebra: commutativity, associativity, mass, identity."""
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     for _ in range(trials):
         q = int(rng.integers(2, 50))
         def rand_hist():

@@ -78,6 +78,14 @@ def test_truncated_evaluation():
         assert d.evaluate_truncated(n, lam) == d.evaluate(n)
 
 
+@pytest.mark.parametrize("lam", [0, 3, 2 ** 70])
+def test_truncated_evaluation_rejects_negative_n_as_evaluate_does(lam):
+    tm = thue_morse_even()
+    for evaluate in (tm.evaluate, lambda n: tm.evaluate_truncated(n, lam)):
+        with pytest.raises(ValueError, match="n must be non-negative"):
+            evaluate(-1)
+
+
 def test_leading_zero_invariance():
     rng = random.Random(4)
     for _ in range(1000):

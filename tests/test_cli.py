@@ -90,6 +90,11 @@ CARRY = ["carry-scan", "--lam", "2", "--alpha", "1", "--rho-list", "1", "--trans
       "--l1", "1", "--l2", str(2 ** 70)], None, "R*M^2 <= x/10"),
     (["block-decompose", "--auto", "block_11", "--g-one", "--x", "100",
       "--sigma", str(2 ** 70)], None, "k^sigma must not exceed x"),
+    (["vdc-check", "--trials", "1", "--k-max", str(2 ** 70)], "100000", "--k-max"),
+    (["vdc-check", "--trials", "3", "--r-max", str(2 ** 70)], "100000", "--r-max"),
+    (["check", "--property", "crt", "--trials", "1", "--seed", "-1"], "100000", "--seed"),
+    (["check", "--property", "conv-algebra", "--trials", "1", "--seed", "-1"], None, "--seed"),
+    (["vdc-check", "--trials", "1", "--seed", "-1"], None, "--seed"),
 ])
 def test_bad_input_is_a_one_line_error_naming_it(capsys, monkeypatch, argv, budget, needle):
     if budget is not None:
@@ -133,8 +138,8 @@ def test_budget_checked_before_the_tables_are_allocated(capsys):
       "--rho-list", "1"], None, "k^(lam+2*alpha) = 2^" + str(2 ** 70 + 2)),
     (["carry-scan", "--transducer", "thue_morse", "--lam", "4", "--alpha", str(2 ** 70),
       "--rho-list", "1"], None, "k^(lam+2*alpha) = 2^" + str(2 ** 71 + 4)),
-    (["eval", "--auto", "digit_sum_mod(2,3)", "--n", "-1", "--lam", str(2 ** 70)],
-     None, "digits read lam"),
+    (["scan-pv", "--auto", "thue_morse_even", "--f", "1/X", "--q-list", "101",
+      "--theta", "1e300"], "100000", "--theta 1e+300"),
 ])
 def test_sizes_are_checked_before_allocation(capsys, monkeypatch, argv, budget, needle):
     if budget is not None:
@@ -160,6 +165,14 @@ def test_truncation_past_the_digits_of_n_reads_n(capsys):
     truncated = capsys.readouterr().out
     assert run(["eval", "--auto", "digit_sum_mod(2,3)", "--n", "5"]) == 0
     assert truncated == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("lam", [[], ["--lam", "3"], ["--lam", str(2 ** 70)]],
+                         ids=["no-lam", "lam-3", "lam-2^70"])
+def test_negative_n_is_rejected_with_or_without_truncation(capsys, lam):
+    assert run(["eval", "--auto", "thue_morse_even", "--n", "-1"] + lam) == 1
+    err = capsys.readouterr().err
+    assert err == "error: n must be non-negative\n"
 
 
 def test_budget_checked_before_an_automaton_is_built(capsys, monkeypatch):
@@ -440,6 +453,33 @@ def test_count_congruence_json(capsys):
     obj = json.loads(capsys.readouterr().out)
     row = obj["rows"][0]
     assert row[0] == 101 and row[2] == int(row[6])
+
+
+def _all_m_rows(q, capsys):
+    assert run(["count-congruence", "--set", "thue_morse_even", "--f", "1/X,1/X,1/X",
+                "--q", str(q), "--all-m"]) == 0
+    return capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("q", [101, 1009])
+def test_all_m_rows_equal_the_per_m_rows(capsys, q):
+    header, *rows = _all_m_rows(q, capsys)
+    assert len(rows) == q
+    for m in range(q):
+        # execute() reads the same defaults as the command line, without the parser
+        one = cli.execute(presets.RunConfig("count-congruence", {
+            "set": "thue_morse_even", "f": "1/X,1/X,1/X", "q": q, "m": m}))
+        assert one.to_csv().splitlines() == [header, rows[m]]
+
+
+def test_all_m_rows_equal_brute_force(capsys):
+    from autoexp.automata import thue_morse_even
+    from autoexp.congruence import brute_force_count
+    from autoexp.modring import parse_rational_function
+    fs = [parse_rational_function("1/X")] * 3
+    rows = _all_m_rows(101, capsys)[1:]
+    brute = [brute_force_count(fs, thue_morse_even(), 101, m) for m in range(101)]
+    assert [int(row.split(",")[2]) for row in rows] == brute
 
 
 def test_automaton_file_via_cli(tmp_path, capsys):

@@ -43,9 +43,8 @@ POOL = {
            "fit", "0,q", "crt", "quad-geometric", "conv-algebra", "weyl-exact",
            "no-such-property"],
 }
-# --out writes files; --all-m counts once per target, hours at q = 10^5; every
-# preset already runs in the acceptance suite
-NEVER = {"help", "out", "all_m"}
+# --out writes files; every preset already runs in the acceptance suite
+NEVER = {"help", "out"}
 SUBPARSERS = next(a for a in cli._build_parser()._actions if a.dest == "command").choices
 
 
@@ -93,6 +92,10 @@ WEYL = ["weyl-decompose", "--transducer", "thue_morse", "--g-one", "--x", "100"]
 @example(WEYL + ["--l1", BIG, "--l2", "1"])
 @example(WEYL + ["--l1", "1", "--l2", BIG])
 @example(["block-decompose", "--auto", "block_11", "--g-one", "--x", "100", "--sigma", BIG])
+@example(["scan-pv", "--auto", "thue_morse_even", "--f", "1/X", "--q-list", "101",
+          "--theta", "1e300"])
+@example(["vdc-check", "--trials", "1", "--k-max", BIG])
+@example(["check", "--property", "crt", "--trials", "1", "--seed", "-1"])
 @given(argvs())
 def test_every_option_gives_a_result_or_a_one_line_error(argv):
     out, err = io.StringIO(), io.StringIO()

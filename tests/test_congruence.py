@@ -2,13 +2,16 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import oracles
+from autoexp import congruence
 from autoexp.automata import Dfao, constant_one, thue_morse_even
 from autoexp.budget import BudgetError
-from autoexp.congruence import (ValueHistogram, brute_force_count,
-                                count_solutions, cyclic_convolve,
+from autoexp.congruence import (ValueHistogram, brute_force_count, convolve,
+                                count_solutions, cyclic_convolve, fft_convolve,
+                                fft_error_bound, solution_table,
                                 value_histogram)
 from autoexp.modring import parse_rational_function, phase_fraction
 
@@ -94,6 +97,77 @@ def test_convolution_modulus_mismatch():
     with pytest.raises(ValueError):
         cyclic_convolve(ValueHistogram(3, (1, 0, 0), 1),
                         ValueHistogram(4, (1, 0, 0, 0), 1))
+
+
+def _hist(counts):
+    return ValueHistogram(len(counts), tuple(counts), sum(counts))
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 12, 101, 1024, 10007])
+def test_fft_convolution_equals_kronecker_and_oracle(q):
+    rng = random.Random(q)
+    for top in (1, 50, 10 ** 4):
+        h1 = _hist([rng.randrange(0, top + 1) for _ in range(q)])
+        h2 = _hist([rng.randrange(0, top + 1) for _ in range(q)])
+        fast = fft_convolve(h1, h2)
+        assert fast is not None         # certified at these sizes
+        assert fast == cyclic_convolve(h1, h2)
+        assert list(fast.counts) == oracles.cyclic_convolve_int(h1.counts, h2.counts)
+
+
+def test_uncertified_fft_falls_back_to_kronecker(monkeypatch):
+    # |h|_2 is about 1.4e12, so Percival's bound is about 1e10, far above 1/2
+    big = 10 ** 12
+    h = _hist([big + 3, 7, 0, 5, big])
+    norm = math.sqrt(sum(c * c for c in h.counts))
+    assert fft_error_bound(norm, norm, 4) > 0.5      # 2^4 >= 2q - 1 = 9
+    assert fft_convolve(h, h) is None
+    calls = []
+
+    def spy(h1, h2):
+        calls.append((h1, h2))
+        return cyclic_convolve(h1, h2)
+
+    monkeypatch.setattr(congruence, "cyclic_convolve", spy)
+    out = convolve(h, h)
+    assert calls == [(h, h)]
+    c = h.counts
+    assert list(out.counts) == [sum(c[j] * c[(m - j) % 5] for j in range(5))
+                                for m in range(5)]
+
+
+def test_fft_error_bound_by_hand():
+    # |x| = 3, |y| = 4, n = 10: to first order in EPS = 2^-53 and
+    # BETA = 16 EPS, 12 * EPS * (3n + (3n + 1) sqrt5 + 3n * 16)
+    want = 12 * 2.0 ** -53 * (30 + 31 * math.sqrt(5) + 30 * 16)
+    assert fft_error_bound(3.0, 4.0, 10) == pytest.approx(want, rel=1e-9)
+    assert fft_error_bound(0.0, 4.0, 10) == 0.0
+
+
+def test_fft_mass_mismatch_raises(monkeypatch):
+    import numpy.fft
+    h = _hist([1, 2, 3, 4, 5])
+    ifft = numpy.fft.ifft
+    monkeypatch.setattr(numpy.fft, "ifft", lambda a: ifft(a) + 1)
+    with pytest.raises(ArithmeticError, match="mass"):
+        fft_convolve(h, h)
+
+
+def test_solution_table_reads_every_target_from_one_convolution(monkeypatch):
+    calls = []
+    original = congruence._histogram
+
+    def counting(*args):
+        calls.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(congruence, "_histogram", counting)
+    fs = [INV_X, INV_X, parse_rational_function("X^3")]
+    table = solution_table(fs, thue_morse_even(), 31)
+    assert calls == [INV_X, parse_rational_function("X^3")]
+    for m in range(31):
+        assert table.count(m) == count_solutions(fs, thue_morse_even(), 31, m)
+        assert table.count(m).n_solutions == brute_force_count(fs, thue_morse_even(), 31, m)
 
 
 def test_count_solutions_exact_equidistribution():
