@@ -7,8 +7,9 @@ spectra (`numpy.fft`, length 2^n >= 2q - 1) and rounds, but only when
 Percival's bound on the rounding error of that FFT convolution (C. Percival,
 Math. Comp. 72 (2003), Thm. 5.1) is below 1/2, so that rounding gives the
 exact integers; otherwise it falls back to `cyclic_convolve`, big-integer
-Kronecker packing.  `solution_table` builds each distinct histogram once and
-convolves once; every target m is read from the result.
+Kronecker packing.  `solution_table` builds each distinct histogram once,
+takes its spectrum once (a histogram keeps it), and folds the histograms
+into one convolution; every target m is read from the result.
 Arguments at poles of f_j are excluded from the effective support (strict
 mode raises instead); the main term uses the pole-adjusted support product.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -50,6 +51,9 @@ class ValueHistogram:
     modulus: int
     counts: Tuple[int, ...]
     support_size: int
+    # (counts, float spectrum) once fft_convolve has transformed these counts
+    _spectrum: Optional[Tuple[Tuple[int, ...], np.ndarray]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.counts) != self.modulus:
@@ -127,6 +131,16 @@ def _norm(counts: Sequence[int]) -> float:
         return math.inf
 
 
+def _spectrum(h: ValueHistogram, n: int) -> np.ndarray:
+    """The zero-padded length-2^n float FFT of h's counts, taken once per
+    histogram (n depends on the modulus alone), so a histogram repeated
+    across a fold of convolutions is transformed once."""
+    from numpy import fft
+    if h._spectrum is None or h._spectrum[0] is not h.counts:
+        h._spectrum = (h.counts, fft.fft(np.array(h.counts, dtype=np.float64), 1 << n))
+    return h._spectrum[1]
+
+
 def fft_convolve(h1: ValueHistogram, h2: ValueHistogram) -> Optional[ValueHistogram]:
     """Exact cyclic convolution by a rounded float FFT, or None when Percival's
     bound does not certify the rounding (bound >= 1/2)."""
@@ -138,10 +152,8 @@ def fft_convolve(h1: ValueHistogram, h2: ValueHistogram) -> Optional[ValueHistog
         return None
     # every |entry| <= |x|_2 |y|_2 < 2^53 now, so the floats hold exact integers
     from numpy import fft       # `import numpy` leaves numpy.fft unloaded
-    size = 1 << n
-    spectrum = (fft.fft(np.array(h1.counts, dtype=np.float64), size)
-                * fft.fft(np.array(h2.counts, dtype=np.float64), size))
-    lin = np.rint(fft.ifft(spectrum).real[:2 * q - 1]).astype(np.int64)
+    product = _spectrum(h1, n) * _spectrum(h2, n)
+    lin = np.rint(fft.ifft(product).real[:2 * q - 1]).astype(np.int64)
     folded = lin[:q]
     folded[:q - 1] += lin[q:]
     counts = folded.tolist()

@@ -18,13 +18,17 @@ notion the regrouping identities need.  exact_rational() reads the normal
 form alone (it undoes the fold and sums Galois orbits as Ramanujan sums), so
 its answer does not depend on how a value was built; None still means
 "undecided here", not "irrational".
+
+normal_forms() is the one normaliser: it folds, sorts, merges and reduces a
+whole table of sums (bucket -> terms) in one batched pass, and every
+constructor and ring operation is its one-bucket call.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -101,37 +105,13 @@ class Cyclotomic:
                 den: int = 1) -> "Cyclotomic":
         """Normal form of sum_i nums[i]/den * e(exps[i]/modulus); exponents
         may repeat and lie anywhere in Z."""
-        if 2 * modulus >= _BIG:
-            exps = exps.astype(object)
-        if modulus % 2:     # the half-turn needs an even modulus
-            exps = exps % modulus * 2
-            modulus *= 2
-        # a = q * L/2 + r with 0 <= r < L/2, so e(a/L) = (-1)^q * e(r/L)
-        turns, exps = exps // (modulus // 2), exps % (modulus // 2)
-        nums = np.where(turns & 1, -nums, nums)
-        if exps.size > 1:   # sort, then merge repeated exponents
-            order = exps.argsort(kind="stable")
-            exps, nums = exps[order], nums[order]
-            cuts = np.flatnonzero(exps[1:] != exps[:-1]) + 1
-            if cuts.size + 1 < exps.size:
-                if nums.dtype != object and _peak(nums) * nums.size >= _BIG:
-                    nums = nums.astype(object)
-                starts = np.concatenate([[0], cuts])
-                exps, nums = exps[starts], np.add.reduceat(nums, starts)
-        if not nums.all():
-            keep = nums != 0
-            exps, nums = exps[keep], nums[keep]
-        g = math.gcd(modulus, int(np.gcd.reduce(exps)))
-        k = math.gcd(den, int(np.gcd.reduce(nums))) if den > 1 else 1
-        exps = exps // g if g > 1 else exps
-        nums = nums // k if k > 1 else nums
-        return Cyclotomic(modulus // g, _narrow(exps), _narrow(nums), den // k)
+        return normal_forms(modulus, None, exps, nums, den)[0]
 
     # -- construction -------------------------------------------------
 
     @staticmethod
     def zero() -> "Cyclotomic":
-        return Cyclotomic(1, _EMPTY, _EMPTY, 1)
+        return _ZERO
 
     @staticmethod
     def one() -> "Cyclotomic":
@@ -330,6 +310,88 @@ class Cyclotomic:
 
 
 _EMPTY = np.zeros(0, dtype=np.int64)
+_ORIGIN = np.zeros(1, dtype=np.int64)
+_ZERO = Cyclotomic(1, _EMPTY, _EMPTY, 1)
+
+
+def _firsts(labels: Optional[np.ndarray], size: int) -> np.ndarray:
+    """Start index of each run of equal labels in a sorted array of `size`
+    labels; labels=None is one run."""
+    if labels is None or not size:
+        return _ORIGIN[:size]
+    return np.flatnonzero(np.concatenate([[True], labels[1:] != labels[:-1]]))
+
+
+def _spread(per_bucket: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """One value per bucket, repeated over the bucket's terms."""
+    if per_bucket.size == 1:    # broadcasts as it is
+        return per_bucket
+    return np.repeat(per_bucket, np.diff(bounds))
+
+
+def normal_forms(modulus: int, buckets: Optional[np.ndarray], exps: np.ndarray,
+                 nums: np.ndarray, den: int = 1) -> Dict[int, Cyclotomic]:
+    """bucket -> normal form of the sum of nums[i]/den * e(exps[i]/modulus)
+    over the terms i in that bucket, for every bucket that holds a term, also
+    when its terms cancel.  buckets=None puts every term in bucket 0, which
+    then appears even with no terms.  Exponents may repeat and lie anywhere
+    in Z.
+
+    One sort of the key bucket * L/2 + folded exponent and one merge serve
+    every bucket; each bucket is then divided by the gcd of its exponents
+    with L and of its numerators with the denominator."""
+    one = buckets is None
+    if 2 * modulus >= _BIG:
+        exps = exps.astype(object)
+    exps = exps % modulus
+    if modulus % 2:     # the half-turn needs an even modulus
+        exps, modulus = exps * 2, modulus * 2
+    half = modulus // 2
+    # e(a/L) = -e((a - L/2)/L) folds [0, L) into [0, L/2)
+    fold = exps >= half
+    exps = np.where(fold, exps - half, exps)
+    nums = np.where(fold, -nums, nums)
+    key = exps if one else _times(buckets, half) + exps
+    del buckets, exps   # the key carries both; free them before the sort
+    if key.size > 1:    # equal keys are summed, so their order does not matter
+        order = key.argsort()
+        key = key[order]    # one permuted copy at a time keeps the peak low
+        nums = nums[order]
+        del order
+        cuts = np.flatnonzero(key[1:] != key[:-1]) + 1
+        if cuts.size + 1 < key.size:
+            if nums.dtype != object and _peak(nums) * nums.size >= _BIG:
+                nums = nums.astype(object)
+            starts = np.concatenate([[0], cuts])
+            key, nums = key[starts], np.add.reduceat(nums, starts)
+    if one:     # one bucket, which appears even with no terms
+        labels, exps, out = None, key, {0: _ZERO}
+    else:
+        labels, exps = key // half, key % half
+        out = dict.fromkeys(labels[_firsts(labels, key.size)].tolist(), _ZERO)
+    if not nums.all():      # cancelled terms go; a bucket left empty stays zero
+        keep = nums != 0
+        exps, nums = exps[keep], nums[keep]
+        labels = None if one else labels[keep]
+    firsts = _firsts(labels, nums.size)
+    if not firsts.size:
+        return out
+    bounds = np.concatenate([firsts, [nums.size]])
+    g = np.gcd(np.gcd.reduceat(exps, firsts), modulus)
+    exps = exps // _spread(g, bounds)
+    dens = [1] * firsts.size
+    if den > 1:
+        k = np.gcd.reduceat(nums, firsts)
+        k = np.gcd(k if den < _BIG else k.astype(object), den)
+        nums = nums // _spread(k, bounds)
+        dens = (den // k).tolist()
+    bounds = bounds.tolist()
+    # each value gets its own arrays: a view would keep the whole table's
+    # arrays alive while any one of its values lives
+    for b, m, d, s, e in zip([0] if one else labels[firsts].tolist(),
+                             (modulus // g).tolist(), dens, bounds, bounds[1:]):
+        out[b] = Cyclotomic(m, _narrow(exps[s:e].copy()), _narrow(nums[s:e].copy()), d)
+    return out
 
 
 def term_table(values: Sequence[Cyclotomic],

@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .budget import BudgetError, enumeration_budget, require_budget
-from .exact import Cyclotomic, _fit, _narrow, as_exact, indexed_phase_sum
+from .exact import Cyclotomic, _fit, _narrow, as_exact, indexed_phase_sum, normal_forms
 
 
 # ---------------------------------------------------------------------------
@@ -637,19 +637,21 @@ class PhaseValues:
     def bucket_sums(self, buckets: np.ndarray,
                     weights: Optional[np.ndarray] = None) -> Dict[int, Union[Cyclotomic, complex]]:
         """bucket -> sum of weight * g(n) over its elements (integer weights,
-        default 1); a bucket appears when it holds an element with g(n) != 0."""
+        default 1); a bucket appears when it holds an element with g(n) != 0.
+        Exact sums of the whole table are normalised in one batch
+        (exact.normal_forms: one sort, one merge)."""
         live = self.values >= 0 if self.exact else self.values != 0
+        size = int(np.count_nonzero(live))
+        w = np.broadcast_to(np.int64(1), size) if weights is None else _fit(weights[live])
+        if self.exact:      # the normaliser holds the only copies and frees them early
+            return normal_forms(self.modulus, buckets[live], self.values[live], w)
         b, v = buckets[live], self.values[live]
-        w = np.ones(b.size, dtype=np.int64) if weights is None else weights[live]
         if not b.size:
             return {}
         order = np.argsort(b, kind="stable")
         b, v, w = b[order], v[order], w[order]
         starts = np.flatnonzero(np.concatenate([[True], b[1:] != b[:-1]]))
-        if not self.exact:
-            return dict(zip(b[starts].tolist(), np.add.reduceat(v * w, starts).tolist()))
-        return {int(b[i]): Cyclotomic.from_int_histogram(self.modulus, ww, exps=vv)
-                for i, vv, ww in zip(starts, np.split(v, starts[1:]), np.split(w, starts[1:]))}
+        return dict(zip(b[starts].tolist(), np.add.reduceat(v * w, starts).tolist()))
 
     def indexed_sum(self, table: Sequence, index: np.ndarray) -> Union[Cyclotomic, complex]:
         """sum over n of table[index[n]] * g(n): exact when g and every table

@@ -184,7 +184,8 @@ def run_vdc_fuzz(trials: int = 10000, d_max: int = 3, x_max: int = 200,
         chk = vandercorput.vdc_inequality_check(Z, R=R, k=k)
         rel = chk.slack / max(1.0, chk.rhs)
         min_rel_slack = min(min_rel_slack, rel)
-    return {"trials": trials, "min_rel_slack": min_rel_slack, "seed": seed}
+    # a plain float: numpy 2 would write np.float64(...) into the CSV
+    return {"trials": trials, "min_rel_slack": float(min_rel_slack), "seed": seed}
 
 
 QUAD_GRID = {

@@ -380,6 +380,14 @@ def test_vdc_check_seeded_byte_identity(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_vdc_check_csv_prints_a_plain_float(capsys):
+    assert run(["vdc-check", "--trials", "3"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header == "trials,min_rel_slack"
+    trials, slack = row.split(",")
+    assert trials == "3" and slack == repr(float(slack))
+
+
 def test_preset_prints_config(capsys):
     assert run(["preset", "pv-thue-morse", "--json"]) == 0
     obj = json.loads(capsys.readouterr().out)

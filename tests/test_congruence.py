@@ -170,6 +170,22 @@ def test_solution_table_reads_every_target_from_one_convolution(monkeypatch):
         assert table.count(m).n_solutions == brute_force_count(fs, thue_morse_even(), 31, m)
 
 
+def test_a_repeated_histogram_is_transformed_once(monkeypatch):
+    import numpy.fft
+    calls = []
+    for name in ("fft", "ifft"):
+        def spy(a, *args, _name=name, _fn=getattr(numpy.fft, name)):
+            calls.append(_name)
+            return _fn(a, *args)
+        monkeypatch.setattr(numpy.fft, name, spy)
+    fs = [INV_X, INV_X, INV_X]
+    table = solution_table(fs, thue_morse_even(), 101)
+    # fft(h) once for h * h, fft(h * h) for (h * h) * h, one ifft per step
+    assert sorted(calls) == ["fft", "fft", "ifft", "ifft"]
+    for m in (0, 1, 50):
+        assert table.count(m).n_solutions == brute_force_count(fs, thue_morse_even(), 101, m)
+
+
 def test_count_solutions_exact_equidistribution():
     with pytest.warns(UserWarning):  # linear f triggers the advisory warning
         res = count_solutions([IDENT], constant_one(), 11, 4)

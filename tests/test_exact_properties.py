@@ -16,8 +16,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+import numpy as np  # noqa: E402
 import oracles  # noqa: E402
-from autoexp.exact import Cyclotomic  # noqa: E402
+from autoexp import exact, modring  # noqa: E402
+from autoexp.exact import Cyclotomic, normal_forms  # noqa: E402
 
 phases = st.builds(Fraction, st.integers(-120, 120), st.integers(1, 60))
 coeffs = st.one_of(
@@ -141,3 +143,80 @@ def test_moduli_beyond_int64():
     for t in (Fraction(1, 2 ** 64), Fraction(-5, 2 ** 64 + 1), Fraction(1, 10 ** 400)):
         z = Cyclotomic.from_phase(t, Fraction(1, 2 ** 63))
         assert abs(complex(z) * 2 ** 63 - cmath.exp(2j * math.pi * t)) <= 1e-15
+
+
+# moduli odd and even, 1, and past 2^61 (exponents held as Python ints)
+table_moduli = st.sampled_from([1, 2, 3, 5, 12, 1009, 2018, 30030,
+                                2 ** 61 + 1, 3 * 2 ** 61, 2 ** 64 + 2])
+table_nums = st.one_of(st.integers(-3, 3), st.integers(2 ** 62 - 4, 2 ** 62 + 4),
+                       st.integers(-2 ** 62 - 4, -2 ** 62 + 4))
+
+
+@st.composite
+def bucket_tables(draw):
+    """(modulus, den, [(bucket, exponent, numerator)]): exponents anywhere in
+    a few turns, numerators near 2^62, and pairs that cancel whole buckets."""
+    L = draw(table_moduli)
+    exps = st.integers(-3 * L, 3 * L)
+    rows = draw(st.lists(st.tuples(st.integers(0, 5), exps, table_nums), max_size=30))
+    for b, a, c in draw(st.lists(st.tuples(st.integers(6, 8), exps, table_nums), max_size=4)):
+        rows += [(b, a, c), (b, a + L, -c)]     # a bucket whose terms cancel
+    den = draw(st.sampled_from([1, 3, 2 ** 70]))
+    return L, den, draw(st.permutations(rows))
+
+
+def _form(z):
+    return (z._mod, z._den, z._exps.dtype, z._exps.tolist(), z._nums.dtype,
+            z._nums.tolist(), hash(z))
+
+
+@given(bucket_tables())
+def test_batched_normal_forms_equal_per_bucket_histograms(table):
+    L, den, rows = table
+    b = np.array([r[0] for r in rows], dtype=np.int64)
+    a = exact._fit([r[1] for r in rows])
+    c = exact._fit([r[2] for r in rows])
+    out = normal_forms(L, b, a, c, den)
+    assert list(out) == sorted(set(b.tolist()))
+    for key, z in out.items():
+        mine = b == key
+        one = Cyclotomic.from_int_histogram(L, c[mine], Fraction(1, den), exps=a[mine])
+        assert _form(z) == _form(one)
+        ref = oracles.folded_terms((Fraction(r[1], L), Fraction(r[2], den))
+                                   for r in rows if r[0] == key)
+        assert dict(z.iter_terms()) == ref
+
+
+def test_normal_forms_edge_cases():
+    empty = np.zeros(0, dtype=np.int64)
+    assert normal_forms(7, empty, empty, empty) == {}
+    assert normal_forms(7, None, empty, empty) == {0: Cyclotomic.zero()}
+    # every bucket cancels: each still appears, as zero
+    out = normal_forms(6, np.array([4, 4, 9, 9]), np.array([1, 4, 2, 2]),
+                       np.array([1, 1, 5, -5]))
+    assert out == {4: Cyclotomic.zero(), 9: Cyclotomic.zero()}
+    assert all(_form(z) == _form(Cyclotomic.zero()) for z in out.values())
+    # numerators near 2^62 sum past int64 and come back when they cancel
+    big = np.array([2 ** 62 - 1, 2 ** 62 - 1, 5, 1 - 2 ** 62, 1 - 2 ** 62])
+    out = normal_forms(1, np.array([0, 0, 1, 1, 1]), np.zeros(5, dtype=np.int64), big)
+    assert out[0] == Cyclotomic.from_rational(2 ** 63 - 2) and out[0]._nums.dtype == object
+    assert out[1] == Cyclotomic.from_rational(7 - 2 ** 63)
+    out = normal_forms(1, np.array([0, 0]), np.zeros(2, dtype=np.int64), big[[0, 3]])
+    assert out == {0: Cyclotomic.from_rational(0)}
+
+
+def test_one_exact_bucket_sums_call_normalises_once(monkeypatch):
+    calls = []
+
+    def spy(modulus, buckets, *args):
+        calls.append(buckets is None)
+        return normal_forms(modulus, buckets, *args)
+
+    monkeypatch.setattr(exact, "normal_forms", spy)
+    monkeypatch.setattr(modring, "normal_forms", spy)
+    g = modring.PhaseValues(1009, np.arange(-1, 2000, dtype=np.int64) % 1010 - 1)
+    sums = g.bucket_sums(np.arange(2001) % 37)
+    assert calls == [False]
+    assert len(sums) == 37
+    assert sums[5] == sum((Cyclotomic.root_of_unity(int(v), 1009)
+                           for v in g.values[5::37] if v >= 0), Cyclotomic.zero())
