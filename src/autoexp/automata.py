@@ -119,8 +119,9 @@ class Dfao:
         while lo < limit:
             hi = min(lo * k, limit)
             # the children p*k + d of the parents p = n // k, in order of n
+            # (np.take copies whole rows, faster than fancy indexing does)
             first = lo // k
-            kids = children[st[first:(hi - 1) // k + 1]].ravel()
+            kids = np.take(children, st[first:(hi - 1) // k + 1], axis=0).ravel()
             st[lo:hi] = kids[lo - first * k:hi - first * k]
             lo = hi
         return st
@@ -131,7 +132,7 @@ class Dfao:
         children = self.transitions
         tab = np.asarray(entries, dtype=np.int32).reshape(-1, 1)
         for _ in range(sigma):      # column m*k + d follows digit d after m
-            tab = children[tab].reshape(tab.shape[0], -1)
+            tab = np.take(children, tab, axis=0).reshape(tab.shape[0], -1)
         return tab
 
     def window_states(self, y: int, x: int, start: Optional[int] = None) -> np.ndarray:
@@ -408,25 +409,45 @@ def sync_failure_count(dfao: Dfao, y: int, x: int, lam: int) -> int:
 
 
 def sync_failure_counts(dfao: Dfao, y: int, x: int, lams: Sequence[int]) -> List[int]:
-    """[sync_failure_count(dfao, y, x, lam) for lam in lams], reading the full
-    states of each start once (Dfao.window_states) for every lam.  The
-    truncated states repeat with period k^lam."""
+    """[sync_failure_count(dfao, y, x, lam) for lam in lams], one pass per
+    distinct lam over the prefix blocks of the window.
+
+    Write n = p*K + m with K = k^lam and 0 <= m < K.  From a start s the full
+    word of n is (p)_k followed by the lam-digit zero-padded word of m, and
+    the truncated word is (m)_k alone.  So n fails iff, for some s,
+    padded_table(range(S), lam)[e_s(p), m] != state_table(K, s)[m], where
+    e_s(p) is the state after reading (p)_k from s.  In block p = 0 both
+    words are (m)_k, so it never fails.  Each start packs its mismatch rows
+    (one bit per m) once, and the window reads one row per prefix p through
+    Dfao.window_states: about S*x/K states per lam, for any y."""
     k = dfao.base
     for lam in lams:
         if y < 0 or x < 1 or lam < 0:
             raise ValueError("need y >= 0, x >= 1, lam >= 0")
         if lam >= len(base_digits(x, k)):      # k^lam > x
-            raise ValueError("lam exceeds floor(log_k(x))")
+            raise ValueError(f"lam exceeds floor(log_k(x)): lam = {lam}, x = {x}, k = {k}")
     require_budget(dfao.n_states * x, "state reads n_states * x")
-    mism = np.zeros((len(lams), x), dtype=bool)
+    counts = {lam: _sync_failures_by_blocks(dfao, y, x, lam) for lam in set(lams)}
+    return [counts[lam] for lam in lams]
+
+
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def _sync_failures_by_blocks(dfao: Dfao, y: int, x: int, lam: int) -> int:
+    K = dfao.base ** lam
+    first, last = max((y + 1) // K, 1), (y + x) // K      # first <= last, as K <= x
+    pad = dfao.padded_table(range(dfao.n_states), lam)
+    fails = np.zeros((last - first + 1, (K + 7) // 8), dtype=np.uint8)
     for s in range(dfao.n_states):
-        full = dfao.window_states(y, x, s)
-        for row, lam in zip(mism, lams):
-            kl = k ** lam
-            off = (y + 1) % kl
-            tiled = np.tile(dfao.state_table(kl, s), x // kl + 2)
-            row |= full != tiled[off:off + x]
-    return [int(row.sum()) for row in mism]
+        miss = np.packbits(pad != dfao.state_table(K, s), axis=1, bitorder="little")
+        fails |= np.take(miss, dfao.window_states(first - 1, last - first + 1, s), axis=0)
+    # less the columns of the first and last block that lie outside (y, y+x]
+    # (disjoint even when first == last, as lo <= hi then)
+    lo, hi = max(y + 1 - first * K, 0), y + x - last * K
+    edges = np.unpackbits(fails[[0, -1]], axis=1, count=K, bitorder="little")
+    return (int(np.take(_POPCOUNT, fails).sum())
+            - int(edges[0, :lo].sum()) - int(edges[1, hi + 1:].sum()))
 
 
 # ---------------------------------------------------------------------------

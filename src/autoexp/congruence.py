@@ -21,7 +21,7 @@ import operator
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,7 +51,10 @@ class ValueHistogram:
     modulus: int
     counts: Tuple[int, ...]
     support_size: int
-    # (counts, float spectrum) once fft_convolve has transformed these counts
+    # (counts, |counts|_2) and (counts, float spectrum) once fft_convolve has
+    # read these counts; see _cached
+    _l2: Optional[Tuple[Tuple[int, ...], float]] = field(
+        default=None, init=False, repr=False, compare=False)
     _spectrum: Optional[Tuple[Tuple[int, ...], np.ndarray]] = field(
         default=None, init=False, repr=False, compare=False)
 
@@ -131,14 +134,23 @@ def _norm(counts: Sequence[int]) -> float:
         return math.inf
 
 
+def _cached(h: ValueHistogram, slot: str, make: Callable):
+    """make(h.counts), taken once per histogram and kept in h's private field
+    slot beside the counts it was taken from (checked by identity), so a
+    histogram repeated across a fold of convolutions is read once."""
+    hit = getattr(h, slot)
+    if hit is None or hit[0] is not h.counts:
+        hit = (h.counts, make(h.counts))
+        setattr(h, slot, hit)
+    return hit[1]
+
+
 def _spectrum(h: ValueHistogram, n: int) -> np.ndarray:
-    """The zero-padded length-2^n float FFT of h's counts, taken once per
-    histogram (n depends on the modulus alone), so a histogram repeated
-    across a fold of convolutions is transformed once."""
+    """The zero-padded length-2^n float FFT of h's counts (n depends on the
+    modulus alone, so one spectrum per histogram serves every step)."""
     from numpy import fft
-    if h._spectrum is None or h._spectrum[0] is not h.counts:
-        h._spectrum = (h.counts, fft.fft(np.array(h.counts, dtype=np.float64), 1 << n))
-    return h._spectrum[1]
+    return _cached(h, "_spectrum",
+                   lambda counts: fft.fft(np.array(counts, dtype=np.float64), 1 << n))
 
 
 def fft_convolve(h1: ValueHistogram, h2: ValueHistogram) -> Optional[ValueHistogram]:
@@ -148,7 +160,8 @@ def fft_convolve(h1: ValueHistogram, h2: ValueHistogram) -> Optional[ValueHistog
         raise ValueError("histograms must share a modulus")
     q = h1.modulus
     n = (2 * q - 2).bit_length()        # 2^n >= 2q - 1: no wrap-around
-    if not fft_error_bound(_norm(h1.counts), _norm(h2.counts), n) < 0.5:
+    norm1, norm2 = (_cached(h, "_l2", _norm) for h in (h1, h2))
+    if not fft_error_bound(norm1, norm2, n) < 0.5:
         return None
     # every |entry| <= |x|_2 |y|_2 < 2^53 now, so the floats hold exact integers
     from numpy import fft       # `import numpy` leaves numpy.fft unloaded

@@ -117,6 +117,28 @@ def sync_failure_counts_b11(x, lams):
     return out
 
 
+def sync_failures_by_walks(dfao, y, x, lams):
+    """{lam: #{n in (y, y+x] : some start state reads (n)_k and (n mod k^lam)_k
+    into different states}}, by one digit walk per n and start state.  Reads
+    only dfao.base and the transition table."""
+    k, trans = dfao.base, dfao.transitions.tolist()
+
+    def walk(state, n):
+        digits = []
+        while n:
+            n, d = divmod(n, k)
+            digits.append(d)
+        for d in reversed(digits):
+            state = trans[state][d]
+        return state
+
+    starts = range(len(trans))
+    full = [[walk(s, n) for s in starts] for n in range(y + 1, y + x + 1)]
+    return {lam: sum(row != [walk(s, n % k ** lam) for s in starts]
+                     for n, row in zip(range(y + 1, y + x + 1), full))
+            for lam in lams}
+
+
 # ---------------------------------------------------------------------------
 # carry-property violations for the Thue-Morse sign cocycle
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 from autoexp.automata import (Dfao, base_digits, block_11, block_decompose_sum,
                               builtin_sequences, constant_one, digit_sum_mod,
                               find_synchronizing_word, rudin_shapiro,
@@ -98,11 +99,14 @@ def test_leading_zero_invariance():
 
 def test_state_table_matches_walks():
     rng = random.Random(6)
-    for _ in range(20):
-        d = random_dfao(rng)
+    for i in range(20):
+        d = random_dfao(rng, base=(None, 5, 7)[i % 3])
         table = d.state_table(300)
         for n in range(0, 300, 13):
             assert table[n] == d.state_at(n)
+        # every entry, at limits that end mid-level and on a power of the base
+        for limit in (0, 1, 2, d.base, d.base + 1, d.base ** 3, rng.randrange(2, 400)):
+            assert d.state_table(limit).tolist() == [d.state_at(n) for n in range(limit)]
         for s in range(d.n_states):
             t2 = d.state_table(100, start=s)
             for n in (0, 1, 17, 99):
@@ -224,22 +228,13 @@ def test_sync_failure_monotone_in_lambda():
     assert all(a >= b for a, b in zip(counts, counts[1:]))
 
 
-def _sync_failures_by_walks(d, y, x, lams):
-    """{lam: sync_failure_count(d, y, x, lam)} by digit walks from every start."""
-    k, starts = d.base, range(d.n_states)
-    full = [[d.walk(s, base_digits(n, k)) for s in starts] for n in range(y + 1, y + x + 1)]
-    return {lam: sum(row != [d.walk(s, base_digits(n % k ** lam, k)) for s in starts]
-                     for n, row in zip(range(y + 1, y + x + 1), full))
-            for lam in lams}
-
-
 def test_sync_failure_workers_fallback_agrees():
     d = block_11()
-    assert sync_failure_count(d, 5, 500, 3) == _sync_failures_by_walks(d, 5, 500, [3])[3]
+    assert sync_failure_count(d, 5, 500, 3) == oracles.sync_failures_by_walks(d, 5, 500, [3])[3]
     # offsets with prefix h >= 1 over K = 512, up to past int64
     for d in (block_11(), rudin_shapiro()):
         for y in (1000, 10 ** 12, 2 ** 64 + 7):
-            want = _sync_failures_by_walks(d, y, 300, [0, 3, 8])
+            want = oracles.sync_failures_by_walks(d, y, 300, [0, 3, 8])
             assert {lam: sync_failure_count(d, y, 300, lam) for lam in want} == want
 
 
@@ -248,7 +243,7 @@ def test_sync_failure_counts_one_table_pass_for_all_lambdas():
     for d in (block_11(), rudin_shapiro(), random_dfao(rng, base=3, n_states=4)):
         for y in (0, 1000, 10 ** 12):
             lams = [5, 0, 3, 1, 3]
-            want = _sync_failures_by_walks(d, y, 300, set(lams))
+            want = oracles.sync_failures_by_walks(d, y, 300, set(lams))
             assert sync_failure_counts(d, y, 300, lams) == [want[lam] for lam in lams]
     assert sync_failure_counts(block_11(), 0, 100, []) == []
     with pytest.raises(ValueError):
@@ -270,9 +265,82 @@ def test_sync_failure_count_random_automata():
         h = 0 if kind == 0 else rng.randrange(1, d.base ** rng.randrange(1, 41))
         lo, hi = (1, K) if kind == 0 else (K - x + 1, K) if kind == 1 else (0, K - x + 1)
         y = h * K + rng.randrange(lo, hi) - 1
-        want = _sync_failures_by_walks(d, y, x, [lam])[lam]
+        want = oracles.sync_failures_by_walks(d, y, x, [lam])[lam]
         assert sync_failure_count(d, y, x, lam) == want, (d.transitions, y, x, lam)
     assert no_zero_loop > 50
+
+
+def test_sync_failure_counts_by_blocks_match_walks():
+    # windows over many blocks with partial first and last blocks, windows that
+    # are exactly one block, and windows that hold block 0, at y = 0, near
+    # 10^12 and past 2^64; the lam lists repeat, are unsorted and hold 0
+    rng = random.Random(18)
+    seen = {"partial": 0, "one_block": 0, "block_0": 0, "many_blocks": 0}
+    for i in range(30):
+        k = (2, 3, 5)[i % 3]
+        d = random_dfao(rng, base=k, max_states=5)
+        kind = (i // 3) % 3
+        x = rng.randrange(200, 3001)
+        top = len(base_digits(x, k)) - 1        # k^top <= x < k^(top+1)
+        base_y = (0, 10 ** 12, 2 ** 64)[i % 5 % 3]
+        if kind == 0:           # y = 0, or a random offset near base_y
+            y = 0 if base_y == 0 else base_y + rng.randrange(10 ** 4)
+        elif kind == 1:         # one whole block of K = k^top
+            x = k ** top
+            y = max(base_y // x, 1) * x - 1
+        else:                   # y < k^top: block 0 lies in the window
+            y = rng.randrange(k ** top)
+        lams = [rng.randrange(top + 1) for _ in range(4)] + [top, 0, top]
+        want = oracles.sync_failures_by_walks(d, y, x, set(lams))
+        assert sync_failure_counts(d, y, x, lams) == [want[lam] for lam in lams], \
+            (d.transitions.tolist(), y, x, lams)
+        for lam in set(lams) - {0}:
+            K = k ** lam
+            first, last = max((y + 1) // K, 1), (y + x) // K
+            seen["partial"] += (y + 1) % K != 0 and (y + x + 1) % K != 0 and first < last
+            seen["one_block"] += first == last
+            seen["block_0"] += y + 1 < K
+            seen["many_blocks"] += last - first > 10
+    assert min(seen.values()) >= 5, seen
+
+
+def test_sync_failure_counts_read_prefix_states_only(monkeypatch):
+    # for lam >= 1 each start reads the states of the ceil(x/K) + 1 prefixes
+    # at most, K = k^lam, plus its truncated table of K entries: never a table
+    # as long as the window
+    reads = []
+    depth = [0]
+
+    def spy(name):
+        real = getattr(Dfao, name)
+
+        def wrapped(self, *args, **kwargs):
+            depth[0] += 1
+            try:
+                out = real(self, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+            if depth[0] == 0:           # calls made by the counter itself
+                reads.append((name, len(out)))
+            return out
+        monkeypatch.setattr(Dfao, name, wrapped)
+
+    spy("window_states")
+    spy("state_table")
+    rng = random.Random(3)
+    for d in (block_11(), rudin_shapiro(), random_dfao(rng, base=3, n_states=4),
+              random_dfao(rng, base=5, n_states=3)):
+        k, S = d.base, d.n_states
+        for y in (0, 37, 10 ** 12, 2 ** 64 + 5):
+            x = 3000
+            for lam in range(1, len(base_digits(x, k))):
+                K = k ** lam
+                del reads[:]
+                sync_failure_count(d, y, x, lam)
+                prefixes = [n for name, n in reads if name == "window_states"]
+                tables = [n for name, n in reads if name == "state_table"]
+                assert len(prefixes) == S and max(prefixes) <= -(-x // K) + 1
+                assert len(tables) == S and max(tables) == K
 
 
 # -- block regrouping ---------------------------------------------------------------

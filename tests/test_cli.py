@@ -95,6 +95,8 @@ CARRY = ["carry-scan", "--lam", "2", "--alpha", "1", "--rho-list", "1", "--trans
     (["check", "--property", "crt", "--trials", "1", "--seed", "-1"], "100000", "--seed"),
     (["check", "--property", "conv-algebra", "--trials", "1", "--seed", "-1"], None, "--seed"),
     (["vdc-check", "--trials", "1", "--seed", "-1"], None, "--seed"),
+    (["sync-scan", "--auto", "block_11", "--x", "100", "--lam-list", "7"],
+     None, "lam exceeds floor(log_k(x)): lam = 7, x = 100, k = 2"),
 ])
 def test_bad_input_is_a_one_line_error_naming_it(capsys, monkeypatch, argv, budget, needle):
     if budget is not None:

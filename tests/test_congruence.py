@@ -178,10 +178,14 @@ def test_a_repeated_histogram_is_transformed_once(monkeypatch):
             calls.append(_name)
             return _fn(a, *args)
         monkeypatch.setattr(numpy.fft, name, spy)
+    norm = congruence._norm
+    monkeypatch.setattr(congruence, "_norm",
+                        lambda counts: calls.append("norm") or norm(counts))
     fs = [INV_X, INV_X, INV_X]
     table = solution_table(fs, thue_morse_even(), 101)
-    # fft(h) once for h * h, fft(h * h) for (h * h) * h, one ifft per step
-    assert sorted(calls) == ["fft", "fft", "ifft", "ifft"]
+    # fft(h) and |h|_2 once for h * h, fft(h * h) and |h * h|_2 for
+    # (h * h) * h, one ifft per step
+    assert sorted(calls) == ["fft", "fft", "ifft", "ifft", "norm", "norm"]
     for m in (0, 1, 50):
         assert table.count(m).n_solutions == brute_force_count(fs, thue_morse_even(), 101, m)
 
