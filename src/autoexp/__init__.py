@@ -30,9 +30,9 @@ from .modring import (FractionPhase, IntPoly, PhaseValues, RationalFunction,
                       squarefree_cofactor)
 from .presets import RunConfig, preset
 from .vandercorput import (ScalarTransducer, WeylReport, carry_violation_count,
-                           decompose_weyl, digit_sum_transducer, eta_fit,
-                           thue_morse_transducer, truncated_T,
-                           vdc_inequality_check)
+                           carry_violation_counts, decompose_weyl,
+                           digit_sum_transducer, eta_fit, thue_morse_transducer,
+                           truncated_T, vdc_inequality_check)
 
 __version__ = "0.1.0"
 

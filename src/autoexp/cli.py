@@ -247,11 +247,11 @@ def cmd_carry_scan(args: Dict) -> SweepReport:
     tr = _load_transducer(str(args["transducer"]))
     lam = int(args["lam"])
     alpha = int(args["alpha"])
+    rhos = _parse_int_list(args["rho_list"])
     rows = []
     for r in _parse_int_list(args["r_list"]):
-        for rho in _parse_int_list(args["rho_list"]):
-            rows.append((r, rho, vandercorput.carry_violation_count(
-                tr, lam, alpha, rho, r)))
+        counts = vandercorput.carry_violation_counts(tr, lam, alpha, rhos, r)
+        rows.extend((r, rho, c) for rho, c in zip(rhos, counts))
     return SweepReport(("r", "rho", "count"), rows,
                        {"transducer": str(args["transducer"]),
                         "lam": lam, "alpha": alpha})

@@ -169,11 +169,35 @@ def vdc_inequality_check(Z, R: float, k: int = 1) -> VdcCheck:
 
 def carry_violation_count(tr: ScalarTransducer, lam: int, alpha: int, rho: int,
                           r: int = 0) -> int:
-    """#{l in [0, k^lam) : some (n1, n2) in [0, k^alpha)^2 has the full
-    two-point product differ from the one truncated to alpha+rho digits},
-    arguments shifted by r; full enumeration (vectorized, not shortcut)."""
-    if not (0 <= rho < lam):
-        raise ValueError("need 0 <= rho < lam")
+    """#{l in [0, k^lam) : some A = l*k^alpha + r + n1 and B = A + n2, with
+    n1, n2 in [0, k^alpha), have T(B) conj(T(A)) differ from the product
+    with both arguments truncated to alpha+rho digits}."""
+    return carry_violation_counts(tr, lam, alpha, [rho], r)[0]
+
+
+def carry_violation_counts(tr: ScalarTransducer, lam: int, alpha: int,
+                           rhos: Sequence[int], r: int = 0) -> List[int]:
+    """[carry_violation_count(tr, lam, alpha, rho, r) for rho in rhos], from
+    one weight table over the largest window and one change-point scan per
+    distinct rho.
+
+    Let dev[j] = (val[j] - val[j mod k^(alpha+rho)]) mod D, the phase index
+    the truncation takes off T(j), and ka = k^alpha.  The two-point products
+    of A and B differ exactly when dev[B] != dev[A], so block l is violated
+    iff dev[A + n2] != dev[A] for some A = l*ka + r + n1 with n1 in [0, ka)
+    and n2 in [1, ka).  That holds iff dev is not constant on the window
+    W = [l*ka + r, l*ka + r + 2ka - 2].  (=>) A and A + n2 both lie in W.
+    (<=) Take a change point dev[j] != dev[j+1] with j, j+1 in W.  If
+    j < l*ka + r + ka, take A = j and n2 = 1.  Otherwise j and j+1 both lie
+    within ka - 1 above A = l*ka + r + ka - 1, and dev[A] differs from at
+    least one of them.  For ka = 1 the window is one entry and no block is
+    violated.  With steps[i] = #{j < i : dev[j] != dev[j+1]}, dev is
+    constant on W iff steps agrees at its two ends."""
+    for rho in rhos:
+        if not (0 <= rho < lam):
+            raise ValueError("need 0 <= rho < lam")
+    if not rhos:
+        return []
     if alpha < 0 or r < 0:
         raise ValueError("need alpha >= 0 and r >= 0")
     k, e = tr.base, lam + 2 * alpha
@@ -181,25 +205,20 @@ def carry_violation_count(tr: ScalarTransducer, lam: int, alpha: int, rho: int,
     if e >= budget.bit_length():    # k^e >= 2^e > budget, known before k is raised to e
         raise BudgetError(f"{what} exceeds the enumeration budget ({budget})")
     require_budget(k ** e, what)
-    ka = k ** alpha
-    L = k ** lam
-    trunc_mod = k ** (alpha + rho)
-    top = max((L - 1) * ka + 2 * (ka - 1) + r + 1, trunc_mod)
+    ka, L = k ** alpha, k ** lam
+    # the last window ends at top - 1; top >= k^(alpha+rho), as rho < lam
+    top = (L + 1) * ka - 1 + r
     require_budget(top, "weight table length k^(lam+alpha) + r")
     _, val = tr.tables(top)
-    dev = (val - val[np.arange(len(val)) % trunc_mod]) % tr.weight_order
+    lo = np.arange(L) * ka + r
 
-    violated = np.zeros(L, dtype=bool)
-    chunk = max(1, 4_000_000 // (ka * ka))
-    for lo in range(0, L, chunk):
-        hi = min(lo + chunk, L)
-        A = (np.arange(lo, hi)[:, None] * ka + np.arange(ka)[None, :] + r)
-        base_dev = dev[A]
-        bad = np.zeros(hi - lo, dtype=bool)
-        for n2 in range(1, ka):
-            bad |= (dev[A + n2] != base_dev).any(axis=1)
-        violated[lo:hi] = bad
-    return int(violated.sum())
+    def count(rho: int) -> int:
+        dev = (val - np.resize(val[:k ** (alpha + rho)], top)) % tr.weight_order
+        steps = np.concatenate(([0], np.cumsum(dev[1:] != dev[:-1])))
+        return int(np.count_nonzero(steps[lo + 2 * ka - 2] != steps[lo]))
+
+    counts = {rho: count(rho) for rho in set(rhos)}
+    return [counts[rho] for rho in rhos]
 
 
 _ETA_FITS: Dict[tuple, Optional[float]] = {}

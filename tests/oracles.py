@@ -171,6 +171,36 @@ def carry_violation_counts_tm(lam, alpha, rhos, rs):
     return out
 
 
+def carry_violations_by_pairs(tr, lam, alpha, rho, r):
+    """count of l in [0, k^lam) admitting (n1, n2) in [0, k^alpha)^2 with
+    T(B)conj(T(A)) != T(B mod m)conj(T(A mod m)), m = k^(alpha+rho),
+    A = l*k^alpha + n1 + r, B = A + n2, for any transducer tr: T(n) is
+    e(tr.value_phase(n)), one digit walk per n, and no table is built."""
+    k = tr.base
+    ka, mod = k ** alpha, k ** (alpha + rho)
+    phase = {}
+
+    def T(n):
+        if n not in phase:
+            phase[n] = tr.value_phase(n)
+        return phase[n]
+
+    cnt = 0
+    for l in range(k ** lam):
+        bad = False
+        for n1 in range(ka):
+            A = l * ka + n1 + r
+            for n2 in range(ka):
+                B = A + n2
+                if (T(B) - T(A) - T(B % mod) + T(A % mod)) % 1 != 0:
+                    bad = True
+                    break
+            if bad:
+                break
+        cnt += bad
+    return cnt
+
+
 # ---------------------------------------------------------------------------
 # congruence counting (S = evil numbers, f_j = 1/X)
 

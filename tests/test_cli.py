@@ -4,7 +4,7 @@ import time
 import pytest
 
 import oracles
-from autoexp import cli, expsums, presets
+from autoexp import cli, expsums, presets, vandercorput
 
 
 def run(argv):
@@ -34,6 +34,24 @@ def test_budget_exit_code(capsys, monkeypatch):
                 "--alpha", "3", "--rho-list", "2"])
     assert code == 2
     assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rho_list, rhos", [("", []), ("2,9,3", [2, 9, 3]), ("3,3", [3, 3])])
+def test_carry_scan_rows_follow_the_rho_list(capsys, rho_list, rhos):
+    tr = vandercorput.thue_morse_transducer()
+    assert run(["carry-scan", "--transducer", "thue_morse", "--lam", "10", "--alpha", "3",
+                "--rho-list", rho_list, "--r-list", "0,7"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "r,rho,count"
+    assert lines[1:] == [f"{r},{rho},{vandercorput.carry_violation_count(tr, 10, 3, rho, r)}"
+                         for r in (0, 7) for rho in rhos]
+
+
+def test_carry_scan_rejects_a_rho_past_lam(capsys):
+    assert run(["carry-scan", "--transducer", "thue_morse", "--lam", "10", "--alpha", "3",
+                "--rho-list", "12,2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: need 0 <= rho < lam\n"
 
 
 def test_g_f_without_g_q_is_a_one_line_error(capsys):

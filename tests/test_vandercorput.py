@@ -15,8 +15,8 @@ from autoexp.modring import FractionPhase, parse_rational_function
 from autoexp.presets import (block_11_transducer, tau_evil, tau_pick, tau_sign,
                              weyl_grid_configs)
 from autoexp.vandercorput import (ScalarTransducer, carry_violation_count,
-                                  constant_transducer, decompose_weyl,
-                                  digit_sum_transducer, eta_fit,
+                                  carry_violation_counts, constant_transducer,
+                                  decompose_weyl, digit_sum_transducer, eta_fit,
                                   thue_morse_transducer, truncated_T,
                                   vdc_inequality_check)
 
@@ -198,6 +198,57 @@ def test_carry_matches_oracle_small():
     want = oracles.carry_violation_counts_tm(6, 2, rhos=(1, 2, 3), rs=(0, 3))
     for (r, rho), cnt in want.items():
         assert carry_violation_count(tr, 6, 2, rho, r) == cnt
+
+
+def test_carry_counts_match_the_pair_oracle():
+    # every rho < lam (shuffled, one repeated) and shifts r from 0 to past
+    # k^(alpha+rho), on synchronizing transducers with S <= 3 and D <= 6
+    rng = random.Random(19)
+    seen = set()
+    for _ in range(150):
+        k, S, D = rng.choice((2, 3, 5)), rng.randrange(1, 4), rng.randrange(1, 7)
+        while True:
+            trans = [[rng.randrange(S) for _ in range(k)] for _ in range(S)]
+            trans[0][0] = 0
+            if find_synchronizing_word(Dfao(k, trans, [0] * S)) is not None:
+                break
+        tr = ScalarTransducer(
+            Dfao(k, trans, [Fraction(s) for s in range(S)]),
+            [[Fraction(rng.randrange(D), D) for _ in range(k)] for _ in range(S)])
+        while True:
+            lam, alpha = rng.randrange(1, 6), rng.randrange(3)
+            if k ** (lam + 2 * alpha) <= 1500:
+                break
+        r = rng.choice((0, rng.randrange(k ** (lam + alpha) + 2)))
+        rhos = rng.sample(range(lam), lam) + [rng.randrange(lam)]
+        counts = carry_violation_counts(tr, lam, alpha, rhos, r)
+        for rho, c in zip(rhos, counts):
+            assert c == carry_violation_count(tr, lam, alpha, rho, r)
+            assert c == oracles.carry_violations_by_pairs(tr, lam, alpha, rho, r)
+            if alpha == 0:
+                seen.add("alpha 0")
+            elif c == 0:
+                seen.add("zero, alpha >= 1")
+            if c > 0:
+                seen.add("positive")
+    assert seen == {"alpha 0", "positive", "zero, alpha >= 1"}
+
+
+def test_carry_counts_build_one_table_after_checking_every_rho(monkeypatch):
+    calls = []
+    real = ScalarTransducer.tables
+    monkeypatch.setattr(ScalarTransducer, "tables",
+                        lambda self, limit: calls.append(limit) or real(self, limit))
+    tr = thue_morse_transducer()
+    counts = carry_violation_counts(tr, 10, 3, [2, 3, 4, 5, 6], 7)
+    assert len(calls) == 1
+    assert counts == [carry_violation_count(tr, 10, 3, rho, 7) for rho in range(2, 7)]
+    calls.clear()
+    for rhos in ([10, 2, 3], [2, 3, 10], [2, -1]):
+        with pytest.raises(ValueError, match="need 0 <= rho < lam"):
+            carry_violation_counts(tr, 10, 3, rhos)
+    assert calls == []
+    assert carry_violation_counts(tr, 10, 3, []) == []
 
 
 def test_carry_pinned_and_monotone(pins):
