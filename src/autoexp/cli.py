@@ -271,8 +271,13 @@ def cmd_weyl_decompose(args: Dict) -> SweepReport:
     tau = _tau_by_name(str(args["tau"]), tr.dfao.n_states)
     g = _g_from_args(args)
     eta = args["eta"]
-    if isinstance(eta, str) and eta not in ("fit",):
-        eta = float(eta)
+    if eta is not None and eta != "fit":
+        try:
+            eta = float(eta)
+        except ValueError:
+            eta = math.nan
+        if not math.isfinite(eta):
+            raise ValueError("--eta must be 'fit' or a finite number")
     rep = vandercorput.decompose_weyl(tr, tau, g, int(args["y"]),
                                       int(args["x"]), int(args["l1"]),
                                       int(args["l2"]), eta=eta)

@@ -19,9 +19,12 @@ form alone (it undoes the fold and sums Galois orbits as Ramanujan sums), so
 its answer does not depend on how a value was built; None still means
 "undecided here", not "irrational".
 
-normal_forms() is the one normaliser: it folds, sorts, merges and reduces a
-whole table of sums (bucket -> terms) in one batched pass, and every
-constructor and ring operation is its one-bucket call.
+normal_forms() is the one normaliser: it folds, merges and reduces a whole
+table of sums (bucket -> terms) in one batched pass, and every constructor
+and ring operation is its one-bucket call.  The merge of equal keys (bucket,
+folded exponent) counts when the keys are dense -- non-negative int64 whose
+span is at most the number of terms, with numerators whose int64 sum cannot
+overflow -- and sorts otherwise; the data decide, not an option.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ Rational = Union[int, Fraction]
 _HALF = Fraction(1, 2)
 _TWO_PI = 2.0 * math.pi
 _BIG = 1 << 62      # int64 entries stay below this, so one sum cannot overflow
-_NARROW = 1 << 31   # term_table numerators below this multiply safely in int64
 
 
 def _peak(arr: np.ndarray) -> int:
@@ -329,6 +331,16 @@ def _spread(per_bucket: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return np.repeat(per_bucket, np.diff(bounds))
 
 
+def _dense(key: np.ndarray, nums: np.ndarray) -> bool:
+    """Whether the merge can sum by slot: int64 keys, all non-negative, whose
+    span (largest key + 1) is at most their number, and int64 numerators
+    whose sum cannot overflow.  Then one vector of span slots costs no more
+    than the keys themselves, and filling it is cheaper than sorting them."""
+    return (key.size > 1 and key.dtype == np.int64 and nums.dtype == np.int64
+            and int(key.min()) >= 0 and int(key.max()) < key.size
+            and _peak(nums) * nums.size < _BIG)
+
+
 def normal_forms(modulus: int, buckets: Optional[np.ndarray], exps: np.ndarray,
                  nums: np.ndarray, den: int = 1) -> Dict[int, Cyclotomic]:
     """bucket -> normal form of the sum of nums[i]/den * e(exps[i]/modulus)
@@ -337,9 +349,14 @@ def normal_forms(modulus: int, buckets: Optional[np.ndarray], exps: np.ndarray,
     then appears even with no terms.  Exponents may repeat and lie anywhere
     in Z.
 
-    One sort of the key bucket * L/2 + folded exponent and one merge serve
-    every bucket; each bucket is then divided by the gcd of its exponents
-    with L and of its numerators with the denominator."""
+    One merge of the key bucket * L/2 + folded exponent serves every bucket;
+    each bucket is then divided by the gcd of its exponents with L and of its
+    numerators with the denominator.  The merge sums by slot (one bincount
+    marks the occupied keys, one np.add.at sums their numerators) when the
+    keys are non-negative int64 that span no more slots than there are terms
+    and the int64 numerators cannot overflow; otherwise (object keys or
+    numerators, moduli past 2^61, sparse keys) it sorts the keys and sums
+    runs of equal keys.  Both give the same sorted keys and sums."""
     one = buckets is None
     if 2 * modulus >= _BIG:
         exps = exps.astype(object)
@@ -352,8 +369,13 @@ def normal_forms(modulus: int, buckets: Optional[np.ndarray], exps: np.ndarray,
     exps = np.where(fold, exps - half, exps)
     nums = np.where(fold, -nums, nums)
     key = exps if one else _times(buckets, half) + exps
-    del buckets, exps   # the key carries both; free them before the sort
-    if key.size > 1:    # equal keys are summed, so their order does not matter
+    del buckets, exps   # the key carries both; free them before the merge
+    if _dense(key, nums):   # sums by slot: key and nums come out sorted by key
+        sums = np.zeros(int(key.max()) + 1, dtype=np.int64)
+        np.add.at(sums, key, nums)
+        key = np.flatnonzero(np.bincount(key))  # occupied slots, cancelled ones too
+        nums = sums[key]
+    elif key.size > 1:  # equal keys are summed, so their order does not matter
         order = key.argsort()
         key = key[order]    # one permuted copy at a time keeps the peak low
         nums = nums[order]
@@ -394,38 +416,33 @@ def normal_forms(modulus: int, buckets: Optional[np.ndarray], exps: np.ndarray,
     return out
 
 
-def term_table(values: Sequence[Cyclotomic],
-               modulus: int = 1) -> Tuple[int, np.ndarray, np.ndarray, int]:
-    """Write exact values over one modulus W (a multiple of modulus) and one
-    denominator d, for element-wise sums over arrays of indices.
+def indexed_phase_sums(values: Sequence[Cyclotomic], index: np.ndarray, modulus: int,
+                       phases: np.ndarray,
+                       buckets: Optional[np.ndarray] = None) -> Dict[int, Cyclotomic]:
+    """bucket -> sum over the i in that bucket of values[index[i]] *
+    e(phases[i] / modulus), skipping the pole marker phases[i] = -1, as one
+    normal_forms call; buckets=None is its one bucket 0.
 
-    Returns (W, exps, nums, d): row i of the 2-D integer arrays holds the
-    terms of values[i] as nums/d * e(exps/W), padded with zero numerators.
-    Numerators stay in int64 only below 2^31, so the product of two entries
-    cannot overflow.
-    """
+    Every value is lifted once to one modulus W and one denominator d, and
+    the terms of all values are concatenated; each i gathers the terms of
+    its value by offset, so no value is padded to the widest one."""
     W = math.lcm(modulus, *(v._mod for v in values))
     den = math.lcm(1, *(v._den for v in values))
-    width = max([1] + [v._nums.size for v in values])
-    peak = max([0] + [_peak(v._nums) * (den // v._den) for v in values])
-    exps = np.zeros((len(values), width), dtype=np.int64 if W < _BIG else object)
-    nums = np.zeros((len(values), width), dtype=np.int64 if peak < _NARROW else object)
-    for i, v in enumerate(values):
-        exps[i, :v._nums.size], nums[i, :v._nums.size] = v._lift(W, den)
-    return W, exps, nums, den
-
-
-def indexed_phase_sum(values: Sequence[Cyclotomic], index: np.ndarray, modulus: int,
-                      phases: np.ndarray) -> Cyclotomic:
-    """sum over i of values[index[i]] * e(phases[i] / modulus), skipping the
-    pole marker phases[i] = -1: the terms of each value shifted by a phase,
-    summed in one histogram."""
-    W, exps, nums, den = term_table(values, modulus)
+    lifted = [v._lift(W, den) for v in values]
+    exps = np.concatenate([_EMPTY] + [a for a, _ in lifted])
+    nums = np.concatenate([_EMPTY] + [c for _, c in lifted])
+    sizes = np.array([v._nums.size for v in values], dtype=np.int64)
     live = phases >= 0
     idx = index[live]
-    shifted = exps[idx] + _times(phases[live], W // modulus)[:, None]
-    return Cyclotomic.from_int_histogram(W, nums[idx].ravel(), Fraction(1, den),
-                                         exps=shifted.ravel())
+    counts = sizes[idx]
+    ends = np.cumsum(counts)
+    # term t of element i sits at starts[index[i]] + t in the concatenation
+    starts = np.cumsum(sizes) - sizes
+    at = np.arange(ends[-1] if ends.size else 0) + np.repeat(starts[idx] - ends + counts,
+                                                             counts)
+    shifted = exps[at] + np.repeat(_times(phases[live], W // modulus), counts)
+    return normal_forms(W, None if buckets is None else np.repeat(buckets[live], counts),
+                        shifted, nums[at], den)
 
 
 def as_exact(value) -> Optional[Cyclotomic]:

@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .budget import BudgetError, enumeration_budget, require_budget
-from .exact import Cyclotomic, _fit, _narrow, as_exact, indexed_phase_sum, normal_forms
+from .exact import Cyclotomic, _fit, _narrow, as_exact, indexed_phase_sums, normal_forms
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +639,7 @@ class PhaseValues:
         """bucket -> sum of weight * g(n) over its elements (integer weights,
         default 1); a bucket appears when it holds an element with g(n) != 0.
         Exact sums of the whole table are normalised in one batch
-        (exact.normal_forms: one sort, one merge)."""
+        (exact.normal_forms: one merge)."""
         live = self.values >= 0 if self.exact else self.values != 0
         size = int(np.count_nonzero(live))
         w = np.broadcast_to(np.int64(1), size) if weights is None else _fit(weights[live])
@@ -653,14 +653,29 @@ class PhaseValues:
         starts = np.flatnonzero(np.concatenate([[True], b[1:] != b[:-1]]))
         return dict(zip(b[starts].tolist(), np.add.reduceat(v * w, starts).tolist()))
 
-    def indexed_sum(self, table: Sequence, index: np.ndarray) -> Union[Cyclotomic, complex]:
-        """sum over n of table[index[n]] * g(n): exact when g and every table
-        entry are exact, otherwise complex, summed with math.fsum."""
+    def indexed_sums(self, table: Sequence, index: np.ndarray,
+                     buckets: Optional[np.ndarray] = None) -> Dict[int, Union[Cyclotomic, complex]]:
+        """bucket -> sum over its n of table[index[n]] * g(n); buckets=None
+        is one bucket 0, which appears even when empty.  Exact when g and
+        every table entry are exact (one exact.normal_forms call for the
+        whole table), otherwise complex, each bucket summed with math.fsum."""
         exact = [as_exact(v) for v in table]
         if self.exact and all(v is not None for v in exact):
-            return indexed_phase_sum(exact, index, self.modulus, self.values)
+            return indexed_phase_sums(exact, index, self.modulus, self.values, buckets)
         terms = np.array([complex(v) for v in table])[index] * self.to_complex()
-        return complex(math.fsum(terms.real), math.fsum(terms.imag))
+        if buckets is None:
+            return {0: complex(math.fsum(terms.real), math.fsum(terms.imag))}
+        if not terms.size:
+            return {}
+        order = np.argsort(buckets, kind="stable")
+        b, terms = buckets[order], terms[order]
+        bounds = np.flatnonzero(np.concatenate([[True], b[1:] != b[:-1], [True]])).tolist()
+        return {int(b[s]): complex(math.fsum(terms.real[s:e]), math.fsum(terms.imag[s:e]))
+                for s, e in zip(bounds, bounds[1:])}
+
+    def indexed_sum(self, table: Sequence, index: np.ndarray) -> Union[Cyclotomic, complex]:
+        """sum over n of table[index[n]] * g(n): the one-bucket indexed_sums."""
+        return self.indexed_sums(table, index)[0]
 
 
 def phase_values(g: Callable[[int], object], ns) -> PhaseValues:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -317,13 +318,28 @@ def decompose_weyl(tr: ScalarTransducer, tau: Callable[[Cyclotomic, int], object
     roots of unity and tau returns exact values, every identity is checked
     in exact phase arithmetic; otherwise the stages are complex and the
     identities are checked to 1e-9 relative.
+    Each of the S_1, S_3 and S_4 identities is one signed indexed sum over
+    buckets, one bucket per identity entry: the terms of one side, plus the
+    stage value that side must equal at weight -1; it holds when every bucket
+    sums to zero.  So S_1 and S_3 take one normalisation each and S_4 one per
+    shift r, 2 + R in all, with each stage value lifted once.  The exact
+    verdict is the one == gives: a normal form is the coordinate vector of a
+    value in the formal basis e(t), t in [0, 1/2), so a == b exactly when the
+    normal form of a - b has no terms.  (That == does not decide equality in
+    Q(zeta_L) is a separate matter.)  In float mode each bucket is summed by
+    math.fsum and compared with 1e-9 relative.
     The van der Corput inequality is checked on each S_3 sequence, and the
     comparator x M^-eta + sum_m sqrt((x/(RM)) sum |S_5|) is reported next
-    to |S_0|.  lam1 = lam2 = 0 (M = R = 1) is a valid decomposition: each
-    regrouping has a single class, and every identity still holds.
+    to |S_0|; eta is "fit" (eta_fit), None (no M^-eta term) or a finite
+    number, and anything else raises ValueError.  lam1 = lam2 = 0
+    (M = R = 1) is a valid decomposition: each regrouping has a single
+    class, and every identity still holds.
     """
     if lam1 < 0 or lam2 < 0:
         raise ValueError("need lam1 >= 0 and lam2 >= 0")
+    if not (eta is None or eta == "fit"
+            or isinstance(eta, numbers.Real) and math.isfinite(eta)):
+        raise ValueError("eta must be 'fit' or a finite number")
     k = tr.base
     if y < 0 or x < 1:
         raise ValueError("need y >= 0 and x >= 1")
@@ -356,10 +372,29 @@ def decompose_weyl(tr: ScalarTransducer, tau: Callable[[Cyclotomic, int], object
         same = lambda a, b: abs(complex(a) - complex(b)) <= 1e-9 * scale
     g = g_all.take(slice(0, x))
 
-    def side(values: List, phases: np.ndarray) -> StageValue:
-        """sum over i of values[i] * e(phases[i] / D): one identity side as
-        one histogram, exact or complex as the values are"""
-        return PhaseValues(D, phases % D).indexed_sum(values, np.arange(len(values)))
+    def balanced(table: List, buckets: np.ndarray, index: Optional[np.ndarray] = None,
+                 phases: Optional[np.ndarray] = None) -> bool:
+        """Whether sum of table[index[i]] * e(phases[i] / D) is 0 in every
+        bucket: one identity as one indexed sum.  Each stage value is in the
+        table once (index defaults to one term per entry, phases to 0), and
+        the value a bucket must equal is in it negated."""
+        index = np.arange(len(table)) if index is None else index
+        phases = np.zeros(len(table), dtype=np.int64) if phases is None else phases % D
+        sums = PhaseValues(D, phases).indexed_sums(table, index, buckets)
+        return all(same(v, 0) for v in sums.values())
+
+    def by_character(values: List, m: np.ndarray, w: np.ndarray, rest: List,
+                     rest_buckets: np.ndarray) -> bool:
+        """balanced, with values[i] in bucket m[i]*D + t at phase t*w[i] for
+        every character t < D, and each of rest at phase 0"""
+        n, t = len(values), np.arange(D)
+        return balanced(
+            values + rest, np.concatenate([(m[:, None] * D + t).ravel(), rest_buckets]),
+            np.concatenate([np.repeat(np.arange(n), D), n + np.arange(len(rest))]),
+            np.concatenate([(w[:, None] * t).ravel(), np.zeros(len(rest), dtype=np.int64)]))
+
+    def keys(table: Dict[int, StageValue]) -> np.ndarray:
+        return np.array(list(table), dtype=np.int64)
 
     j_n = j_all[:x]
     q_n = q_all[:x]
@@ -369,35 +404,36 @@ def decompose_weyl(tr: ScalarTransducer, tau: Callable[[Cyclotomic, int], object
     sync_mask = q_n != trunc_q
     sync_failures = int(sync_mask.sum())
 
-    # ---- S_0 directly, and S_1 per (weight value, end state)
+    # ---- S_0 directly, and S_1 per (weight value, end state); b1, b2 and b5
+    # hold S_1, S_2 and S_5 by bucket (j*S + q, m*D + j and m')
     s0 = g.indexed_sum(tau_list, j_n * S + q_n)
-    s1 = {divmod(b, S): v for b, v in g.bucket_sums(j_n * S + q_n).items()}
+    b1 = g.bucket_sums(j_n * S + q_n)
+    s1 = {divmod(b, S): v for b, v in b1.items()}
     s0_rec = sum((tau_list[j * S + q] * v for (j, q), v in s1.items()), 0)
     identity_s0 = same(s0, s0_rec)
 
     # ---- S_2 per (residue mod M, weight value); S_1 from S_2 + sync failures
-    s2 = {divmod(b, D): v for b, v in g.bucket_sums(m_n * D + j_n).items()}
+    b2 = g.bucket_sums(m_n * D + j_n)
+    s2 = {divmod(b, D): v for b, v in b2.items()}
     # each failing n moves g(n) from (j, truncated end state) to (j, q_n)
     bad = np.flatnonzero(sync_mask)
     corr = g.take(np.tile(bad, 2)).bucket_sums(
         np.concatenate([j_n[bad] * S + q_n[bad], j_n[bad] * S + trunc_q[bad]]),
         np.repeat(np.array([1, -1]), bad.size))
-    corr_val = {divmod(b, S): v for b, v in corr.items()}
-    # the residues m < M whose truncated end state is q
-    residues = [np.flatnonzero(st[:M] == q).tolist() for q in range(S)]
-    identity_s1 = all(
-        same(side([s2.get((m, j), 0) for m in residues[q]] + [corr_val.get((j, q), 0)],
-                  np.zeros(len(residues[q]) + 1, dtype=np.int64)), s1.get((j, q), 0))
-        for j in range(D) for q in range(S))
+    # S_1(j, q) = sum of S_2(m, j) over the residues m < M whose truncated
+    # end state is q, plus the correction
+    m2, j2 = np.divmod(keys(b2), D)
+    identity_s1 = balanced([*b2.values(), *corr.values(), *(-v for v in b1.values())],
+                           np.concatenate([j2 * S + st[m2], keys(corr), keys(b1)]))
 
     # ---- S_3 per (residue, character), against the character expansion of S_2
     s3: Dict[Tuple[int, int], StageValue] = {}
     for t in range(D):
         for m, v in g.times_root(t * j_n, D).bucket_sums(m_n).items():
             s3[(m, t)] = v
-    identity_s3 = all(
-        same(side([s2.get((m, j), 0) for j in range(D)], t * np.arange(D)), s3.get((m, t), 0))
-        for m in range(M) for t in range(D))
+    # S_3(m, t) = sum over j of S_2(m, j) e(tj/D)
+    identity_s3 = by_character(list(b2.values()), m2, j2, [-v for v in s3.values()],
+                               np.array([m * D + t for m, t in s3], dtype=np.int64))
 
     # ---- S_4 / S_5 per shift r, with the carry failure sets
     s4: Dict[Tuple[int, int, int], StageValue] = {}
@@ -412,20 +448,29 @@ def decompose_weyl(tr: ScalarTransducer, tau: Callable[[Cyclotomic, int], object
         fail_mask = dval != vt
         carry_failures[r] = int(fail_mask.sum())
         gc = g.times_conj(g_all.take(slice(shift, shift + x)))
-        for b, v in gc.bucket_sums(mprime_n).items():
+        b5 = gc.bucket_sums(mprime_n)
+        for b, v in b5.items():
             s5[(b, r)] = v
         bad = np.flatnonzero(fail_mask)
+        # S_4 itself negated and the carry correction, in bucket m*D + t
+        rest: List[StageValue] = []
+        rest_buckets: List[int] = []
         for t in range(D):
             for m, v in gc.times_root(t * dval, D).bucket_sums(m_n).items():
                 s4[(m, t, r)] = v
+                rest.append(-v)
+                rest_buckets.append(m * D + t)
             # each carry failure swaps the truncated weight for the full one
             corr4 = gc.take(np.tile(bad, 2)).times_root(
                 np.concatenate([t * dval[bad], t * vt[bad]]), D).bucket_sums(
                     np.tile(m_n[bad], 2), np.repeat(np.array([1, -1]), bad.size))
-            identity_s4 = identity_s4 and all(
-                same(side([s5.get((mp, r), 0) for mp in range(m, RM2, M)] + [corr4.get(m, 0)],
-                          np.append(t * dvt_table[m::M], 0)), s4.get((m, t, r), 0))
-                for m in range(M))
+            rest += corr4.values()
+            rest_buckets += [m * D + t for m in corr4]
+        # S_4(m, t, r) = sum over m' = m mod M of S_5(m', r) e(t dvt(m')/D),
+        # plus the correction
+        m5 = keys(b5)
+        identity_s4 &= by_character(list(b5.values()), m5 % M, dvt_table[m5], rest,
+                                    np.array(rest_buckets, dtype=np.int64))
 
     # ---- van der Corput on each S_3 sequence (shift unit M, window R)
     vdc_rows: List[Tuple[int, int, float, float, float]] = []

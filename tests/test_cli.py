@@ -115,6 +115,10 @@ CARRY = ["carry-scan", "--lam", "2", "--alpha", "1", "--rho-list", "1", "--trans
     (["vdc-check", "--trials", "1", "--seed", "-1"], None, "--seed"),
     (["sync-scan", "--auto", "block_11", "--x", "100", "--lam-list", "7"],
      None, "lam exceeds floor(log_k(x)): lam = 7, x = 100, k = 2"),
+    # JSON has no NaN or Infinity, and 1e400 reads as inf
+    *[(["weyl-decompose", "--transducer", "thue_morse", "--g-one", "--x", "100",
+        "--l1", "1", "--l2", "1", "--eta", eta, "--json"], None,
+       "--eta must be 'fit' or a finite number") for eta in ("nan", "inf", "1e400", "abc")],
 ])
 def test_bad_input_is_a_one_line_error_naming_it(capsys, monkeypatch, argv, budget, needle):
     if budget is not None:

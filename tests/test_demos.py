@@ -23,6 +23,7 @@ def _run(args):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
+    return done
 
 
 def test_demos_found():
@@ -38,3 +39,8 @@ def test_readme_library_tour_runs_clean():
     assert README_BLOCKS
     for block in README_BLOCKS:
         _run(["-c", block])
+
+
+def test_package_runs_as_a_module():
+    # python -m autoexp works from a checkout on PYTHONPATH, not installed
+    assert _run(["-m", "autoexp", "--help"]).stdout.startswith("usage:")

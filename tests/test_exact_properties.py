@@ -155,11 +155,16 @@ table_nums = st.one_of(st.integers(-3, 3), st.integers(2 ** 62 - 4, 2 ** 62 + 4)
 @st.composite
 def bucket_tables(draw):
     """(modulus, den, [(bucket, exponent, numerator)]): exponents anywhere in
-    a few turns, numerators near 2^62, and pairs that cancel whole buckets."""
-    L = draw(table_moduli)
+    a few turns, numerators near 2^62, and pairs that cancel whole buckets;
+    or dense tables of up to 200 rows with small numerators on L <= 12, whose
+    keys mostly span fewer slots than there are terms."""
+    if draw(st.booleans()):
+        L, nums, size = draw(st.integers(1, 12)), st.integers(-3, 3), 200
+    else:
+        L, nums, size = draw(table_moduli), table_nums, 30
     exps = st.integers(-3 * L, 3 * L)
-    rows = draw(st.lists(st.tuples(st.integers(0, 5), exps, table_nums), max_size=30))
-    for b, a, c in draw(st.lists(st.tuples(st.integers(6, 8), exps, table_nums), max_size=4)):
+    rows = draw(st.lists(st.tuples(st.integers(0, 5), exps, nums), max_size=size))
+    for b, a, c in draw(st.lists(st.tuples(st.integers(6, 8), exps, nums), max_size=4)):
         rows += [(b, a, c), (b, a + L, -c)]     # a bucket whose terms cancel
     den = draw(st.sampled_from([1, 3, 2 ** 70]))
     return L, den, draw(st.permutations(rows))
@@ -170,24 +175,48 @@ def _form(z):
             z._nums.tolist(), hash(z))
 
 
-@given(bucket_tables())
-def test_batched_normal_forms_equal_per_bucket_histograms(table):
-    L, den, rows = table
-    b = np.array([r[0] for r in rows], dtype=np.int64)
-    a = exact._fit([r[1] for r in rows])
-    c = exact._fit([r[2] for r in rows])
-    out = normal_forms(L, b, a, c, den)
-    assert list(out) == sorted(set(b.tolist()))
-    for key, z in out.items():
-        mine = b == key
-        one = Cyclotomic.from_int_histogram(L, c[mine], Fraction(1, den), exps=a[mine])
-        assert _form(z) == _form(one)
-        ref = oracles.folded_terms((Fraction(r[1], L), Fraction(r[2], den))
-                                   for r in rows if r[0] == key)
-        assert dict(z.iter_terms()) == ref
+def _spy_merges(monkeypatch):
+    """[True for each counting merge, False for each sort merge] of
+    normal_forms calls with two or more keys, from here on"""
+    merges = []
+    dense = exact._dense
+
+    def spy(key, nums):
+        counts = dense(key, nums)
+        if key.size > 1:
+            merges.append(counts)
+        return counts
+
+    monkeypatch.setattr(exact, "_dense", spy)
+    return merges
 
 
-def test_normal_forms_edge_cases():
+def test_batched_normal_forms_equal_per_bucket_histograms(monkeypatch):
+    merges = _spy_merges(monkeypatch)
+
+    @given(bucket_tables())
+    def check(table):
+        L, den, rows = table
+        b = np.array([r[0] for r in rows], dtype=np.int64)
+        a = exact._fit([r[1] for r in rows])
+        c = exact._fit([r[2] for r in rows])
+        out = normal_forms(L, b, a, c, den)
+        assert list(out) == sorted(set(b.tolist()))
+        for key, z in out.items():
+            mine = b == key
+            one = Cyclotomic.from_int_histogram(L, c[mine], Fraction(1, den), exps=a[mine])
+            assert _form(z) == _form(one)
+            ref = oracles.folded_terms((Fraction(r[1], L), Fraction(r[2], den))
+                                       for r in rows if r[0] == key)
+            assert dict(z.iter_terms()) == ref
+
+    check()
+    # both merges ran, and each agreed with the reference
+    assert True in merges and False in merges
+
+
+def test_normal_forms_edge_cases(monkeypatch):
+    merges = _spy_merges(monkeypatch)
     empty = np.zeros(0, dtype=np.int64)
     assert normal_forms(7, empty, empty, empty) == {}
     assert normal_forms(7, None, empty, empty) == {0: Cyclotomic.zero()}
@@ -196,13 +225,24 @@ def test_normal_forms_edge_cases():
                        np.array([1, 1, 5, -5]))
     assert out == {4: Cyclotomic.zero(), 9: Cyclotomic.zero()}
     assert all(_form(z) == _form(Cyclotomic.zero()) for z in out.values())
-    # numerators near 2^62 sum past int64 and come back when they cancel
+    assert merges == [False]    # keys up to 29 for 4 terms: sorted
+    # the same by counting: over L = 2, e(1/2) = -1 folds onto exponent 0,
+    # so bucket 0 cancels and still appears, and bucket 1 sums 5 - 5 + 2
+    out = normal_forms(2, np.array([0, 0, 1, 1, 1]), np.array([0, 1, 0, 0, 1]),
+                       np.array([1, 1, 5, -5, -2]))
+    assert out == {0: Cyclotomic.zero(), 1: Cyclotomic.from_rational(2)}
+    assert _form(out[0]) == _form(Cyclotomic.zero())
+    assert merges == [False, True]
+    # numerators near 2^62 sum past int64 and come back when they cancel;
+    # their keys are dense, but the int64 sum could overflow, so they sort
+    # as Python ints
     big = np.array([2 ** 62 - 1, 2 ** 62 - 1, 5, 1 - 2 ** 62, 1 - 2 ** 62])
     out = normal_forms(1, np.array([0, 0, 1, 1, 1]), np.zeros(5, dtype=np.int64), big)
     assert out[0] == Cyclotomic.from_rational(2 ** 63 - 2) and out[0]._nums.dtype == object
     assert out[1] == Cyclotomic.from_rational(7 - 2 ** 63)
     out = normal_forms(1, np.array([0, 0]), np.zeros(2, dtype=np.int64), big[[0, 3]])
     assert out == {0: Cyclotomic.from_rational(0)}
+    assert merges == [False, True, False, False]
 
 
 def test_one_exact_bucket_sums_call_normalises_once(monkeypatch):

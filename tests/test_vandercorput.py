@@ -414,20 +414,32 @@ def test_decompose_comparator_and_rows(pins):
 
 # bucket_sums calls of decompose_weyl for thue_morse (D = 2) at M = R = 2, in
 # order: S1, S2, sync correction, S3 (t = 0, 1), then per r: S5, and per t:
-# S4 and its carry correction
+# S4 and its carry correction.  The identity checks do not go through
+# bucket_sums, so they see the altered table.
 @pytest.mark.parametrize("call, flag", [(0, "identity_s1"), (1, "identity_s1"),
                                         (3, "identity_s3"), (5, "identity_s4"),
                                         (6, "identity_s4")])
-@pytest.mark.parametrize("mode", ["exact", "float"])
-def test_a_lost_stage_entry_fails_the_identities(monkeypatch, call, flag, mode):
+@pytest.mark.parametrize("mode, how", [("exact", "drop"), ("float", "drop"),
+                                       ("exact", "swap"), ("float", "swap")],
+                         ids=["exact", "float", "exact-swap", "float-swap"])
+def test_a_lost_stage_entry_fails_the_identities(monkeypatch, call, flag, mode, how):
     from autoexp.modring import PhaseValues
     bucket_sums = PhaseValues.bucket_sums
     tables = []
 
     def lossy(self, *args, **kwargs):
         table = bucket_sums(self, *args, **kwargs)
-        if len(tables) == call:     # drop the largest entry of this table
+        if len(tables) == call and how == "drop":   # drop the largest entry
             del table[max(table, key=lambda b: abs(complex(table[b])))]
+        elif len(tables) == call:
+            # swap two values that differ beyond float noise: the total over
+            # all buckets stays, so only a check that keeps buckets apart sees
+            # it.  With D = M = 2, an even and an odd label lie in different
+            # buckets of the identity that reads this table.
+            a = min(table)
+            b = min(c for c in table
+                    if c % 2 != a % 2 and abs(complex(table[c]) - complex(table[a])) > 1e-3)
+            table[a], table[b] = table[b], table[a]
         tables.append(table)
         return table
 
@@ -438,6 +450,41 @@ def test_a_lost_stage_entry_fails_the_identities(monkeypatch, call, flag, mode):
     assert rep.exact == (mode == "exact")
     assert not getattr(rep, flag)
     assert not rep.identities_ok
+
+
+def test_each_identity_is_one_normalisation(monkeypatch):
+    # S1 and S3 take one normal_forms call each and S4 one per shift r: an
+    # identity holds when every bucket of its one signed sum is zero
+    from autoexp import exact
+    from autoexp.modring import PhaseValues
+    normal_forms, indexed_sums = exact.normal_forms, PhaseValues.indexed_sums
+    identity, inside = [], []
+
+    def count(*args):
+        identity.extend(inside)
+        return normal_forms(*args)
+
+    def bucketed(self, table, index, buckets=None):
+        inside.append(buckets is not None)
+        try:
+            return indexed_sums(self, table, index, buckets)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(exact, "normal_forms", count)
+    monkeypatch.setattr(PhaseValues, "indexed_sums", bucketed)
+    g = FractionPhase(INV_X, 101)
+    for tr, lam2 in ((thue_morse_transducer(), 2), (block_11_transducer(), 1)):
+        identity.clear()
+        rep = decompose_weyl(tr, tau_evil, g, 3, 4000, 1, lam2)
+        assert rep.exact and rep.identities_ok
+        assert identity.count(True) == 2 + rep.R
+
+
+@pytest.mark.parametrize("eta", [float("nan"), float("inf"), -float("inf"), "abc"])
+def test_eta_is_fit_or_finite(eta):
+    with pytest.raises(ValueError, match="eta must be 'fit' or a finite number"):
+        decompose_weyl(thue_morse_transducer(), tau_evil, lambda n: 1, 0, 2000, 1, 1, eta=eta)
 
 
 def _stage_tables(rep):
