@@ -23,16 +23,15 @@ from .expsums import (IntervalProgression, SweepReport, check_gcd_lemma,
                       correlation_sum, difference_sum, pv_range_scan,
                       twisted_spectrum, weighted_sum)
 from .modring import (FractionPhase, IntPoly, PhaseValues, RationalFunction,
-                      add_linear, crt_combine, eval_phase, factorize,
-                      is_well_defined, mod_inverse, parse_rational_function,
-                      phase_fraction, phase_values, rational_gcd,
-                      reduces_to_quadratic_poly, shift_scale,
-                      squarefree_cofactor)
+                      add_linear, eval_phase, factorize, is_well_defined,
+                      mod_inverse, parse_rational_function, phase_fraction,
+                      phase_values, rational_gcd, reduces_to_quadratic_poly,
+                      shift_scale, squarefree_cofactor)
 from .presets import RunConfig, preset
 from .vandercorput import (ScalarTransducer, WeylReport, carry_violation_count,
                            carry_violation_counts, decompose_weyl,
                            digit_sum_transducer, eta_fit, thue_morse_transducer,
-                           truncated_T, vdc_inequality_check)
+                           vdc_inequality_check)
 
 __version__ = "0.1.0"
 

@@ -78,10 +78,6 @@ class Dfao:
     def n_states(self) -> int:
         return len(self.transitions)
 
-    @property
-    def outputs_exact(self) -> bool:
-        return all(isinstance(v, Cyclotomic) for v in self.outputs)
-
     # -- evaluation -----------------------------------------------------
 
     def walk(self, state: int, digits: Sequence[int]) -> int:
@@ -238,10 +234,6 @@ class Dfao:
             raise ValueError("missing state output line")
         return Dfao(base, trans, outputs, initial, name=name)
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_text())
-
     @staticmethod
     def load(path) -> "Dfao":
         with open(path, "r", encoding="utf-8") as fh:
@@ -261,7 +253,6 @@ class ComponentDecomposition:
     components: Tuple[Tuple[int, ...], ...]
     component_of: Tuple[int, ...]
     is_final: Tuple[bool, ...]
-    component_sequences: Dict[int, Dfao]
 
     def final_states(self) -> frozenset:
         return frozenset(s for s, c in enumerate(self.component_of)
@@ -271,8 +262,7 @@ class ComponentDecomposition:
 def strongly_connected_components(dfao: Dfao) -> ComponentDecomposition:
     """Tarjan SCC over all digit edges, plus final-component bookkeeping.
 
-    A component is final when no transition leaves it; each state of a final
-    component yields a re-rooted sequence automaton with the same outputs.
+    A component is final when no transition leaves it.
     """
     n = dfao.n_states
     k = dfao.base
@@ -329,19 +319,10 @@ def strongly_connected_components(dfao: Dfao) -> ComponentDecomposition:
         closed = all(comp_of[trans[s][d]] == ci for s in comp for d in range(k))
         is_final.append(closed)
 
-    sequences: Dict[int, Dfao] = {}
-    for ci, comp in enumerate(comps):
-        if not is_final[ci]:
-            continue
-        for s in comp:
-            sequences[s] = Dfao(k, dfao.transitions, dfao.outputs, initial=s,
-                                name=f"{dfao.name or 'dfao'}@{s}",
-                                _check_initial_loop=False)
     return ComponentDecomposition(
         components=tuple(tuple(c) for c in comps),
         component_of=tuple(comp_of),
         is_final=tuple(is_final),
-        component_sequences=sequences,
     )
 
 

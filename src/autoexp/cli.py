@@ -7,7 +7,6 @@ Output is a CSV table (deterministic, header + rows) or JSON with --json.
 from __future__ import annotations
 
 import argparse
-import datetime
 import json
 import math
 import os
@@ -143,16 +142,20 @@ def cmd_verify_weil(args: Dict) -> SweepReport:
                            rows, {"family": "aX + 1/X", "p_max": p_max})
     if args["f"] is None:
         raise ValueError("specify --f or --kloosterman")
+    if assert_exact is not None:
+        try:
+            assert_exact = Fraction(str(assert_exact))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError("--assert-exact must be a rational such as -1 or 3/7") from None
     f = parse_rational_function(str(args["f"]))
     qs = (_parse_int_list(args["q_list"]) if args["q_list"]
           else [p for p in presets.primes_upto(p_max) if p >= p_min])
     for q in qs:
         chk = expsums.check_weil(f, q)
         if assert_exact is not None:
-            want = Fraction(str(assert_exact))
             got = chk.exact_sum.exact_rational()
-            if got != want:
-                raise ArithmeticError(f"complete sum at q={q} is {got}, wanted {want}")
+            if got != assert_exact:
+                raise ArithmeticError(f"complete sum at q={q} is {got}, wanted {assert_exact}")
         if assert_bound is not None and chk.sum_abs > float(assert_bound) * chk.comparator + 1e-6:
             raise ArithmeticError(f"Weil ratio exceeded at q={q}: {chk.sum_abs}")
         rows.append((chk.q, chk.sum_abs, chk.comparator, chk.ratio, chk.gcd_factor))
@@ -188,17 +191,15 @@ def cmd_scan_pv(args: Dict) -> SweepReport:
     f = parse_rational_function(str(args["f"]))
     qs = _parse_int_list(args["q_list"])
     theta = float(args["theta"])
-    c_disp = float(args["c_display"])
     policies = [tok.strip() for tok in str(args["y"]).split(",")]
     rows = []
     for policy in policies:
-        rep = expsums.pv_range_scan(dfao, f, qs, theta, y=policy, c_display=c_disp)
+        rep = expsums.pv_range_scan(dfao, f, qs, theta, y=policy)
         for row in rep.rows:
             rows.append((policy,) + row)
     rows.sort(key=lambda r: (r[1], r[0]))
     return SweepReport(("y_policy", "q", "x", "y", "abs", "ratio", "q1", "bound"),
-                       rows, {"f": str(f), "automaton": dfao.name or "dfao",
-                              "theta": theta, "c_display": c_disp})
+                       rows, rep.metadata)
 
 
 def cmd_count_congruence(args: Dict) -> SweepReport:
@@ -333,9 +334,11 @@ def cmd_check(args: Dict) -> SweepReport:
         raise ValueError(f"unknown property {prop!r}; "
                          f"known: {', '.join(sorted(presets.PROPERTY_RUNNERS))}")
     accepted = {"crt": ("trials", "q_max", "seed"),
-                "conv-algebra": ("trials", "seed")}
-    kwargs = {key: int(args[key]) for key in accepted.get(prop, ())
-              if args[key] is not None}
+                "conv-algebra": ("trials", "seed")}.get(prop, ())
+    for key in ("trials", "q_max", "seed"):
+        if args[key] is not None and key not in accepted:
+            raise ValueError(f"--{key.replace('_', '-')} does not apply to --property {prop}")
+    kwargs = {key: int(args[key]) for key in accepted if args[key] is not None}
     result = presets.PROPERTY_RUNNERS[prop](**kwargs)
     if prop == "weyl-exact":
         rows = [(label, int(rep.identities_ok), rep.sync_failures,
@@ -399,8 +402,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--json", action="store_true", help="emit JSON, not CSV")
         p.add_argument("--out", help="write output to this path")
-        p.add_argument("--timestamp", action="store_true",
-                       help="include a timestamp in JSON metadata")
 
     p = sub.add_parser("sum", help="weighted sum of a_n times the fraction phase")
     p.add_argument("--auto", required=True)
@@ -448,7 +449,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q-list", dest="q_list", required=True)
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--y", default="0", help="comma list of 0, q, 10q or integers")
-    p.add_argument("--c-display", dest="c_display", type=float, default=1.0 / 32.0)
     common(p)
 
     p = sub.add_parser("count-congruence", help="solution counts of sum f_j(n_j) = m")
@@ -549,23 +549,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     command = args.pop("command")
     json_out = args.pop("json", False)
     out_path = args.pop("out", None)
-    with_timestamp = args.pop("timestamp", False)
     try:
         report = execute(RunConfig(command, args))
+        # allow_nan=False: JSON has no NaN or Infinity, so a non-finite value
+        # is an error here, not invalid output
+        text = (json.dumps(report.to_json_obj(), sort_keys=True, default=str,
+                           allow_nan=False) + "\n" if json_out else report.to_csv())
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if json_out:
-        obj = report.to_json_obj()
-        if with_timestamp:
-            obj["metadata"]["timestamp"] = datetime.datetime.now(
-                datetime.timezone.utc).isoformat()
-        text = json.dumps(obj, sort_keys=True, default=str) + "\n"
-    else:
-        text = report.to_csv()
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -192,7 +192,7 @@ class CongruenceCount:
     support_sizes: Tuple[int, ...]
     main_term: Fraction            # pole-adjusted: prod(support)/q
     raw_set_size: int              # |S ∩ [1, q]| with no pole exclusion
-    rel_error: float
+    rel_error: Optional[float]     # N / main_term - 1; None when main_term is 0
 
 
 @dataclass
@@ -207,7 +207,7 @@ class SolutionTable:
         q = self.conv.modulus
         n_sol = self.conv.counts[m % q]
         main = Fraction(math.prod(self.support_sizes), q)
-        rel = float(n_sol / main - 1) if main else math.inf
+        rel = float(n_sol / main - 1) if main else None
         return CongruenceCount(n_sol, q, m % q, self.support_sizes, main,
                                self.raw_set_size, rel)
 

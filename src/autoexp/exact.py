@@ -116,10 +116,6 @@ class Cyclotomic:
         return _ZERO
 
     @staticmethod
-    def one() -> "Cyclotomic":
-        return Cyclotomic.from_rational(1)
-
-    @staticmethod
     def from_rational(c: Rational) -> "Cyclotomic":
         c = Fraction(c)
         if not c:

@@ -49,9 +49,6 @@ class IntervalProgression:
         first = self.y + 1 + (self.a - (self.y + 1)) % self.s
         return int_range(first, self.y + self.x + 1, self.s)
 
-    def __contains__(self, n: int) -> bool:
-        return self.y < n <= self.y + self.x and n % self.s == self.a
-
 
 def complete_sum(f: RationalFunction, q: int) -> Cyclotomic:
     """Exact sum of the fraction phases over one full period n mod q."""
@@ -205,7 +202,8 @@ def check_quadratic_geometric(f: RationalFunction, q: int, r: int, s: int,
 
 @dataclass
 class SweepReport:
-    """Plot-ready tabular result; rows already sorted by the sweep key."""
+    """Plot-ready tabular result; rows already sorted by the sweep key.  A
+    None cell is written as an empty CSV cell and as JSON null."""
 
     columns: Tuple[str, ...]
     rows: List[Tuple]
@@ -215,7 +213,7 @@ class SweepReport:
     def _cell(v) -> str:
         if isinstance(v, float):
             return repr(v)
-        return str(v)
+        return "" if v is None else str(v)
 
     def to_csv(self) -> str:
         lines = [",".join(self.columns)]
@@ -231,22 +229,24 @@ class SweepReport:
         }
 
 
+# the exponent c of the reference envelope that pv_range_scan reports
+C_DISPLAY = 1.0 / 32.0
+
+
 def _resolve_y(policy, q: int) -> int:
     if isinstance(policy, str):
         table = {"q": q, "10q": 10 * q}
         if policy not in table and not policy.isdecimal():
             raise ValueError(f"unknown y policy {policy!r}")
         return table[policy] if policy in table else int(policy)
-    if callable(policy):
-        return int(policy(q))
     return int(policy)
 
 
 def pv_range_scan(dfao: Dfao, f: RationalFunction, qs: Sequence[int], theta: float,
-                  y: Union[int, str, Callable[[int], int]] = 0,
-                  c_display: float = 1.0 / 32.0) -> SweepReport:
+                  y: Union[int, str] = 0) -> SweepReport:
     """For each modulus: x = ceil(q^theta), the weighted-sum ratio |S|/x over
-    (y, y+x], and the reference envelope (1/q1 + q^2/(q1 x^2))^c."""
+    (y, y+x], and the reference envelope (1/q1 + q^2/(q1 x^2))^c, c = C_DISPLAY.
+    y is an integer, or "q", "10q" or a decimal string."""
     if not theta > 0:
         raise ValueError("--theta must be positive")
     rows = []
@@ -261,11 +261,11 @@ def pv_range_scan(dfao: Dfao, f: RationalFunction, qs: Sequence[int], theta: flo
         region = IntervalProgression(yv, x)
         s_abs = abs(weighted_sum(dfao, f, q, region))
         q1 = squarefree_cofactor(f, q, dfao.base)
-        bound = (1.0 / q1 + q * q / (q1 * float(x) * x)) ** c_display
+        bound = (1.0 / q1 + q * q / (q1 * float(x) * x)) ** C_DISPLAY
         rows.append((q, x, yv, s_abs, s_abs / x, q1, bound))
     return SweepReport(
         columns=("q", "x", "y", "abs", "ratio", "q1", "bound"),
         rows=rows,
         metadata={"f": str(f), "automaton": dfao.name or "dfao",
-                  "theta": theta, "c_display": c_display},
+                  "theta": theta, "c_display": C_DISPLAY},
     )

@@ -273,10 +273,6 @@ class RationalFunction:
         self.num = num
         self.den = den
 
-    @property
-    def total_degree(self) -> int:
-        return max(self.num.degree, 0) + self.den.degree
-
     def is_polynomial(self) -> bool:
         return self.den.degree == 0 and self.den.leading == 1
 
@@ -462,7 +458,7 @@ def prime_powers(q: int) -> List[Tuple[int, int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# inverses and CRT
+# modular inverses
 
 
 def mod_inverse(a: int, m: int) -> int:
@@ -473,21 +469,6 @@ def mod_inverse(a: int, m: int) -> int:
         return pow(a, -1, m)
     except ValueError:
         raise ValueError(f"{a} is not invertible mod {m}") from None
-
-
-def crt_combine(pairs: Sequence[Tuple[int, int]]) -> Tuple[int, int]:
-    """Combine (residue, modulus) pairs with pairwise coprime moduli;
-    returns (residue, product) with residue in [0, product)."""
-    r, m = 0, 1
-    for res, mod in pairs:
-        if mod < 1:
-            raise ValueError("moduli must be positive")
-        if math.gcd(m, mod) != 1:
-            raise ValueError("moduli are not pairwise coprime")
-        inv = mod_inverse(m % mod, mod) if mod > 1 else 0
-        r = r + m * ((res - r) * inv % mod)
-        m *= mod
-    return r % m, m
 
 
 # ---------------------------------------------------------------------------

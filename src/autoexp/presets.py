@@ -30,9 +30,6 @@ class RunConfig:
     command: str
     args: Dict[str, object] = field(default_factory=dict)
 
-    def to_json_obj(self) -> dict:
-        return {"command": self.command, "args": self.args}
-
 
 _SEED = 20260810
 
@@ -110,7 +107,11 @@ def kloosterman_grid(p_min: int, p_max: int):
 # property runners
 
 
-def _rng(seed: int) -> np.random.Generator:
+def _rng(seed: int, trials: int) -> np.random.Generator:
+    """The random draws of a property runner, after its trial count and seed
+    are checked."""
+    if trials < 1:
+        raise ValueError(f"--trials must be at least 1, not {trials}")
     if seed < 0:
         raise ValueError(f"--seed must be non-negative, not {seed}")
     return np.random.default_rng(seed)
@@ -120,7 +121,7 @@ def run_crt_consistency(trials: int = 100, q_max: int = 10000,
                         seed: int = _SEED) -> dict:
     """Random (f, coprime q1*q2, n): the local-factor product phase must equal
     the direct-formula phase P(n) * Q(n)^-1 mod q whenever gcd(Q(n), q) = 1."""
-    rng = _rng(seed)
+    rng = _rng(seed, trials)
     checked = 0
     attempts = 0
     while checked < trials:
@@ -165,7 +166,7 @@ def run_vdc_fuzz(trials: int = 10000, d_max: int = 3, x_max: int = 200,
     for option, top in (("--r-max", r_max), ("--k-max", k_max)):
         if top >= 2 ** 63:
             raise ValueError(f"{option} must be below 2^63, the range of its random draws")
-    rng = _rng(seed)
+    rng = _rng(seed, trials)
     min_rel_slack = math.inf
     for i in range(trials):
         d = int(rng.integers(1, d_max + 1))
@@ -218,7 +219,7 @@ def run_quad_grid() -> dict:
 
 def run_conv_algebra(trials: int = 200, seed: int = _SEED) -> dict:
     """Exact convolution algebra: commutativity, associativity, mass, identity."""
-    rng = _rng(seed)
+    rng = _rng(seed, trials)
     for _ in range(trials):
         q = int(rng.integers(2, 50))
         def rand_hist():

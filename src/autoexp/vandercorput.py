@@ -55,10 +55,6 @@ class ScalarTransducer:
     def base(self) -> int:
         return self.dfao.base
 
-    @property
-    def initial(self) -> int:
-        return self.dfao.initial
-
     @functools.cached_property
     def product(self) -> Dfao:
         """The cocycle as an automaton over S*D states (D = weight_order):
@@ -71,21 +67,6 @@ class ScalarTransducer:
                  + (j + self.weights[:, None, :]) % D)
         return Dfao(k, trans.reshape(S * D, k), [v for v in dfao.outputs for _ in range(D)],
                     initial=dfao.initial * D, _check_initial_loop=False)
-
-    def T_phase(self, state: int, digits: Sequence[int]) -> Fraction:
-        """Phase of the ordered weight product along the path from state."""
-        total = 0
-        weights, trans = self.weights.data, self.dfao.transitions.data
-        for d in digits:
-            total += weights[state, d]
-            state = trans[state, d]
-        return Fraction(total % self.weight_order, self.weight_order)
-
-    def T(self, state: int, digits: Sequence[int]) -> Cyclotomic:
-        return Cyclotomic.from_phase(self.T_phase(state, digits))
-
-    def value_phase(self, n: int) -> Fraction:
-        return self.T_phase(self.initial, base_digits(n, self.base))
 
     def tables(self, limit: int) -> Tuple[np.ndarray, np.ndarray]:
         """(state, phase-index) tables over [0, limit) read from the start."""
@@ -110,18 +91,6 @@ def digit_sum_transducer(k: int, m: int) -> ScalarTransducer:
     require_budget(k, "digits per state k")
     dfao = Dfao(k, [[0] * k], [Fraction(1)], name=f"digit_sum({k},{m})")
     return ScalarTransducer(dfao, [[Fraction(d % m, m) for d in range(k)]])
-
-
-def constant_transducer(dfao: Dfao) -> ScalarTransducer:
-    """All weights 1 on an existing synchronizing automaton."""
-    return ScalarTransducer(dfao, [[Fraction(0)] * dfao.base] * dfao.n_states)
-
-
-def truncated_T(tr: ScalarTransducer, n: int, mu: int) -> Cyclotomic:
-    """T on the digit word of n truncated to the lowest mu digits."""
-    if mu < 0:
-        raise ValueError("mu must be non-negative")
-    return Cyclotomic.from_phase(tr.value_phase(n % tr.base ** mu))
 
 
 # ---------------------------------------------------------------------------

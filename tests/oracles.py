@@ -171,18 +171,40 @@ def carry_violation_counts_tm(lam, alpha, rhos, rs):
     return out
 
 
+def cocycle_phase(tr, state, digits):
+    """Phase in [0, 1) of the ordered product of the edge weights of the
+    transducer tr along digits read from state: one step per digit through
+    the plain arrays tr.weights and tr.dfao.transitions."""
+    weights, trans = tr.weights.tolist(), tr.dfao.transitions.tolist()
+    total = 0
+    for d in digits:
+        total += weights[state][d]
+        state = trans[state][d]
+    return Fraction(total % tr.weight_order, tr.weight_order)
+
+
+def value_phase(tr, n):
+    """Phase of the cocycle T(n): cocycle_phase along the base-k digits of n,
+    most significant first, from tr.dfao.initial (n = 0 reads nothing)."""
+    digits = []
+    while n:
+        n, d = divmod(n, tr.dfao.base)
+        digits.append(d)
+    return cocycle_phase(tr, tr.dfao.initial, digits[::-1])
+
+
 def carry_violations_by_pairs(tr, lam, alpha, rho, r):
     """count of l in [0, k^lam) admitting (n1, n2) in [0, k^alpha)^2 with
     T(B)conj(T(A)) != T(B mod m)conj(T(A mod m)), m = k^(alpha+rho),
     A = l*k^alpha + n1 + r, B = A + n2, for any transducer tr: T(n) is
-    e(tr.value_phase(n)), one digit walk per n, and no table is built."""
-    k = tr.base
+    e(value_phase(tr, n)), one digit walk per n, and no table is built."""
+    k = tr.dfao.base
     ka, mod = k ** alpha, k ** (alpha + rho)
     phase = {}
 
     def T(n):
         if n not in phase:
-            phase[n] = tr.value_phase(n)
+            phase[n] = value_phase(tr, n)
         return phase[n]
 
     cnt = 0

@@ -119,6 +119,21 @@ CARRY = ["carry-scan", "--lam", "2", "--alpha", "1", "--rho-list", "1", "--trans
     *[(["weyl-decompose", "--transducer", "thue_morse", "--g-one", "--x", "100",
         "--l1", "1", "--l2", "1", "--eta", eta, "--json"], None,
        "--eta must be 'fit' or a finite number") for eta in ("nan", "inf", "1e400", "abc")],
+    # a run of no trials checks nothing: --trials is at least 1
+    (["vdc-check", "--trials", "-1"], None, "--trials must be at least 1"),
+    (["vdc-check", "--trials", "0", "--json"], None, "--trials must be at least 1"),
+    (["check", "--property", "conv-algebra", "--trials", "-1"], None,
+     "--trials must be at least 1"),
+    (["check", "--property", "crt", "--trials", "-5"], None, "--trials must be at least 1"),
+    # an option the property does not read is an error, not ignored
+    (["check", "--property", "quad-geometric", "--trials", "5", "--seed", "9"], None,
+     "--trials does not apply to --property quad-geometric"),
+    (["check", "--property", "weyl-exact", "--seed", "9"], None,
+     "--seed does not apply to --property weyl-exact"),
+    (["check", "--property", "conv-algebra", "--q-max", "100"], None,
+     "--q-max does not apply to --property conv-algebra"),
+    *[(["verify-weil", "--f", "1/X", "--q-list", "7", "--assert-exact", value], None,
+       "--assert-exact must be a rational such as -1 or 3/7") for value in ("abc", "1/0")],
 ])
 def test_bad_input_is_a_one_line_error_naming_it(capsys, monkeypatch, argv, budget, needle):
     if budget is not None:
@@ -434,6 +449,45 @@ def test_csv_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_scan_pv_metadata_and_removed_options(capsys):
+    argv = ["scan-pv", "--auto", "thue_morse_even", "--f", "1/X", "--q-list", "101",
+            "--theta", "0.8", "--json"]
+    assert run(argv) == 0
+    assert json.loads(capsys.readouterr().out)["metadata"] == {
+        "automaton": "thue_morse_even", "c_display": 0.03125, "f": "1/X", "theta": 0.8}
+    for extra in (["--c-display", "0.5"], ["--timestamp"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + extra)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} in JSON output")
+
+
+def test_json_writes_null_where_no_relative_error_exists(capsys):
+    # nothing of the set is in [1, q] at q = 1, so the main term is 0
+    argv = ["count-congruence", "--set", "thue_morse_even", "--f", "1/X", "--q", "1"]
+    assert run(argv + ["--json"]) == 0
+    obj = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
+    assert obj["columns"][4] == "rel_error"
+    assert obj["rows"] == [[1, 0, 0, 0.0, None, 0, ""]]
+    assert run(argv) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "1,0,0,0.0,,0,"
+
+
+def test_a_non_finite_json_value_is_a_one_line_error(capsys, monkeypatch):
+    report = expsums.SweepReport(("v",), [(float("inf"),)])
+    monkeypatch.setitem(cli._HANDLERS, "sync-word", lambda args: report)
+    assert run(["sync-word", "--auto", "block_11"]) == 0
+    assert capsys.readouterr().out == "v\ninf\n"
+    assert run(["sync-word", "--auto", "block_11", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
+
+
 def test_json_output(capsys):
     assert run(["eval", "--auto", "digit_sum_mod(2,2)", "--n", "3",
                 "--json"]) == 0
@@ -517,7 +571,7 @@ def test_all_m_rows_equal_brute_force(capsys):
 def test_automaton_file_via_cli(tmp_path, capsys):
     from autoexp.automata import rudin_shapiro
     path = tmp_path / "rs.dfao"
-    rudin_shapiro().save(path)
+    path.write_text(rudin_shapiro().to_text(), encoding="utf-8")
     assert run(["eval", "--auto", str(path), "--n", "3"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[1].startswith("3,-1.0")

@@ -1,9 +1,11 @@
 """Fuzz of the command line, run in-process: any fraction text given to
 --f, and any value of any option of any subcommand drawn from a fixed pool,
-ends in a result, or in exit code 1 or 2 with one line on stderr."""
+ends in a result (with --json, JSON without NaN or Infinity), or in exit
+code 1 or 2 with one line on stderr."""
 
 import contextlib
 import io
+import json
 
 import pytest
 
@@ -96,6 +98,8 @@ WEYL = ["weyl-decompose", "--transducer", "thue_morse", "--g-one", "--x", "100"]
           "--theta", "1e300"])
 @example(["vdc-check", "--trials", "1", "--k-max", BIG])
 @example(["check", "--property", "crt", "--trials", "1", "--seed", "-1"])
+@example(["vdc-check", "--trials", "0", "--json"])
+@example(["count-congruence", "--set", "thue_morse_even", "--f", "1/X", "--q", "1", "--json"])
 @given(argvs())
 def test_every_option_gives_a_result_or_a_one_line_error(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -106,4 +110,10 @@ def test_every_option_gives_a_result_or_a_one_line_error(argv):
     assert code in (0, 1, 2)
     if code:
         assert err.getvalue().count("\n") == 1
+    elif "--json" in argv:      # JSON has no NaN or Infinity
+        json.loads(out.getvalue(), parse_constant=_no_constant)
     assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} in JSON output")

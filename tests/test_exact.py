@@ -15,7 +15,7 @@ def test_rational_embedding():
     assert Cyclotomic.from_rational(3) + Cyclotomic.from_rational(-3) == 0
     assert Cyclotomic.from_rational(Fraction(1, 2)) * 2 == 1
     assert Cyclotomic.zero().is_zero()
-    assert not Cyclotomic.one().is_zero()
+    assert not Cyclotomic.from_rational(1).is_zero()
 
 
 def test_half_turn_canonicalization():
@@ -39,7 +39,7 @@ def test_conjugate_and_abs():
 def test_root_of_unity_orders():
     for m in (1, 2, 3, 4, 6, 12):
         z = Cyclotomic.root_of_unity(1, m)
-        prod = Cyclotomic.one()
+        prod = Cyclotomic.from_rational(1)
         for _ in range(m):
             prod = prod * z
         assert prod == 1
@@ -118,4 +118,4 @@ def test_unit_phase_extraction():
     z = Cyclotomic.from_phase(Fraction(1, 5)) * Fraction(-1)
     assert z.unit_phase() == Fraction(7, 10)
     assert Cyclotomic.zero().unit_phase() is None
-    assert (Cyclotomic.one() + 1).unit_phase() is None
+    assert (Cyclotomic.from_rational(1) + 1).unit_phase() is None

@@ -115,7 +115,7 @@ def test_complete_sum_crt_product_exact():
             continue
         total = complete_sum(f, q)
         # product of the twisted local complete sums, assembled independently
-        local = Cyclotomic.one()
+        local = Cyclotomic.from_rational(1)
         for m in (q1, q2):
             cof = q // m
             terms = []
