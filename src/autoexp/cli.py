@@ -1,6 +1,7 @@
 """Command-line front end: one executable, subcommand per operation.
 
-Exit codes: 0 success, 1 validation or failed check, 2 resource budget.
+Exit codes: 0 success, 1 validation or failed check, 2 resource budget or
+an option that the other options given leave unread.
 Output is a CSV table (deterministic, header + rows) or JSON with --json.
 """
 
@@ -20,6 +21,11 @@ from .budget import BudgetError
 from .expsums import IntervalProgression, SweepReport
 from .modring import FractionPhase, parse_rational_function
 from .presets import RunConfig
+
+
+class UnreadOption(ValueError):
+    """An option that the other options given would leave unread: a usage
+    error, exit code 2."""
 
 
 def _parse_int_list(text: str) -> List[int]:
@@ -126,6 +132,9 @@ def cmd_verify_weil(args: Dict) -> SweepReport:
     assert_exact = args["assert_exact"]
     rows = []
     if args["kloosterman"]:
+        for key in ("f", "q_list", "assert_exact"):
+            if args[key] is not None:
+                raise UnreadOption(f"--{key.replace('_', '-')} does not apply to --kloosterman")
         worst = {}
         for p, a, s_abs, bound, im_abs in presets.kloosterman_grid(p_min, p_max):
             if assert_bound is not None and s_abs > float(assert_bound) * math.sqrt(p) + 1e-6:
@@ -207,6 +216,8 @@ def cmd_count_congruence(args: Dict) -> SweepReport:
     fs = [parse_rational_function(tok) for tok in str(args["f"]).split(",")]
     if args["q"] is None and not args["q_list"]:
         raise ValueError("specify --q or --q-list")
+    if args["q"] is not None and args["q_list"]:
+        raise UnreadOption("--q does not apply when --q-list is given")
     qs = (_parse_int_list(args["q_list"]) if args["q_list"]
           else [int(args["q"])])
     strict = bool(args["strict_poles"])
@@ -557,6 +568,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                            allow_nan=False) + "\n" if json_out else report.to_csv())
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
+        return 2
+    except UnreadOption as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

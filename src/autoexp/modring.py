@@ -537,6 +537,9 @@ def phase_numerators(f: RationalFunction, q: int, ns) -> np.ndarray:
     if ns.dtype.kind in "Ou":   # ints that may pass int64: f(n) mod q reads n mod q
         ns = ns.astype(object) % q
     ns = ns.astype(np.int64 if q < 1 << 31 else object, copy=False)
+    if f.den.degree == 0:
+        # a constant Q is a unit mod q, as f is well-defined: one inverse, no poles
+        return _narrow(f.num.eval_mod_vec(ns, q) * pow(f.den.leading, -1, q) % q)
     qn = f.den.eval_mod_vec(ns, q)
     pole = np.zeros(ns.shape, dtype=bool)
     for p, _e, _m in pps:

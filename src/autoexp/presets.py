@@ -177,11 +177,14 @@ def run_vdc_fuzz(trials: int = 10000, d_max: int = 3, x_max: int = 200,
         else:
             R = float(rng.uniform(1.0, r_max))
         if i % 3 == 0:
-            # unit-modulus scalars embedded in dimension d
-            z = np.exp(2j * np.pi * rng.random(x))
-            Z = np.einsum("n,ij->nij", z, np.eye(d))
+            # unit-modulus scalars on the diagonal of a d x d zero matrix
+            Z = np.zeros((x, d, d), dtype=complex)
+            Z.reshape(x, d * d)[:, ::d + 1] = np.exp(2j * np.pi * rng.random(x))[:, None]
         else:
-            Z = rng.normal(size=(x, d, d)) + 1j * rng.normal(size=(x, d, d))
+            # the real part drawn first, as a + 1j*b draws it
+            Z = np.empty((x, d, d), dtype=complex)
+            Z.real = rng.normal(size=(x, d, d))
+            Z.imag = rng.normal(size=(x, d, d))
         chk = vandercorput.vdc_inequality_check(Z, R=R, k=k)
         rel = chk.slack / max(1.0, chk.rhs)
         min_rel_slack = min(min_rel_slack, rel)

@@ -106,11 +106,25 @@ class VdcCheck:
 
 def vdc_inequality_check(Z, R: float, k: int = 1) -> VdcCheck:
     """Check ||sum Z(n)||_F^2 <= ((x + k(R-1) + 1)/R) * sum_{|r|<R} (1-|r|/R)
-    * sum_n tr(Z(n+kr)^H Z(n)) on concrete data.
+    * c_r on concrete data, c_r = Re sum_n tr(Z(n+kr)^H Z(n)).
 
     Z is a sequence of d x d matrices (scalars allowed).  Raises
     ArithmeticError if the inequality fails beyond float noise; that would
     mean a genuine bug, the bound holds for arbitrary matrices.
+
+    The right side is read in Fejer form, from window sums and not one
+    correlation per shift.  With Z = 0 outside [0, x), let
+    F_n = sum over all j of ||sum_{a<n} Z(j + ka)||_F^2; expanding the square
+    gives F_n = sum_{|r|<n} (n - |r|) c_r.  Each window sum is a difference
+    of two rows of one prefix sum per residue class mod k.  Let N = ceil(R),
+    theta = R - N + 1 in (0, 1] and nb = ceil(x/k), the longest class.
+    R - |r| = theta (N - |r|) + (1 - theta) (N - 1 - |r|), so for N <= nb
+    R * sum_{|r|<R} (1-|r|/R) c_r = theta F_N + (1 - theta) F_(N-1).
+    For N > nb, c_r = 0 from |r| = nb on, and the same total is
+    F_nb + (R - nb) * sum_rho ||sum_{n = rho mod k} Z(n)||_F^2, as
+    sum_r c_r is that last sum.  Both forms add nonnegative terms only.
+    The prefix sums are laid out as (rows, min(k, x), d^2) with
+    rows <= 3 nb, so the work and memory are O(x d^2) whatever R and k are.
     """
     if R < 1 or k < 1:
         raise ValueError("need R >= 1 and k >= 1")
@@ -119,14 +133,38 @@ def vdc_inequality_check(Z, R: float, k: int = 1) -> VdcCheck:
         arr = arr.reshape(-1, 1, 1)
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
         raise ValueError("Z must be a sequence of square matrices")
-    x = arr.shape[0]
-    lhs = float(np.linalg.norm(arr.sum(axis=0)) ** 2)
-    # the shift -r correlates to the conjugate of shift r: same real part
-    total = 0.0
-    for r in range(min(math.ceil(R), (x - 1) // k + 1)):
-        corr = np.vdot(arr[k * r:], arr[:x - k * r]).real
-        total += corr if r == 0 else 2.0 * (1.0 - r / R) * corr
-    rhs = (x + k * (R - 1) + 1) / R * total
+    x, d = arr.shape[0], arr.shape[1]
+    if x == 0:
+        return VdcCheck(0.0, 0.0, 0.0)
+    N = math.ceil(R)
+    nb = (x - 1) // k + 1
+    classes = min(k, x)
+    w = min(N, nb)
+    # ext[w - 1 + a] = sum of Z(rho + kb) over b < a, per class rho, for
+    # a in [0, nb]; the w - 1 rows before are 0 and the w - 1 rows after
+    # repeat the class totals, so ext[n:] - ext[:-n] holds every window
+    # sum of length n <= w
+    ext = np.zeros((nb + 2 * w - 1, classes, d * d), dtype=complex)
+    body = ext[w:w + nb]
+    body.reshape(nb * classes, d * d)[:x] = arr.reshape(x, d * d)
+    np.add.accumulate(body, axis=0, out=body)
+    ext[w + nb:] = ext[w + nb - 1]
+    totals = ext[-1]
+    whole = totals.sum(axis=0)
+    lhs = float(np.vdot(whole, whole).real)
+
+    def fejer(n: int) -> float:
+        diff = ext[n:] - ext[:-n]
+        return np.vdot(diff, diff).real
+
+    theta = R - N + 1
+    if N <= nb:
+        weighted = theta * fejer(N)
+        if theta < 1:
+            weighted += (1 - theta) * fejer(N - 1)
+    else:
+        weighted = fejer(nb) + (R - nb) * np.vdot(totals, totals).real
+    rhs = float((x + k * (R - 1) + 1) / R * (weighted / R))
     slack = rhs - lhs
     if slack < -1e-9 * max(1.0, rhs):
         raise ArithmeticError(f"van der Corput inequality violated: {lhs} > {rhs}")
@@ -394,6 +432,9 @@ def decompose_weyl(tr: ScalarTransducer, tau: Callable[[Cyclotomic, int], object
     m2, j2 = np.divmod(keys(b2), D)
     identity_s1 = balanced([*b2.values(), *corr.values(), *(-v for v in b1.values())],
                            np.concatenate([j2 * S + st[m2], keys(corr), keys(b1)]))
+    # no later stage reads the end states or the sync failures: release them
+    # before the shifts
+    del q_all, q_n, trunc_q, sync_mask, bad
 
     # ---- S_3 per (residue, character), against the character expansion of S_2
     s3: Dict[Tuple[int, int], StageValue] = {}
@@ -408,8 +449,11 @@ def decompose_weyl(tr: ScalarTransducer, tau: Callable[[Cyclotomic, int], object
     s4: Dict[Tuple[int, int, int], StageValue] = {}
     s5: Dict[Tuple[int, int], StageValue] = {}
     carry_failures: Dict[int, int] = {}
-    identity_s4 = True
-    for r in range(R):
+
+    def shift_stage(r: int) -> bool:
+        """S_4 and S_5 at shift r into s4 and s5, its carry failures into
+        carry_failures, and whether its S_4 identity holds; the per-n arrays
+        of the shift are released on return."""
         shift = r * M
         dval = (j_n - j_all[shift:shift + x]) % D
         dvt_table = (val - val[(np.arange(RM2) + shift) % RM2]) % D
@@ -438,16 +482,20 @@ def decompose_weyl(tr: ScalarTransducer, tau: Callable[[Cyclotomic, int], object
         # S_4(m, t, r) = sum over m' = m mod M of S_5(m', r) e(t dvt(m')/D),
         # plus the correction
         m5 = keys(b5)
-        identity_s4 &= by_character(list(b5.values()), m5 % M, dvt_table[m5], rest,
-                                    np.array(rest_buckets, dtype=np.int64))
+        return by_character(list(b5.values()), m5 % M, dvt_table[m5], rest,
+                            np.array(rest_buckets, dtype=np.int64))
+
+    # every shift is evaluated, so carry_failures and s4 cover each r
+    identity_s4 = all([shift_stage(r) for r in range(R)])
+    del mprime_n    # read by the shifts only
 
     # ---- van der Corput on each S_3 sequence (shift unit M, window R)
     vdc_rows: List[Tuple[int, int, float, float, float]] = []
     z_n = g.to_complex()
     for t in range(D):
-        wz = np.exp(2j * np.pi * (t * j_n % D) / D)
+        zt = z_n * np.exp(2j * np.pi * (t * j_n % D) / D)
         for m in range(M):
-            Z = np.where(m_n == m, z_n * wz, 0j)
+            Z = np.where(m_n == m, zt, 0j)
             chk = vdc_inequality_check(Z, R=float(R), k=M)
             vdc_rows.append((m, t, chk.lhs, chk.rhs, chk.slack))
 

@@ -144,6 +144,37 @@ def test_bad_input_is_a_one_line_error_naming_it(capsys, monkeypatch, argv, budg
     assert needle in err
 
 
+KLOOSTERMAN = ["verify-weil", "--kloosterman", "--primes-max", "7"]
+COUNT = ["count-congruence", "--set", "thue_morse_even", "--f", "1/X"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (KLOOSTERMAN + ["--f", "X"], "--f does not apply to --kloosterman"),
+    (KLOOSTERMAN + ["--q-list", "5"], "--q-list does not apply to --kloosterman"),
+    (KLOOSTERMAN + ["--assert-exact", "-1"], "--assert-exact does not apply to --kloosterman"),
+    (KLOOSTERMAN + ["--assert-exact", "abc", "--q-list", "5", "--f", "X"],
+     "--f does not apply to --kloosterman"),
+    (COUNT + ["--q", "7", "--q-list", "5,7"], "--q does not apply when --q-list is given"),
+])
+def test_an_option_left_unread_is_a_usage_error(capsys, argv, message):
+    # these runs exited 0 with the option silently ignored
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_options_that_are_read_still_run(capsys):
+    assert run(KLOOSTERMAN) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "p,argmax_a,max_abs,bound,ratio,max_imag"
+    # an empty --q-list reads as none given, so --q is the one that is read
+    assert run(COUNT + ["--q", "7", "--q-list", ""]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("7,0,")
+    # the presets that reach the two subcommands
+    for name in ("weil-grid", "exact-sums", "congruence-evil"):
+        assert run(["preset", name, "--run"]) == 0
+    capsys.readouterr()
+
+
 def test_budget_checked_before_the_tables_are_allocated(capsys):
     # 2 * 10^10 entries would need tens of GiB; the budget stops both first
     for argv in (["weyl-decompose", "--transducer", "thue_morse", "--g-f", "1/X",

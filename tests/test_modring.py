@@ -292,6 +292,46 @@ def test_phase_numerators_evaluate_p_and_q_once(monkeypatch):
     assert calls == [30030, 30030]
 
 
+@pytest.mark.parametrize("text", ["X^2/3", "5X^3/7", "X^2-4X"])
+@pytest.mark.parametrize("q", [1, 1000, 101 * 103, 2 ** 31 + 11, 2 ** 64 + 13])
+def test_constant_denominator_is_inverted_once(monkeypatch, text, q):
+    # P(n) times one scalar inverse of the constant Q, no poles: the same
+    # numerators as the per-n CRT formula, int64 and Python-int residues
+    import numpy as np
+    f = parse_rational_function(text)
+    assert f.den.degree == 0
+    rng = random.Random(q)
+    ns = [rng.randrange(-10 ** 6, 10 ** 6) for _ in range(60)] + [2 ** 64 + 5, -2 ** 70]
+    want = [phase_fraction(f, q, n) for n in ns]
+    calls = []
+    real = IntPoly.eval_mod_vec
+
+    def counted(self, ns, m):
+        calls.append(self)
+        return real(self, ns, m)
+    monkeypatch.setattr(IntPoly, "eval_mod_vec", counted)
+    got = phase_numerators(f, q, ns)
+    assert calls == [f.num]     # Q is not evaluated per n
+    assert [Fraction(int(v), q) for v in got] == want
+    # int64 where every numerator fits, as for any other fraction
+    assert got.dtype == (np.int64 if max(got.tolist()) < 2 ** 62 else object)
+
+
+@pytest.mark.parametrize("q", [6, 14, 3 * (2 ** 31 + 11)])
+def test_constant_denominator_sharing_a_prime_with_q_is_rejected(q):
+    # content(Q) = 3 or 7 shares a prime with q: f is not well-defined mod q,
+    # so every n would be a pole; both formulas refuse it
+    import numpy as np
+    for text in ("X^2/3", "5X^3/7"):
+        f = parse_rational_function(text)
+        if math.gcd(q, f.den.leading) == 1:
+            continue
+        with pytest.raises(ValueError, match="not well-defined"):
+            phase_numerators(f, q, np.arange(5))
+        with pytest.raises(ValueError, match="not well-defined"):
+            phase_fraction(f, q, 1)
+
+
 @pytest.mark.parametrize("q", [101, 101 * 103])
 def test_sparse_fraction_against_power_oracle(q):
     # X^100000/(X+1) skips its 99,999 zero coefficients; the oracle is

@@ -1,5 +1,8 @@
 import cmath
+import math
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +17,7 @@ from autoexp.expsums import correlation_sum
 from autoexp.modring import FractionPhase, parse_rational_function
 from autoexp.presets import (block_11_transducer, tau_evil, tau_pick, tau_sign,
                              weyl_grid_configs)
-from autoexp.vandercorput import (ScalarTransducer, carry_violation_count,
+from autoexp.vandercorput import (ScalarTransducer, VdcCheck, carry_violation_count,
                                   carry_violation_counts, decompose_weyl,
                                   digit_sum_transducer, eta_fit,
                                   thue_morse_transducer, vdc_inequality_check)
@@ -133,6 +136,8 @@ def test_vdc_identity_matrices_closed_form():
 def test_vdc_scalar_list_accepted():
     chk = vdc_inequality_check([1.0, -1.0, 1.0, 1.0], R=2.0, k=1)
     assert chk.slack >= -1e-9
+    # an empty sequence: both sides are 0
+    assert vdc_inequality_check([], R=3.5, k=2) == VdcCheck(0.0, 0.0, 0.0)
 
 
 def test_vdc_dimension_mismatch():
@@ -154,19 +159,61 @@ def test_vdc_random_unit_scalars():
 
 
 def test_vdc_sides_match_the_two_sided_oracle():
-    # one pass over r >= 0 with weight 2(1 - r/R) equals the sum over every
-    # shift -(R-1)..R-1, real and integer R, scalars and d x d matrices
-    rng = np.random.default_rng(11)
-    for _ in range(300):
+    # the window-sum form against the oracle's sum over every shift
+    # -(R-1)..R-1: integer and real R, ceil(R) up to and past the longest
+    # class ceil(x/k), x = 1 and k > x, scalars and d x d matrices
+    rng = np.random.default_rng(23)
+    seen = set()
+    for i in range(400):
         d = int(rng.integers(1, 4))
-        x = int(rng.integers(1, 60))
-        k = int(rng.integers(1, 5))
-        R = float(rng.uniform(1, 20)) if rng.random() < 0.5 else int(rng.integers(1, 20))
+        x = 1 if i % 10 == 0 else int(rng.integers(1, 90))
+        k = x + int(rng.integers(1, 5)) if i % 7 == 0 else int(rng.integers(1, 8))
+        R = float(rng.uniform(1, 40)) if i % 2 else int(rng.integers(1, 40))
         Z = rng.normal(size=(x, d, d)) + 1j * rng.normal(size=(x, d, d))
         chk = vdc_inequality_check(Z, R=R, k=k)
         lhs, rhs = oracles.vdc_sides(Z, R, k)
         assert chk.lhs == pytest.approx(lhs, rel=1e-12)
         assert chk.rhs == pytest.approx(rhs, rel=1e-12)
+        seen.add(("integer R" if R == int(R) else "real R",
+                  "N <= nb" if math.ceil(R) <= -(-x // k) else "N > nb"))
+        seen |= {"x = 1"} if x == 1 else set()
+        seen |= {"k > x"} if k > x else set()
+    assert seen >= {("integer R", "N <= nb"), ("integer R", "N > nb"), ("real R", "N <= nb"),
+                    ("real R", "N > nb"), "x = 1", "k > x"}
+
+
+@pytest.mark.parametrize("R, k", [(2 ** 62, 1), (2.0, 2 ** 62), (float(2 ** 62), 2 ** 62)])
+def test_huge_r_and_k_cost_the_size_of_z(R, k):
+    # every shift past ceil(x/k) correlates nothing: with k > x each entry is
+    # its own class, and the right side is (x + k(R-1) + 1)/R * sum ||Z(n)||^2
+    rng = np.random.default_rng(5)
+    Z = rng.normal(size=(50, 2, 2)) + 1j * rng.normal(size=(50, 2, 2))
+    start = time.perf_counter()
+    chk = vdc_inequality_check(Z, R=R, k=k)
+    assert time.perf_counter() - start < 1.0
+    lhs, _ = oracles.vdc_sides(Z, 1, 1)
+    assert chk.lhs == pytest.approx(lhs, rel=1e-12)
+    if k > 50:
+        c0 = float(np.vdot(Z, Z).real)
+        assert chk.rhs == pytest.approx((50 + k * (R - 1) + 1) / R * c0, rel=1e-12)
+
+
+def test_vdc_check_allocates_the_size_of_z_whatever_r_and_k():
+    # the prefix sums take (ceil(x/k) + 2w - 1) * min(k, x) rows of d^2 with
+    # w <= ceil(x/k), at most 6x rows, and one window difference as many
+    x, d = 3000, 2
+    rng = np.random.default_rng(9)
+    Z = rng.normal(size=(x, d, d)) + 1j * rng.normal(size=(x, d, d))
+    bound = 12 * x * d * d * 16 + 64 * 1024
+    for R in (1, 2.5, 40, float(x), 2.0 ** 62):
+        for k in (1, 3, 1001, x - 1, x + 1, 2 ** 62):
+            tracemalloc.start()
+            try:
+                vdc_inequality_check(Z, R=R, k=k)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound, (R, k, peak)
 
 
 # -- carry property ------------------------------------------------------------------
