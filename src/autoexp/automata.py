@@ -132,21 +132,24 @@ class Dfao:
         return tab
 
     def window_states(self, y: int, x: int, start: Optional[int] = None) -> np.ndarray:
-        """States after reading (n)_k from start, for every n in (y, y+x].
+        """States after reading (n)_k from start, for every n in (y, y+x], y >= -1.
 
-        Block split n = r*K + n' with K = k^sigma the least power of k >= x and
-        h, m0 = divmod(y + 1, K): every n in the window has r = h or h + 1, so
-        its states are the walks of r followed by the padded-suffix table (read
-        unpadded when h = 0, as a digit 0 need not fix a start).  O(x) for any y.
-        """
-        k = self.base
-        s = self.initial if start is None else start
-        sigma = len(base_digits(x - 1, k))     # least sigma with k^sigma >= x
-        h, m0 = divmod(y + 1, k ** sigma)
-        if h == 0:
-            return self.state_table(m0 + x, s)[m0:]
-        return self.padded_table([self.walk(s, base_digits(r, k)) for r in (h, h + 1)],
-                                 sigma).ravel()[m0:m0 + x]
+        By state(n) = delta(state(n // k), n % k), the window [lo, hi) is one
+        take of [lo // k, (hi - 1) // k + 1), a digit shorter: shorten while the
+        offset exceeds the length, read the dense table, climb back one take per
+        level.  About 2x states for any y, and no walk (digit 0 need not fix a
+        start)."""
+        if y < -1 or x < 1:
+            raise ValueError(f"need y >= -1 and x >= 1, not y = {y}, x = {x}")
+        k, lo, hi = self.base, y + 1, y + x + 1
+        levels = []
+        while lo > hi - lo:
+            levels.append((lo, hi))
+            lo, hi = lo // k, (hi - 1) // k + 1
+        st = self.state_table(hi, start)[lo:]
+        for lo, hi in reversed(levels):     # the children p*k + d start at lo - lo % k
+            st = np.take(self.transitions, st, axis=0).ravel()[lo % k:lo % k + hi - lo]
+        return st
 
     def states_at(self, ns: np.ndarray, start: Optional[int] = None) -> np.ndarray:
         """Vectorized state_at; builds a DP table when the range is dense enough.

@@ -88,6 +88,9 @@ def _tau_by_name(name: str, n_states: int):
 
 def _g_from_args(args: Dict) -> object:
     if args["g_one"]:
+        for key in ("g_f", "g_q"):
+            if args[key] is not None:
+                raise UnreadOption(f"--{key.replace('_', '-')} does not apply to --g-one")
         return presets.g_one
     if args["g_f"]:
         if args["g_q"] is None:
@@ -149,6 +152,8 @@ def cmd_verify_weil(args: Dict) -> SweepReport:
             rows.append((p, a, s_abs, bound, s_abs / bound, im_abs))
         return SweepReport(("p", "argmax_a", "max_abs", "bound", "ratio", "max_imag"),
                            rows, {"family": "aX + 1/X", "p_max": p_max})
+    if assert_real:
+        raise UnreadOption("--assert-real does not apply without --kloosterman")
     if args["f"] is None:
         raise ValueError("specify --f or --kloosterman")
     if assert_exact is not None:
@@ -348,7 +353,7 @@ def cmd_check(args: Dict) -> SweepReport:
                 "conv-algebra": ("trials", "seed")}.get(prop, ())
     for key in ("trials", "q_max", "seed"):
         if args[key] is not None and key not in accepted:
-            raise ValueError(f"--{key.replace('_', '-')} does not apply to --property {prop}")
+            raise UnreadOption(f"--{key.replace('_', '-')} does not apply to --property {prop}")
     kwargs = {key: int(args[key]) for key in accepted if args[key] is not None}
     result = presets.PROPERTY_RUNNERS[prop](**kwargs)
     if prop == "weyl-exact":

@@ -16,12 +16,13 @@ mode raises instead); the main term uses the pole-adjusted support product.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,19 +45,16 @@ _EPS = 2.0 ** -53
 _BETA = 2.0 ** -49
 
 
-@dataclass
+@dataclass(frozen=True)
 class ValueHistogram:
-    """counts[m] = #{n counted with f(n) = m mod q}; support_size = total mass."""
+    """counts[m] = #{n counted with f(n) = m mod q}; support_size = total mass.
+
+    |counts|_2 and the float spectrum are taken on first use and kept, so a
+    histogram repeated across a fold of convolutions is read once."""
 
     modulus: int
     counts: Tuple[int, ...]
     support_size: int
-    # (counts, |counts|_2) and (counts, float spectrum) once fft_convolve has
-    # read these counts; see _cached
-    _l2: Optional[Tuple[Tuple[int, ...], float]] = field(
-        default=None, init=False, repr=False, compare=False)
-    _spectrum: Optional[Tuple[Tuple[int, ...], np.ndarray]] = field(
-        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.counts) != self.modulus:
@@ -64,16 +62,26 @@ class ValueHistogram:
         if sum(self.counts) != self.support_size:
             raise ValueError("support size must equal the total count")
 
+    @functools.cached_property
+    def l2(self) -> float:
+        return _norm(self.counts)
+
+    @functools.cached_property
+    def spectrum(self) -> np.ndarray:
+        """The float FFT of the counts, zero-padded to the length 2^n >= 2q - 1
+        that fft_convolve uses."""
+        from numpy import fft       # `import numpy` leaves numpy.fft unloaded
+        return fft.fft(np.array(self.counts, dtype=np.float64),
+                       1 << (2 * self.modulus - 2).bit_length())
+
 
 def _indicator_values(dfao: Dfao, q: int) -> np.ndarray:
     """0/1 membership of 1..q; rejects automata with outputs outside {0, 1}."""
     for v in dfao.outputs:
         if not isinstance(v, Cyclotomic) or v not in (_ZERO, _ONE):
             raise ValueError("set automaton must output exactly 0 or 1")
-    picks = np.array([1 if dfao.outputs[s] == _ONE else 0
-                      for s in range(dfao.n_states)], dtype=np.int8)
-    ns = np.arange(1, q + 1, dtype=np.int64)
-    return picks[dfao.states_at(ns)]
+    picks = np.array([v == _ONE for v in dfao.outputs], dtype=np.int8)
+    return picks[dfao.window_states(0, q)]
 
 
 def _histogram(member: np.ndarray, f: RationalFunction, q: int,
@@ -134,25 +142,6 @@ def _norm(counts: Sequence[int]) -> float:
         return math.inf
 
 
-def _cached(h: ValueHistogram, slot: str, make: Callable):
-    """make(h.counts), taken once per histogram and kept in h's private field
-    slot beside the counts it was taken from (checked by identity), so a
-    histogram repeated across a fold of convolutions is read once."""
-    hit = getattr(h, slot)
-    if hit is None or hit[0] is not h.counts:
-        hit = (h.counts, make(h.counts))
-        setattr(h, slot, hit)
-    return hit[1]
-
-
-def _spectrum(h: ValueHistogram, n: int) -> np.ndarray:
-    """The zero-padded length-2^n float FFT of h's counts (n depends on the
-    modulus alone, so one spectrum per histogram serves every step)."""
-    from numpy import fft
-    return _cached(h, "_spectrum",
-                   lambda counts: fft.fft(np.array(counts, dtype=np.float64), 1 << n))
-
-
 def fft_convolve(h1: ValueHistogram, h2: ValueHistogram) -> Optional[ValueHistogram]:
     """Exact cyclic convolution by a rounded float FFT, or None when Percival's
     bound does not certify the rounding (bound >= 1/2)."""
@@ -160,13 +149,11 @@ def fft_convolve(h1: ValueHistogram, h2: ValueHistogram) -> Optional[ValueHistog
         raise ValueError("histograms must share a modulus")
     q = h1.modulus
     n = (2 * q - 2).bit_length()        # 2^n >= 2q - 1: no wrap-around
-    norm1, norm2 = (_cached(h, "_l2", _norm) for h in (h1, h2))
-    if not fft_error_bound(norm1, norm2, n) < 0.5:
+    if not fft_error_bound(h1.l2, h2.l2, n) < 0.5:
         return None
     # every |entry| <= |x|_2 |y|_2 < 2^53 now, so the floats hold exact integers
-    from numpy import fft       # `import numpy` leaves numpy.fft unloaded
-    product = _spectrum(h1, n) * _spectrum(h2, n)
-    lin = np.rint(fft.ifft(product).real[:2 * q - 1]).astype(np.int64)
+    from numpy import fft
+    lin = np.rint(fft.ifft(h1.spectrum * h2.spectrum).real[:2 * q - 1]).astype(np.int64)
     folded = lin[:q]
     folded[:q - 1] += lin[q:]
     counts = folded.tolist()

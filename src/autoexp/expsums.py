@@ -9,6 +9,7 @@ acceptance suite, except where the bound is an identity-level theorem
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -96,12 +97,16 @@ def correlation_sum(g: Callable[[int], object], x: int, y: int, h: int,
                    math.fsum(u.imag * v.real - u.real * v.imag))
 
 
+# f(X + r) - f(X), built once per (f, r): a grid of sums repeats few of them
+_difference = functools.lru_cache(maxsize=256)(lambda f, r: shift_scale(f, 0, 1, r))
+
+
 def difference_sum(f: RationalFunction, q: int, r: int,
                    region: IntervalProgression) -> Cyclotomic:
     """Exact sum over the region of the phase of f(n+r) - f(n), built once
     symbolically and evaluated pointwise (zero where the symbolic difference
     fraction has a pole mod q)."""
-    phases = phase_numerators(shift_scale(f, 0, 1, r), q, region.values())
+    phases = phase_numerators(_difference(f, r), q, region.values())
     uniq, cnt = np.unique(phases[phases >= 0], return_counts=True)
     return Cyclotomic.from_int_histogram(q, cnt, exps=uniq)
 

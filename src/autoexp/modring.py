@@ -623,19 +623,13 @@ class PhaseValues:
         """bucket -> sum of weight * g(n) over its elements (integer weights,
         default 1); a bucket appears when it holds an element with g(n) != 0.
         Exact sums of the whole table are normalised in one batch
-        (exact.normal_forms: one merge)."""
+        (exact.normal_forms: one merge); float sums are math.fsum per bucket."""
         live = self.values >= 0 if self.exact else self.values != 0
         size = int(np.count_nonzero(live))
         w = np.broadcast_to(np.int64(1), size) if weights is None else _fit(weights[live])
         if self.exact:      # the normaliser holds the only copies and frees them early
             return normal_forms(self.modulus, buckets[live], self.values[live], w)
-        b, v = buckets[live], self.values[live]
-        if not b.size:
-            return {}
-        order = np.argsort(b, kind="stable")
-        b, v, w = b[order], v[order], w[order]
-        starts = np.flatnonzero(np.concatenate([[True], b[1:] != b[:-1]]))
-        return dict(zip(b[starts].tolist(), np.add.reduceat(v * w, starts).tolist()))
+        return _fsum_buckets(buckets[live], self.values[live] * w)
 
     def indexed_sums(self, table: Sequence, index: np.ndarray,
                      buckets: Optional[np.ndarray] = None) -> Dict[int, Union[Cyclotomic, complex]]:
@@ -649,17 +643,23 @@ class PhaseValues:
         terms = np.array([complex(v) for v in table])[index] * self.to_complex()
         if buckets is None:
             return {0: complex(math.fsum(terms.real), math.fsum(terms.imag))}
-        if not terms.size:
-            return {}
-        order = np.argsort(buckets, kind="stable")
-        b, terms = buckets[order], terms[order]
-        bounds = np.flatnonzero(np.concatenate([[True], b[1:] != b[:-1], [True]])).tolist()
-        return {int(b[s]): complex(math.fsum(terms.real[s:e]), math.fsum(terms.imag[s:e]))
-                for s, e in zip(bounds, bounds[1:])}
+        return _fsum_buckets(buckets, terms)
 
     def indexed_sum(self, table: Sequence, index: np.ndarray) -> Union[Cyclotomic, complex]:
         """sum over n of table[index[n]] * g(n): the one-bucket indexed_sums."""
         return self.indexed_sums(table, index)[0]
+
+
+def _fsum_buckets(buckets: np.ndarray, terms: np.ndarray) -> Dict[int, complex]:
+    """bucket -> sum of its complex terms, real and imaginary parts each by
+    math.fsum (correctly rounded, so the order of the terms does not matter)."""
+    if not terms.size:
+        return {}
+    order = np.argsort(buckets, kind="stable")
+    b, terms = buckets[order], terms[order]
+    bounds = np.flatnonzero(np.concatenate([[True], b[1:] != b[:-1], [True]])).tolist()
+    return {int(b[s]): complex(math.fsum(terms.real[s:e]), math.fsum(terms.imag[s:e]))
+            for s, e in zip(bounds, bounds[1:])}
 
 
 def phase_values(g: Callable[[int], object], ns) -> PhaseValues:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -123,6 +124,40 @@ def test_state_table_matches_walks():
             for m in range(d.base ** sigma):
                 digs = base_digits(m, d.base)
                 assert tab[i, m] == d.walk(e, [0] * (sigma - len(digs)) + digs)
+
+
+# (k, y, x): windows just below and past powers of k, far out, and past 2^64
+WINDOWS = [(2, 2 ** 20 - 2, 2 ** 20), (2, 3 * 2 ** 20 + 5, 2 ** 20 + 1),
+           (2, 10 ** 12, 200000), (5, 5 ** 9 - 2, 5 ** 8 + 1), (5, 3 * 5 ** 9, 5 ** 8 + 1),
+           *[(k, y, 3000) for k in (2, 3, 5) for y in (-1, 0, k ** 12 - 3, 2 ** 64 + 7)]]
+
+
+@pytest.mark.parametrize("k, y, x", WINDOWS)
+def test_window_states_from_every_start_in_at_most_20x_bytes(k, y, x):
+    rng = random.Random(k * 1000 + x)
+    d = Dfao(k, [[rng.randrange(4) for _ in range(k)] for _ in range(4)], [0] * 4,
+             _check_initial_loop=False)     # digit 0 need not fix a start
+    for s in range(d.n_states):
+        tracemalloc.start()
+        try:
+            got = d.window_states(y, x, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.shape == (x,) and got.dtype == np.int32
+        assert peak <= 20 * x, peak / x
+        if y + x < 1 << 23:
+            assert np.array_equal(got, d.state_table(y + x + 1, s)[y + 1:])
+        else:       # per-n walks at both ends and at every 97th n between
+            picks = sorted({*range(50), *range(0, x, 97), *range(x - 50, x)})
+            assert [got[i] for i in picks] == [
+                d.walk(s, base_digits(y + 1 + i, k)) for i in picks]
+
+
+@pytest.mark.parametrize("y, x", [(-2, 1), (-2 ** 70, 5), (0, 0), (7, -3), (-1, 0)])
+def test_window_states_rejects_y_below_minus_one_and_empty_windows(y, x):
+    with pytest.raises(ValueError, match="need y >= -1 and x >= 1"):
+        block_11().window_states(y, x)
 
 
 # -- builtins ------------------------------------------------------------------

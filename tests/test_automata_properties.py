@@ -2,9 +2,9 @@
 text format round trip.
 
 Random automata in bases 2, 3 and 5 (digit 0 need not fix a state), windows
-of up to 300 terms at offsets up to 2^70, in the three places the block
-split n = r*K + n' can put them: prefix h = 0, straddling (h+1)*K, and
-inside one block.
+of up to 300 terms at offsets up to 2^70, placed against K, the least power
+of k >= x: below K, straddling a multiple of K, where the digits above the
+lowest log_k(K) change inside the window, and between two multiples.
 """
 
 import numpy as np
@@ -30,7 +30,8 @@ def automata(draw):
 
 @st.composite
 def windows(draw, k):
-    """(y, x) with the window (y, y+x] at a drawn place of the block split."""
+    """(y, x) with the window (y, y+x] below K, across a multiple of K or
+    between two, K = k^sigma the least power of k >= x."""
     x = draw(st.integers(1, 300))
     K = k ** len(base_digits(x - 1, k))     # the least power of k >= x
     place = draw(st.sampled_from(("h=0", "straddle", "inside")))

@@ -125,13 +125,12 @@ CARRY = ["carry-scan", "--lam", "2", "--alpha", "1", "--rho-list", "1", "--trans
     (["check", "--property", "conv-algebra", "--trials", "-1"], None,
      "--trials must be at least 1"),
     (["check", "--property", "crt", "--trials", "-5"], None, "--trials must be at least 1"),
-    # an option the property does not read is an error, not ignored
-    (["check", "--property", "quad-geometric", "--trials", "5", "--seed", "9"], None,
-     "--trials does not apply to --property quad-geometric"),
-    (["check", "--property", "weyl-exact", "--seed", "9"], None,
-     "--seed does not apply to --property weyl-exact"),
-    (["check", "--property", "conv-algebra", "--q-max", "100"], None,
-     "--q-max does not apply to --property conv-algebra"),
+    # the options that choose g, and --f of verify-weil, are required
+    (["block-decompose", "--auto", "block_11", "--x", "300", "--sigma", "3"], None,
+     "specify --g-one or --g-f/--g-q"),
+    (["block-decompose", "--auto", "block_11", "--x", "300", "--sigma", "3", "--g-f", "1/X"],
+     None, "--g-f needs --g-q"),
+    (["verify-weil", "--q-list", "7"], None, "specify --f or --kloosterman"),
     *[(["verify-weil", "--f", "1/X", "--q-list", "7", "--assert-exact", value], None,
        "--assert-exact must be a rational such as -1 or 3/7") for value in ("abc", "1/0")],
 ])
@@ -146,6 +145,8 @@ def test_bad_input_is_a_one_line_error_naming_it(capsys, monkeypatch, argv, budg
 
 KLOOSTERMAN = ["verify-weil", "--kloosterman", "--primes-max", "7"]
 COUNT = ["count-congruence", "--set", "thue_morse_even", "--f", "1/X"]
+WEYL = ["weyl-decompose", "--transducer", "thue_morse", "--g-one", "--x", "400",
+        "--l1", "1", "--l2", "1"]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -155,9 +156,21 @@ COUNT = ["count-congruence", "--set", "thue_morse_even", "--f", "1/X"]
     (KLOOSTERMAN + ["--assert-exact", "abc", "--q-list", "5", "--f", "X"],
      "--f does not apply to --kloosterman"),
     (COUNT + ["--q", "7", "--q-list", "5,7"], "--q does not apply when --q-list is given"),
+    (["check", "--property", "quad-geometric", "--trials", "5", "--seed", "9"],
+     "--trials does not apply to --property quad-geometric"),
+    (["check", "--property", "weyl-exact", "--seed", "9"],
+     "--seed does not apply to --property weyl-exact"),
+    (["check", "--property", "conv-algebra", "--q-max", "100"],
+     "--q-max does not apply to --property conv-algebra"),
+    (WEYL + ["--g-f", "1/X", "--g-q", "101"], "--g-f does not apply to --g-one"),
+    (WEYL + ["--g-q", "101"], "--g-q does not apply to --g-one"),
+    (["block-decompose", "--auto", "block_11", "--g-one", "--g-q", "7", "--x", "300",
+      "--sigma", "3"], "--g-q does not apply to --g-one"),
+    (["verify-weil", "--f", "1/X", "--q-list", "7", "--assert-real"],
+     "--assert-real does not apply without --kloosterman"),
 ])
 def test_an_option_left_unread_is_a_usage_error(capsys, argv, message):
-    # these runs exited 0 with the option silently ignored
+    # these runs exited 0 with the option silently ignored, or 1 for check
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
@@ -169,8 +182,10 @@ def test_options_that_are_read_still_run(capsys):
     # an empty --q-list reads as none given, so --q is the one that is read
     assert run(COUNT + ["--q", "7", "--q-list", ""]) == 0
     assert capsys.readouterr().out.splitlines()[1].startswith("7,0,")
-    # the presets that reach the two subcommands
-    for name in ("weil-grid", "exact-sums", "congruence-evil"):
+    assert run(KLOOSTERMAN + ["--assert-real"]) == 0
+    assert run(WEYL) == 0
+    # the presets that reach these subcommands
+    for name in ("weil-grid", "exact-sums", "congruence-evil", "crt-check", "conv-algebra"):
         assert run(["preset", name, "--run"]) == 0
     capsys.readouterr()
 

@@ -298,6 +298,18 @@ def test_difference_sum_quadratic_geometric_closed_form():
     assert abs(s - direct) < 1e-12
 
 
+def test_quad_grid_builds_each_difference_once(monkeypatch):
+    # 360 difference sums over 2 fractions and 5 shifts r
+    from autoexp.presets import QUAD_GRID, run_quad_grid
+    calls = []
+    shift_scale = expsums.shift_scale
+    monkeypatch.setattr(expsums, "shift_scale",
+                        lambda *args: calls.append(args) or shift_scale(*args))
+    expsums._difference.cache_clear()
+    assert run_quad_grid()["cells"] == 360
+    assert len(calls) == len(QUAD_GRID["fractions"]) * len(QUAD_GRID["r"]) == 10
+
+
 # -- bound checkers -------------------------------------------------------------------
 
 
