@@ -87,9 +87,8 @@ class Dfao:
             state = flat[state * k + d]
         return state
 
-    def state_at(self, n: int, start: Optional[int] = None) -> int:
-        return self.walk(self.initial if start is None else start,
-                         base_digits(n, self.base))
+    def state_at(self, n: int) -> int:
+        return self.walk(self.initial, base_digits(n, self.base))
 
     def evaluate(self, n: int):
         """Output value at n (digits fed most-significant first; n=0 reads nothing)."""
@@ -151,7 +150,7 @@ class Dfao:
             st = np.take(self.transitions, st, axis=0).ravel()[lo % k:lo % k + hi - lo]
         return st
 
-    def states_at(self, ns: np.ndarray, start: Optional[int] = None) -> np.ndarray:
+    def states_at(self, ns: np.ndarray) -> np.ndarray:
         """Vectorized state_at; builds a DP table when the range is dense enough.
         ns may hold Python ints past int64 (they take the digit walks)."""
         ns = np.asarray(ns)
@@ -160,9 +159,8 @@ class Dfao:
         top = int(ns.max()) + 1
         digit_cost = ns.size * max(1, int(math.log(max(top, 2), self.base)) + 1)
         if top <= max(1 << 16, 4 * digit_cost):
-            return self.state_table(top, start)[ns.astype(np.int64, copy=False)]
-        s0 = self.initial if start is None else start
-        return np.array([self.walk(s0, base_digits(int(n), self.base)) for n in ns],
+            return self.state_table(top)[ns.astype(np.int64, copy=False)]
+        return np.array([self.walk(self.initial, base_digits(int(n), self.base)) for n in ns],
                         dtype=np.int32)
 
     # -- text format ------------------------------------------------------
@@ -464,35 +462,36 @@ def block_decompose_sum(dfao: Dfao, g: Callable[[int], object], y: int, x: int,
     Every block is evaluated by reading (r)_k from the initial state and then
     the sigma-digit zero-padded word of n', which reproduces a_n exactly; the
     per-r rows record whether r lands every state in a final component and
-    which entry state the block sequence uses.  The regrouped total is checked
-    against the direct sum before returning.  g is read by phase_values; the
-    sums are exact when the outputs are exact and every g value is 0 or an
-    exact root of unity (always, for a FractionPhase), complex otherwise.
+    which entry state the block sequence uses.  Both are read for all blocks
+    at once, one Dfao.window_states of the prefixes r per start state.  The
+    regrouped total is checked against the direct sum, read by a digit walk
+    per n, before returning.  g is read by phase_values; the sums are exact
+    when the outputs are exact and every g value is 0 or an exact root of
+    unity (always, for a FractionPhase), complex otherwise.
     """
+    if y < 0 or x < 1:
+        raise ValueError("need y >= 0 and x >= 1")
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
-    k = dfao.base
-    if x < 1 or sigma >= len(base_digits(x, k)):     # k^sigma > x
+    if sigma >= len(base_digits(x, dfao.base)):     # k^sigma > x
         raise ValueError("k^sigma must not exceed x")
-    K = k ** sigma
+    K = dfao.base ** sigma
     r0, m0 = divmod(y + 1, K)
-    require_budget(((y + x) // K - r0 + 1) * K, "block table length")
-    decomp = strongly_connected_components(dfao)
-    final_states = decomp.final_states()
+    blocks = (y + x) // K - r0 + 1
+    require_budget(blocks * K, "block table length")
+    final = np.isin(np.arange(dfao.n_states),
+                    list(strongly_connected_components(dfao).final_states()))
 
     n_all = int_range(y + 1, y + x + 1)
     gv = phase_values(g, n_all)
 
-    rows: List[BlockRow] = []
-    for r in range(r0, (y + x) // K + 1):
-        digits_r = base_digits(r, k)
-        entry = dfao.walk(dfao.initial, digits_r)
-        in_R = all(dfao.walk(s, digits_r) in final_states
-                   for s in range(dfao.n_states))
-        rows.append(BlockRow(r, in_R, entry))
+    # ends[s][i] = state after reading (r0 + i)_k from s
+    ends = np.array([dfao.window_states(r0 - 1, blocks, s) for s in range(dfao.n_states)])
+    entries = ends[dfao.initial]
+    rows = [BlockRow(*row) for row in zip(range(r0, r0 + blocks),
+                                          final[ends].all(axis=0).tolist(), entries.tolist())]
     # blocks r0, r0+1, ... laid end to end; n sits at index n - r0*K
-    block_states = dfao.padded_table([row.entry_state for row in rows],
-                                     sigma).ravel()[m0:m0 + x]
+    block_states = dfao.padded_table(entries, sigma).ravel()[m0:m0 + x]
     direct_states = np.array([dfao.state_at(int(n)) for n in n_all], dtype=np.int32)
 
     # sum over n of outputs[states[n]] * g(n); both sides see the same terms,
@@ -508,10 +507,8 @@ def block_decompose_sum(dfao: Dfao, g: Callable[[int], object], y: int, x: int,
 # standard example automata
 
 
-def thue_morse_even(base: int = 2) -> Dfao:
+def thue_morse_even() -> Dfao:
     """0/1 indicator of even binary digit sum (the evil numbers)."""
-    if base != 2:
-        raise ValueError("thue_morse_even is a base-2 machine")
     return Dfao(2, [[0, 1], [1, 0]], [Fraction(1), Fraction(0)],
                 name="thue_morse_even")
 
@@ -547,19 +544,18 @@ def block_11() -> Dfao:
     return Dfao(2, trans, [Fraction(0), Fraction(0), Fraction(1)], name="block_11")
 
 
-def constant_one(base: int = 2) -> Dfao:
-    return Dfao(base, [[0] * base], [Fraction(1)], name="constant_one")
+def constant_one() -> Dfao:
+    return Dfao(2, [[0, 0]], [Fraction(1)], name="constant_one")
 
 
-def builtin_sequences(name: str, **params) -> Dfao:
-    """Construct one of the standard automata by name."""
+def builtin_sequences(name: str) -> Dfao:
+    """Construct one of the parameter-free standard automata by name."""
     table = {
         "thue_morse_even": thue_morse_even,
         "rudin_shapiro": rudin_shapiro,
-        "digit_sum_mod": digit_sum_mod,
         "block_11": block_11,
         "constant_one": constant_one,
     }
     if name not in table:
         raise ValueError(f"unknown builtin sequence {name!r}")
-    return table[name](**params)
+    return table[name]()

@@ -8,6 +8,7 @@ Output is a CSV table (deterministic, header + rows) or JSON with --json.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -223,6 +224,8 @@ def cmd_count_congruence(args: Dict) -> SweepReport:
         raise ValueError("specify --q or --q-list")
     if args["q"] is not None and args["q_list"]:
         raise UnreadOption("--q does not apply when --q-list is given")
+    if args["all_m"] and args["m"] is not None:
+        raise UnreadOption("--m does not apply to --all-m")
     qs = (_parse_int_list(args["q_list"]) if args["q_list"]
           else [int(args["q"])])
     strict = bool(args["strict_poles"])
@@ -233,7 +236,7 @@ def cmd_count_congruence(args: Dict) -> SweepReport:
             table = congruence.solution_table(fs, dfao, q, strict_poles=strict)
             counts = [(m, table.count(m)) for m in range(q)]
         else:
-            m = int(args["m"])
+            m = int(args["m"] or 0)
             counts = [(m, congruence.count_solutions(fs, dfao, q, m, strict_poles=strict))]
         for m, res in counts:
             brute = ""
@@ -349,13 +352,13 @@ def cmd_check(args: Dict) -> SweepReport:
     if prop not in presets.PROPERTY_RUNNERS:
         raise ValueError(f"unknown property {prop!r}; "
                          f"known: {', '.join(sorted(presets.PROPERTY_RUNNERS))}")
-    accepted = {"crt": ("trials", "q_max", "seed"),
-                "conv-algebra": ("trials", "seed")}.get(prop, ())
-    for key in ("trials", "q_max", "seed"):
-        if args[key] is not None and key not in accepted:
+    runner = presets.PROPERTY_RUNNERS[prop]
+    kwargs = {key: int(args[key]) for key in ("trials", "q_max", "seed")
+              if args[key] is not None}
+    for key in kwargs:      # the options a property reads are its runner's parameters
+        if key not in inspect.signature(runner).parameters:
             raise UnreadOption(f"--{key.replace('_', '-')} does not apply to --property {prop}")
-    kwargs = {key: int(args[key]) for key in accepted if args[key] is not None}
-    result = presets.PROPERTY_RUNNERS[prop](**kwargs)
+    result = runner(**kwargs)
     if prop == "weyl-exact":
         rows = [(label, int(rep.identities_ok), rep.sync_failures,
                  rep.s0_abs, rep.comparator)
@@ -472,7 +475,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", required=True)
     p.add_argument("--q", type=int)
     p.add_argument("--q-list", dest="q_list")
-    p.add_argument("--m", type=int, default=0)
+    p.add_argument("--m", type=int, help="the target m (default 0)")
     p.add_argument("--all-m", dest="all_m", action="store_true")
     p.add_argument("--strict-poles", dest="strict_poles", action="store_true")
     p.add_argument("--brute-check-max", dest="brute_check_max", type=int, default=0)

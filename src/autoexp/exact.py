@@ -123,13 +123,10 @@ class Cyclotomic:
         return Cyclotomic(1, _scalar(0), _scalar(c.numerator), c.denominator)
 
     @staticmethod
-    def from_phase(t: Rational, coeff: Rational = 1) -> "Cyclotomic":
-        """coeff * e(t)."""
-        t, c = Fraction(t), Fraction(coeff)
-        if not c:
-            return Cyclotomic.zero()
-        return Cyclotomic._normal(t.denominator, _scalar(t.numerator),
-                                  _scalar(c.numerator), c.denominator)
+    def from_phase(t: Rational) -> "Cyclotomic":
+        """e(t)."""
+        t = Fraction(t)
+        return Cyclotomic._normal(t.denominator, _scalar(t.numerator), _scalar(1))
 
     @staticmethod
     def root_of_unity(a: int, m: int) -> "Cyclotomic":
@@ -149,23 +146,14 @@ class Cyclotomic:
         return Cyclotomic._normal(modulus, exps, nums, den)
 
     @staticmethod
-    def from_int_histogram(modulus: int, hist, scale: Rational = 1,
-                           exps=None) -> "Cyclotomic":
-        """sum over i of hist[i] * scale * e(exps[i] / modulus).
-
-        hist is a mapping {exponent: integer count} or an integer array; for
-        an array, exps gives each entry's exponent (default: its index) and
-        may repeat.
-        """
-        scale = Fraction(scale)
-        if hasattr(hist, "items"):
-            exps, hist = list(hist.keys()), list(hist.values())
+    def from_int_histogram(modulus: int, hist, exps=None) -> "Cyclotomic":
+        """sum over i of hist[i] * e(exps[i] / modulus), for integer counts
+        hist; exps gives each entry's exponent (default: its index) and may
+        repeat."""
         nums = _fit(hist)
         nz = nums.nonzero()[0]
         exps = nz if exps is None else _fit(exps)[nz]
-        return Cyclotomic._normal(int(modulus), exps,
-                                  _times(nums[nz], scale.numerator),
-                                  scale.denominator)
+        return Cyclotomic._normal(int(modulus), exps, nums[nz])
 
     def _lift(self, modulus: int, den: int) -> Tuple[np.ndarray, np.ndarray]:
         """(exponents, numerators) over a multiple of the modulus and of the

@@ -146,7 +146,6 @@ class IntPoly:
         return "".join(bits)
 
 
-X = IntPoly([0, 1])
 ONE_POLY = IntPoly([1])
 
 
@@ -700,26 +699,22 @@ def reduce_mod_p(f: RationalFunction, p: int) -> Tuple[List[int], List[int]]:
     return [c * inv % p for c in pp], [c * inv % p for c in qq]
 
 
-def reduces_to_quadratic_poly(f: RationalFunction, p: int, strict: bool = False) -> bool:
-    """Whether f reduces mod p to a polynomial of degree <= 2 (== 2 if strict)."""
+def reduces_to_quadratic_poly(f: RationalFunction, p: int) -> bool:
+    """Whether f reduces mod p to a polynomial of degree <= 2."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     p1, q1 = reduce_mod_p(f, p)
-    if len(q1) != 1:
-        return False
-    deg = len(p1) - 1
-    return deg == 2 if strict else deg <= 2
+    return len(q1) == 1 and len(p1) <= 3
 
 
-def squarefree_cofactor(f: RationalFunction, q: int, base: int,
-                        strict: bool = False) -> int:
+def squarefree_cofactor(f: RationalFunction, q: int, base: int) -> int:
     """Product of p || q with p not dividing the base and f not reducing to a
     quadratic polynomial mod p."""
     out = 1
     for p, e, _m in _checked_prime_powers(f, q):
         if e != 1 or base % p == 0:
             continue
-        if not reduces_to_quadratic_poly(f, p, strict=strict):
+        if not reduces_to_quadratic_poly(f, p):
             out *= p
     return out
 

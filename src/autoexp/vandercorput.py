@@ -13,7 +13,6 @@ carry-failure sets that bound the error terms.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -232,20 +231,16 @@ def carry_violation_counts(tr: ScalarTransducer, lam: int, alpha: int,
 _ETA_FITS: Dict[tuple, Optional[float]] = {}
 
 
-def eta_fit(dfao: Dfao, x: Optional[int] = None,
-            lams: Optional[Sequence[int]] = None) -> Optional[float]:
-    """Least-squares decay exponent of sync-failure counts: count ~ x k^(-eta lam).
+def eta_fit(dfao: Dfao) -> Optional[float]:
+    """Least-squares decay exponent of sync-failure counts over (0, x],
+    x = k^12, for lam = 1..8: count ~ x k^(-eta lam).
 
     None when there are fewer than two positive counts (e.g. a perfectly
     synchronizing one-state machine).  The counts read every start state and
-    no output, so the fit is memoised on (base, transitions, x, lams)."""
+    no output, so the fit is memoised on (base, transitions)."""
     k = dfao.base
-    if x is None:
-        x = k ** 12
-    if lams is None:
-        lams = range(1, 9)
-    lams = tuple(itertools.takewhile(lambda lam: k ** lam <= x, lams))
-    key = (k, dfao.transitions.tobytes(), x, lams)
+    x, lams = k ** 12, range(1, 9)
+    key = (k, dfao.transitions.tobytes())
     if key not in _ETA_FITS:
         pts = [(lam, math.log(c / x, k))
                for lam, c in zip(lams, sync_failure_counts(dfao, 0, x, lams)) if c > 0]

@@ -414,6 +414,27 @@ def test_block_decompose_matches_direct_sum_random():
                 1.0, abs(res.direct_total))
 
 
+def test_block_rows_equal_per_block_walks():
+    # each row's entry state and final-set flag, read for all blocks by one
+    # window per start state, against a walk of the prefix r from each state
+    rng = random.Random(24)
+    for y in (0, 10 ** 12, 2 ** 64 + 5):
+        for _ in range(40):
+            d = random_dfao(rng, base=rng.randrange(2, 6), n_states=rng.randrange(1, 6))
+            final = strongly_connected_components(d).final_states()
+            sigma = rng.randrange(3)
+            K = d.base ** sigma
+            x = rng.randrange(K, K + 100)
+            res = block_decompose_sum(d, lambda n: 1, y, x, sigma)
+            assert [row.r for row in res.rows] == list(range((y + 1) // K, (y + x) // K + 1))
+            for row in res.rows:
+                digits = base_digits(row.r, d.base)
+                assert row.entry_state == d.walk(d.initial, digits)
+                assert row.in_final_set == all(d.walk(s, digits) in final
+                                               for s in range(d.n_states))
+                assert type(row.entry_state) is int and type(row.in_final_set) is bool
+
+
 def test_block_decompose_requires_small_block():
     with pytest.raises(ValueError):
         block_decompose_sum(thue_morse_even(), lambda n: 1, 0, 3, 2)

@@ -133,6 +133,8 @@ CARRY = ["carry-scan", "--lam", "2", "--alpha", "1", "--rho-list", "1", "--trans
     (["verify-weil", "--q-list", "7"], None, "specify --f or --kloosterman"),
     *[(["verify-weil", "--f", "1/X", "--q-list", "7", "--assert-exact", value], None,
        "--assert-exact must be a rational such as -1 or 3/7") for value in ("abc", "1/0")],
+    *[(["block-decompose", "--auto", "block_11", "--g-one", "--x", "100", "--sigma", "2",
+        "--y", y], None, "need y >= 0 and x >= 1") for y in ("-2", "-1")],
 ])
 def test_bad_input_is_a_one_line_error_naming_it(capsys, monkeypatch, argv, budget, needle):
     if budget is not None:
@@ -168,6 +170,7 @@ WEYL = ["weyl-decompose", "--transducer", "thue_morse", "--g-one", "--x", "400",
       "--sigma", "3"], "--g-q does not apply to --g-one"),
     (["verify-weil", "--f", "1/X", "--q-list", "7", "--assert-real"],
      "--assert-real does not apply without --kloosterman"),
+    (COUNT + ["--q", "7", "--all-m", "--m", "3"], "--m does not apply to --all-m"),
 ])
 def test_an_option_left_unread_is_a_usage_error(capsys, argv, message):
     # these runs exited 0 with the option silently ignored, or 1 for check

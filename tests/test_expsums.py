@@ -82,7 +82,7 @@ def test_complete_sum_constant():
     f = parse_rational_function("3")
     for q in (5, 12):
         s = complete_sum(f, q)
-        want = Cyclotomic.from_phase(Fraction(3, q), q)
+        want = Cyclotomic.from_phase(Fraction(3, q)) * q
         assert s == want
 
 

@@ -1,6 +1,7 @@
 """Source hygiene, checked with the standard library's ast module: no module
-of the package imports a name it never uses, and the package's public names
-are the ones README lists under "Public API"."""
+of the package imports a name it never uses, no module-level name is left
+unread, and the package's public names are the ones README lists under
+"Public API"."""
 
 import ast
 import pathlib
@@ -40,6 +41,33 @@ def test_no_module_imports_a_name_it_never_uses():
         unused += [(path.name, name) for name in _imported(tree)
                    if name not in used and (path.name, name) not in REEXPORTS]
     assert unused == []
+
+
+def _module_level_names(tree):
+    """The names a module binds by assignment at its top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def test_no_module_level_name_is_unread():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    # a dunder such as __version__ is read by the import system or by users
+    unread = [(file, name) for file, tree in trees.items()
+              for name in _module_level_names(tree)
+              if name not in read and name not in autoexp.__all__
+              and not (name.startswith("__") and name.endswith("__"))]
+    assert unread == []
 
 
 def _readme_api():

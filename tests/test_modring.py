@@ -385,10 +385,8 @@ def test_reduces_to_quadratic():
     f = RationalFunction(IntPoly([0, -1, 0, 1]), X)  # (X^3-X)/X -> X^2-1
     for p in (2, 3, 5, 11):
         assert reduces_to_quadratic_poly(f, p)
-    # strict mode: constants are not degree exactly 2
-    c = parse_rational_function("5")
-    assert reduces_to_quadratic_poly(c, 7)
-    assert not reduces_to_quadratic_poly(c, 7, strict=True)
+    # a constant has degree <= 2
+    assert reduces_to_quadratic_poly(parse_rational_function("5"), 7)
     # X^3 falls to lower degree for no p (leading coefficient 1)
     assert not reduces_to_quadratic_poly(parse_rational_function("X^3"), 5)
 

@@ -328,7 +328,7 @@ def test_sizes_checked_before_the_tables(monkeypatch):
 
 def test_eta_fit():
     assert eta_fit(thue_morse_transducer().dfao) is None
-    eta = eta_fit(block_11(), x=2 ** 12, lams=range(1, 9))
+    eta = eta_fit(block_11())
     assert eta is not None and eta > 0
 
 
@@ -338,13 +338,13 @@ def test_eta_fit_is_memoised_across_equal_automata(monkeypatch):
     real = vdc.sync_failure_counts
     monkeypatch.setattr(vdc, "sync_failure_counts",
                         lambda *a: passes.append(a) or real(*a))
+    monkeypatch.setattr(vdc, "_ETA_FITS", {})
     # the outputs do not enter the fit: a relabelled copy shares it
     b11 = block_11()
     twin = Dfao(2, b11.transitions, [Fraction(1, 3)] * b11.n_states)
-    first = eta_fit(b11, x=3001, lams=range(1, 9))
-    assert eta_fit(twin, x=3001, lams=range(1, 9)) == first
+    first = eta_fit(b11)
+    assert eta_fit(twin) == first > 0
     assert len(passes) == 1
-    assert first == eta_fit(b11, x=3001, lams=[1, 2, 3, 4, 5, 6, 7, 8]) > 0
 
 
 def test_carry_uniformity_in_r_logged():
