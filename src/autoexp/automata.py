@@ -163,6 +163,19 @@ class Dfao:
         return np.array([self.walk(self.initial, base_digits(int(n), self.base)) for n in ns],
                         dtype=np.int32)
 
+    def digit_states(self, ns: np.ndarray) -> np.ndarray:
+        """state_at for every n of ns, one digit column c at a time from the top:
+        n reads digit n // k^c mod k when n // k^c > 0, so no leading zero.
+        Object arrays (n past int64) take numpy's object arithmetic."""
+        ns = np.asarray(ns)
+        st = np.full(ns.shape, self.initial, dtype=np.int32)
+        if ns.size and ns.min() < 0:
+            raise ValueError("n must be non-negative")
+        for c in reversed(range(len(base_digits(int(ns.max(initial=0)), self.base)))):
+            q = ns // self.base ** c
+            st = np.where(q > 0, self.transitions[st, (q % self.base).astype(np.intp)], st)
+        return st
+
     # -- text format ------------------------------------------------------
 
     def to_text(self) -> str:
@@ -464,10 +477,11 @@ def block_decompose_sum(dfao: Dfao, g: Callable[[int], object], y: int, x: int,
     per-r rows record whether r lands every state in a final component and
     which entry state the block sequence uses.  Both are read for all blocks
     at once, one Dfao.window_states of the prefixes r per start state.  The
-    regrouped total is checked against the direct sum, read by a digit walk
-    per n, before returning.  g is read by phase_values; the sums are exact
-    when the outputs are exact and every g value is 0 or an exact root of
-    unity (always, for a FractionPhase), complex otherwise.
+    regrouped total is checked against the direct sum, whose states one
+    Dfao.digit_states reads without tables or blocks, before returning.  g is
+    read by phase_values; the sums are exact when the outputs are exact and
+    every g value is 0 or an exact root of unity (always, for a FractionPhase),
+    complex otherwise.
     """
     if y < 0 or x < 1:
         raise ValueError("need y >= 0 and x >= 1")
@@ -492,7 +506,7 @@ def block_decompose_sum(dfao: Dfao, g: Callable[[int], object], y: int, x: int,
                                           final[ends].all(axis=0).tolist(), entries.tolist())]
     # blocks r0, r0+1, ... laid end to end; n sits at index n - r0*K
     block_states = dfao.padded_table(entries, sigma).ravel()[m0:m0 + x]
-    direct_states = np.array([dfao.state_at(int(n)) for n in n_all], dtype=np.int32)
+    direct_states = dfao.digit_states(n_all)
 
     # sum over n of outputs[states[n]] * g(n); both sides see the same terms,
     # so a float total must match bit for bit too (fsum is order-free)

@@ -153,7 +153,9 @@ def fft_convolve(h1: ValueHistogram, h2: ValueHistogram) -> Optional[ValueHistog
         return None
     # every |entry| <= |x|_2 |y|_2 < 2^53 now, so the floats hold exact integers
     from numpy import fft
-    lin = np.rint(fft.ifft(h1.spectrum * h2.spectrum).real[:2 * q - 1]).astype(np.int64)
+    prod = h1.spectrum * h2.spectrum    # inverted and rounded in place
+    re = fft.ifft(prod, None, -1, None, prod).real[:2 * q - 1]     # (n, axis, norm, out)
+    lin = np.rint(re, out=re).astype(np.int64)
     folded = lin[:q]
     folded[:q - 1] += lin[q:]
     counts = folded.tolist()

@@ -218,10 +218,13 @@ def carry_violation_counts(tr: ScalarTransducer, lam: int, alpha: int,
     require_budget(top, "weight table length k^(lam+alpha) + r")
     _, val = tr.tables(top)
     lo = np.arange(L) * ka + r
+    steps = np.zeros(top, dtype=np.int32)   # may wrap; a window's two ends differ by < 2ka
 
     def count(rho: int) -> int:
-        dev = (val - np.resize(val[:k ** (alpha + rho)], top)) % tr.weight_order
-        steps = np.concatenate(([0], np.cumsum(dev[1:] != dev[:-1])))
+        dev = np.resize(val[:k ** (alpha + rho)], top)
+        np.subtract(val, dev, out=dev)
+        dev %= tr.weight_order
+        np.cumsum(dev[1:] != dev[:-1], dtype=np.int32, out=steps[1:])
         return int(np.count_nonzero(steps[lo + 2 * ka - 2] != steps[lo]))
 
     counts = {rho: count(rho) for rho in set(rhos)}
@@ -324,12 +327,13 @@ def decompose_weyl(tr: ScalarTransducer, tau: Callable[[Cyclotomic, int], object
     buckets, one bucket per identity entry: the terms of one side, plus the
     stage value that side must equal at weight -1; it holds when every bucket
     sums to zero.  So S_1 and S_3 take one normalisation each and S_4 one per
-    shift r, 2 + R in all, with each stage value lifted once.  The exact
-    verdict is the one == gives: a normal form is the coordinate vector of a
-    value in the formal basis e(t), t in [0, 1/2), so a == b exactly when the
-    normal form of a - b has no terms.  (That == does not decide equality in
-    Q(zeta_L) is a separate matter.)  In float mode each bucket is summed by
-    math.fsum and compared with 1e-9 relative.
+    shift r, 2 + R in all, with each stage value lifted once.  A shift's S_4
+    is one character expansion of its (residue, weight difference) table.
+    The exact verdict is the one == gives: a normal form is the coordinate
+    vector of a value in the formal basis e(t), t in [0, 1/2), so a == b
+    exactly when the normal form of a - b has no terms.  (That == does not
+    decide equality in Q(zeta_L) is a separate matter.)  In float mode each
+    bucket is summed by math.fsum and compared with 1e-9 relative.
     The van der Corput inequality is checked on each S_3 sequence, and the
     comparator x M^-eta + sum_m sqrt((x/(RM)) sum |S_5|) is reported next
     to |S_0|; eta is "fit" (eta_fit), None (no M^-eta term) or a finite
@@ -459,26 +463,30 @@ def decompose_weyl(tr: ScalarTransducer, tau: Callable[[Cyclotomic, int], object
         b5 = gc.bucket_sums(mprime_n)
         for b, v in b5.items():
             s5[(b, r)] = v
+        # S_4'(m, j) sums gc over the n of residue m with dval = j, and
+        # S_4(m, t, r) = sum over j of S_4'(m, j) e(tj/D): one expansion
+        b4 = gc.bucket_sums(m_n * D + dval)
+        m4, j4 = np.divmod(keys(b4), D)
+        t = np.arange(D)
+        sums = PhaseValues(D, (j4[:, None] * t % D).ravel()).indexed_sums(
+            list(b4.values()), np.repeat(np.arange(len(b4)), D), (m4[:, None] * D + t).ravel())
+        # S_4 in bucket m*D + c for every c of each residue of S_4' (an exact
+        # class whose S_4' are all zero has no terms in the expansion)
+        s4_buckets = [m * D + c for m in sorted(set(m4.tolist())) for c in range(D)]
+        s4.update({(b // D, b % D, r): sums.get(b, Cyclotomic.zero()) for b in s4_buckets})
+        # C_4(m, j): each carry failure moves gc(n) from weight vt to dval
         bad = np.flatnonzero(fail_mask)
-        # S_4 itself negated and the carry correction, in bucket m*D + t
-        rest: List[StageValue] = []
-        rest_buckets: List[int] = []
-        for t in range(D):
-            for m, v in gc.times_root(t * dval, D).bucket_sums(m_n).items():
-                s4[(m, t, r)] = v
-                rest.append(-v)
-                rest_buckets.append(m * D + t)
-            # each carry failure swaps the truncated weight for the full one
-            corr4 = gc.take(np.tile(bad, 2)).times_root(
-                np.concatenate([t * dval[bad], t * vt[bad]]), D).bucket_sums(
-                    np.tile(m_n[bad], 2), np.repeat(np.array([1, -1]), bad.size))
-            rest += corr4.values()
-            rest_buckets += [m * D + t for m in corr4]
+        c4 = gc.take(np.tile(bad, 2)).bucket_sums(
+            np.tile(m_n[bad], 2) * D + np.concatenate([dval[bad], vt[bad]]),
+            np.repeat(np.array([1, -1]), bad.size))
         # S_4(m, t, r) = sum over m' = m mod M of S_5(m', r) e(t dvt(m')/D),
-        # plus the correction
-        m5 = keys(b5)
-        return by_character(list(b5.values()), m5 % M, dvt_table[m5], rest,
-                            np.array(rest_buckets, dtype=np.int64))
+        # plus sum over j of C_4(m, j) e(tj/D)
+        m5, mc = keys(b5), keys(c4)
+        return by_character(list(b5.values()) + list(c4.values()),
+                            np.concatenate([m5 % M, mc // D]),
+                            np.concatenate([dvt_table[m5], mc % D]),
+                            [-s4[(b // D, b % D, r)] for b in s4_buckets],
+                            np.array(s4_buckets, dtype=np.int64))
 
     # every shift is evaluated, so carry_failures and s4 cover each r
     identity_s4 = all([shift_stage(r) for r in range(R)])

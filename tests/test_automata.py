@@ -126,6 +126,33 @@ def test_state_table_matches_walks():
                 assert tab[i, m] == d.walk(e, [0] * (sigma - len(digs)) + digs)
 
 
+def test_digit_states_match_walks():
+    # one digit-column walk against state_at, also where digit 0 moves the
+    # initial state (so a leading zero would change the state) and past 2^64
+    rng = random.Random(8)
+    for i in range(60):
+        k, n_states = rng.randrange(2, 6), rng.randrange(1, 7)
+        trans = [[rng.randrange(n_states) for _ in range(k)] for _ in range(n_states)]
+        initial = rng.randrange(n_states)
+        loop = i % 2 == 0
+        if loop:
+            trans[initial][0] = initial
+        elif n_states > 1:
+            trans[initial][0] = (initial + 1) % n_states
+        d = Dfao(k, trans, [0] * n_states, initial, _check_initial_loop=loop)
+        near = [k ** e + o for e in range(1, 12) for o in (-1, 0, 1)]
+        ns = [0, 1, k - 1] + near + [rng.randrange(10 ** 7) for _ in range(30)]
+        got = d.digit_states(np.array(ns, dtype=np.int64))
+        assert got.dtype == np.int32 and got.tolist() == [d.state_at(n) for n in ns]
+        far = [0, 2 ** 62 - 1, 2 ** 62, 2 ** 64, k ** 45 - 1, k ** 45] + [
+            2 ** 64 + rng.randrange(10 ** 6) for _ in range(20)]
+        got = d.digit_states(np.array(far, dtype=object))
+        assert got.tolist() == [d.state_at(n) for n in far]
+    assert d.digit_states(np.zeros(0, dtype=np.int64)).tolist() == []
+    with pytest.raises(ValueError, match="non-negative"):
+        d.digit_states(np.array([3, -1]))
+
+
 # (k, y, x): windows just below and past powers of k, far out, and past 2^64
 WINDOWS = [(2, 2 ** 20 - 2, 2 ** 20), (2, 3 * 2 ** 20 + 5, 2 ** 20 + 1),
            (2, 10 ** 12, 200000), (5, 5 ** 9 - 2, 5 ** 8 + 1), (5, 3 * 5 ** 9, 5 ** 8 + 1),
@@ -433,6 +460,37 @@ def test_block_rows_equal_per_block_walks():
                 assert row.in_final_set == all(d.walk(s, digits) in final
                                                for s in range(d.n_states))
                 assert type(row.entry_state) is int and type(row.in_final_set) is bool
+
+
+@pytest.mark.parametrize("y", [0, 2 ** 64 + 5])
+@pytest.mark.parametrize("g", [lambda n: Cyclotomic.root_of_unity(n % 7, 7),
+                               lambda n: Fraction(n % 5, 3)], ids=["exact", "float"])
+def test_block_check_fails_on_a_perturbed_block_route(monkeypatch, y, g):
+    # the direct side reads no block table, so a block route that pairs one
+    # block's states with the wrong n fails the check, exact or float
+    padded_table = Dfao.padded_table
+
+    def rolled(self, entries, sigma):
+        tab = padded_table(self, entries, sigma).copy()
+        tab[1] = np.roll(tab[1], 1)
+        return tab
+
+    res = block_decompose_sum(block_11(), g, y, 3000, 5)
+    assert res.total == res.direct_total
+    monkeypatch.setattr(Dfao, "padded_table", rolled)
+    with pytest.raises(AssertionError, match="block regrouping failed to match the direct sum"):
+        block_decompose_sum(block_11(), g, y, 3000, 5)
+
+
+def test_block_decompose_walks_no_n(monkeypatch):
+    # the direct states come from one digit-column walk, not a walk per n
+    calls = []
+    walk = Dfao.walk
+    monkeypatch.setattr(Dfao, "walk", lambda self, *args: calls.append(1) or walk(self, *args))
+    for y in (0, 10 ** 12, 2 ** 64 + 5):
+        res = block_decompose_sum(block_11(), lambda n: 1, y, 3000, 5)
+        assert res.exact and res.total == res.direct_total
+    assert calls == []
 
 
 def test_block_decompose_requires_small_block():

@@ -148,7 +148,7 @@ def test_fft_mass_mismatch_raises(monkeypatch):
     import numpy.fft
     h = _hist([1, 2, 3, 4, 5])
     ifft = numpy.fft.ifft
-    monkeypatch.setattr(numpy.fft, "ifft", lambda a: ifft(a) + 1)
+    monkeypatch.setattr(numpy.fft, "ifft", lambda a, *args: ifft(a, *args) + 1)
     with pytest.raises(ArithmeticError, match="mass"):
         fft_convolve(h, h)
 

@@ -453,12 +453,14 @@ def test_decompose_comparator_and_rows(pins):
 
 
 # bucket_sums calls of decompose_weyl for thue_morse (D = 2) at M = R = 2, in
-# order: S1, S2, sync correction, S3 (t = 0, 1), then per r: S5, and per t:
-# S4 and its carry correction.  The identity checks do not go through
-# bucket_sums, so they see the altered table.
+# order: S1, S2, sync correction, S3 (t = 0, 1), then per r: S5, S4' by
+# (m, weight difference) and its carry correction C4.  At r = 0 every weight
+# difference is 0, so the r = 1 tables (calls 9 and 10) are the ones altered.
+# The identity checks do not go through bucket_sums, so they see the altered
+# table.
 @pytest.mark.parametrize("call, flag", [(0, "identity_s1"), (1, "identity_s1"),
                                         (3, "identity_s3"), (5, "identity_s4"),
-                                        (6, "identity_s4")])
+                                        (9, "identity_s4"), (10, "identity_s4")])
 @pytest.mark.parametrize("mode, how", [("exact", "drop"), ("float", "drop"),
                                        ("exact", "swap"), ("float", "swap")],
                          ids=["exact", "float", "exact-swap", "float-swap"])
@@ -494,7 +496,9 @@ def test_a_lost_stage_entry_fails_the_identities(monkeypatch, call, flag, mode, 
 
 def test_each_identity_is_one_normalisation(monkeypatch):
     # S1 and S3 take one normal_forms call each and S4 one per shift r: an
-    # identity holds when every bucket of its one signed sum is zero
+    # identity holds when every bucket of its one signed sum is zero.  Each
+    # shift also takes one character expansion, S4 from its S4' table.
+    import sys
     from autoexp import exact
     from autoexp.modring import PhaseValues
     normal_forms, indexed_sums = exact.normal_forms, PhaseValues.indexed_sums
@@ -505,7 +509,8 @@ def test_each_identity_is_one_normalisation(monkeypatch):
         return normal_forms(*args)
 
     def bucketed(self, table, index, buckets=None):
-        inside.append(buckets is not None)
+        # the caller: balanced for an identity, shift_stage for an expansion
+        inside.append(buckets is not None and sys._getframe(1).f_code.co_name)
         try:
             return indexed_sums(self, table, index, buckets)
         finally:
@@ -518,7 +523,9 @@ def test_each_identity_is_one_normalisation(monkeypatch):
         identity.clear()
         rep = decompose_weyl(tr, tau_evil, g, 3, 4000, 1, lam2)
         assert rep.exact and rep.identities_ok
-        assert identity.count(True) == 2 + rep.R
+        assert identity.count("balanced") == 2 + rep.R
+        assert identity.count("shift_stage") == rep.R
+        assert len(identity) == 2 + 2 * rep.R + identity.count(False)
 
 
 @pytest.mark.parametrize("eta", [float("nan"), float("inf"), -float("inf"), "abc"])
