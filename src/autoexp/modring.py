@@ -376,30 +376,76 @@ def parse_rational_function(text: str) -> RationalFunction:
 # primes and prime powers
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def _odd_part(n: int) -> Tuple[int, int]:
+    """(d, s) with n = d * 2^s and d odd, for n >= 1."""
+    s = (n & -n).bit_length() - 1
+    return n >> s, s
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n >= 1."""
+    a, sign = a % n, 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """The strong Lucas probable-prime test of an odd n > 47 that is not a
+    square, with Selfridge's parameters: the first D in 5, -7, 9, -11, ...
+    with (D/n) = -1, P = 1 and Q = (1 - D)/4."""
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:      # gcd(D, n) > 1 and |D| < n
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = _odd_part(n + 1)
+    half = lambda v: (v if v % 2 == 0 else v + n) // 2     # v / 2 mod n, for v in [0, n)
+    # U_k, V_k and Q^k mod n for the leading bits k of d, from k = 1
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half((U + V) % n), half((D * U + V) % n), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def is_prime(n: int) -> bool:
+    """Baillie-PSW: trial division by the primes up to 47, then a strong
+    base-2 Fermat test and a strong Lucas test.  No composite is known to
+    pass both, and none below 2^64 does."""
     if n < 2:
         return False
-    for p in _MR_BASES:
+    for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
+    d, s = _odd_part(n - 1)
+    x = pow(2, d, n)
+    if x not in (1, n - 1):
         for _ in range(s - 1):
             x = x * x % n
             if x == n - 1:
                 break
         else:
             return False
-    return True
+    return math.isqrt(n) ** 2 != n and _strong_lucas(n)
 
 
 def _pollard_rho(n: int, rng: random.Random) -> int:
@@ -422,7 +468,7 @@ def factorize(n: int) -> Tuple[Tuple[int, int], ...]:
     if n <= 0:
         raise ValueError("can only factor positive integers")
     out: dict = {}
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+    for p in _SMALL_PRIMES:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p

@@ -323,17 +323,18 @@ def decompose_weyl(tr: ScalarTransducer, tau: Callable[[Cyclotomic, int], object
     roots of unity and tau returns exact values, every identity is checked
     in exact phase arithmetic; otherwise the stages are complex and the
     identities are checked to 1e-9 relative.
-    Each of the S_1, S_3 and S_4 identities is one signed indexed sum over
-    buckets, one bucket per identity entry: the terms of one side, plus the
-    stage value that side must equal at weight -1; it holds when every bucket
-    sums to zero.  So S_1 and S_3 take one normalisation each and S_4 one per
-    shift r, 2 + R in all, with each stage value lifted once.  A shift's S_4
-    is one character expansion of its (residue, weight difference) table.
-    The exact verdict is the one == gives: a normal form is the coordinate
-    vector of a value in the formal basis e(t), t in [0, 1/2), so a == b
-    exactly when the normal form of a - b has no terms.  (That == does not
-    decide equality in Q(zeta_L) is a separate matter.)  In float mode each
-    bucket is summed by math.fsum and compared with 1e-9 relative.
+    Each of the S_1, S_3 and S_4 identities compares a stage table with one
+    regrouped table, bucket by bucket, where a bucket missing from one table
+    reads 0.  The regrouped table is one indexed sum: S_1 from S_2 and the
+    sync correction, S_3 by the character expansion sum_j e(tj/D) v(m, j) of
+    S_2, and S_4 by the expansion of S_5 and the carry correction.  A
+    shift's S_4 is itself the expansion of its (residue, weight difference)
+    table.  So S_1 and S_3 take one normalisation each and each shift r two,
+    2 + 2R in all.  The exact verdict is == on two normal forms; a normal
+    form is the coordinate vector of a value in the formal basis e(t), t in
+    [0, 1/2).  (That == does not decide equality in Q(zeta_L) is a separate
+    matter.)  In float mode each bucket is summed by math.fsum and compared
+    with 1e-9 relative.
     The van der Corput inequality is checked on each S_3 sequence, and the
     comparator x M^-eta + sum_m sqrt((x/(RM)) sum |S_5|) is reported next
     to |S_0|; eta is "fit" (eta_fit), None (no M^-eta term) or a finite
@@ -378,26 +379,25 @@ def decompose_weyl(tr: ScalarTransducer, tau: Callable[[Cyclotomic, int], object
         same = lambda a, b: abs(complex(a) - complex(b)) <= 1e-9 * scale
     g = g_all.take(slice(0, x))
 
-    def balanced(table: List, buckets: np.ndarray, index: Optional[np.ndarray] = None,
-                 phases: Optional[np.ndarray] = None) -> bool:
-        """Whether sum of table[index[i]] * e(phases[i] / D) is 0 in every
-        bucket: one identity as one indexed sum.  Each stage value is in the
-        table once (index defaults to one term per entry, phases to 0), and
-        the value a bucket must equal is in it negated."""
-        index = np.arange(len(table)) if index is None else index
-        phases = np.zeros(len(table), dtype=np.int64) if phases is None else phases % D
-        sums = PhaseValues(D, phases).indexed_sums(table, index, buckets)
-        return all(same(v, 0) for v in sums.values())
+    def regroup(values: List, buckets: np.ndarray, index: Optional[np.ndarray] = None,
+                phases: Optional[np.ndarray] = None) -> Dict[int, StageValue]:
+        """bucket -> sum of values[index[i]] * e(phases[i] / D): one side of an
+        identity as one indexed sum (index defaults to one term per value,
+        phases to 0)"""
+        index = np.arange(len(values)) if index is None else index
+        phases = np.zeros(len(values), dtype=np.int64) if phases is None else phases % D
+        return PhaseValues(D, phases).indexed_sums(values, index, buckets)
 
-    def by_character(values: List, m: np.ndarray, w: np.ndarray, rest: List,
-                     rest_buckets: np.ndarray) -> bool:
-        """balanced, with values[i] in bucket m[i]*D + t at phase t*w[i] for
-        every character t < D, and each of rest at phase 0"""
+    def expand(values: List, m: np.ndarray, w: np.ndarray) -> Dict[int, StageValue]:
+        """the character expansion: values[i] in bucket m[i]*D + t at phase
+        t*w[i], for every character t < D"""
         n, t = len(values), np.arange(D)
-        return balanced(
-            values + rest, np.concatenate([(m[:, None] * D + t).ravel(), rest_buckets]),
-            np.concatenate([np.repeat(np.arange(n), D), n + np.arange(len(rest))]),
-            np.concatenate([(w[:, None] * t).ravel(), np.zeros(len(rest), dtype=np.int64)]))
+        return regroup(values, (m[:, None] * D + t).ravel(), np.repeat(np.arange(n), D),
+                       (w[:, None] * t).ravel())
+
+    def agree(a: Dict[int, StageValue], b: Dict[int, StageValue]) -> bool:
+        """same in every bucket of the two tables; a missing bucket reads 0"""
+        return all(same(a.get(c, 0), b.get(c, 0)) for c in a.keys() | b.keys())
 
     def keys(table: Dict[int, StageValue]) -> np.ndarray:
         return np.array(list(table), dtype=np.int64)
@@ -429,20 +429,18 @@ def decompose_weyl(tr: ScalarTransducer, tau: Callable[[Cyclotomic, int], object
     # S_1(j, q) = sum of S_2(m, j) over the residues m < M whose truncated
     # end state is q, plus the correction
     m2, j2 = np.divmod(keys(b2), D)
-    identity_s1 = balanced([*b2.values(), *corr.values(), *(-v for v in b1.values())],
-                           np.concatenate([j2 * S + st[m2], keys(corr), keys(b1)]))
+    identity_s1 = agree(regroup([*b2.values(), *corr.values()],
+                                np.concatenate([j2 * S + st[m2], keys(corr)])), b1)
     # no later stage reads the end states or the sync failures: release them
     # before the shifts
     del q_all, q_n, trunc_q, sync_mask, bad
 
     # ---- S_3 per (residue, character), against the character expansion of S_2
-    s3: Dict[Tuple[int, int], StageValue] = {}
-    for t in range(D):
-        for m, v in g.times_root(t * j_n, D).bucket_sums(m_n).items():
-            s3[(m, t)] = v
+    b3 = {m * D + t: v for t in range(D)
+          for m, v in g.times_root(t * j_n, D).bucket_sums(m_n).items()}
+    s3 = {divmod(b, D): v for b, v in b3.items()}
     # S_3(m, t) = sum over j of S_2(m, j) e(tj/D)
-    identity_s3 = by_character(list(b2.values()), m2, j2, [-v for v in s3.values()],
-                               np.array([m * D + t for m, t in s3], dtype=np.int64))
+    identity_s3 = agree(expand(list(b2.values()), m2, j2), b3)
 
     # ---- S_4 / S_5 per shift r, with the carry failure sets
     s4: Dict[Tuple[int, int, int], StageValue] = {}
@@ -467,13 +465,11 @@ def decompose_weyl(tr: ScalarTransducer, tau: Callable[[Cyclotomic, int], object
         # S_4(m, t, r) = sum over j of S_4'(m, j) e(tj/D): one expansion
         b4 = gc.bucket_sums(m_n * D + dval)
         m4, j4 = np.divmod(keys(b4), D)
-        t = np.arange(D)
-        sums = PhaseValues(D, (j4[:, None] * t % D).ravel()).indexed_sums(
-            list(b4.values()), np.repeat(np.arange(len(b4)), D), (m4[:, None] * D + t).ravel())
-        # S_4 in bucket m*D + c for every c of each residue of S_4' (an exact
+        e4 = expand(list(b4.values()), m4, j4)
+        # S_4 at (m, c, r) for every c of each residue of S_4' (an exact
         # class whose S_4' are all zero has no terms in the expansion)
-        s4_buckets = [m * D + c for m in sorted(set(m4.tolist())) for c in range(D)]
-        s4.update({(b // D, b % D, r): sums.get(b, Cyclotomic.zero()) for b in s4_buckets})
+        s4.update({(m, c, r): e4.get(m * D + c, Cyclotomic.zero())
+                   for m in sorted(set(m4.tolist())) for c in range(D)})
         # C_4(m, j): each carry failure moves gc(n) from weight vt to dval
         bad = np.flatnonzero(fail_mask)
         c4 = gc.take(np.tile(bad, 2)).bucket_sums(
@@ -482,11 +478,9 @@ def decompose_weyl(tr: ScalarTransducer, tau: Callable[[Cyclotomic, int], object
         # S_4(m, t, r) = sum over m' = m mod M of S_5(m', r) e(t dvt(m')/D),
         # plus sum over j of C_4(m, j) e(tj/D)
         m5, mc = keys(b5), keys(c4)
-        return by_character(list(b5.values()) + list(c4.values()),
+        return agree(expand(list(b5.values()) + list(c4.values()),
                             np.concatenate([m5 % M, mc // D]),
-                            np.concatenate([dvt_table[m5], mc % D]),
-                            [-s4[(b // D, b % D, r)] for b in s4_buckets],
-                            np.array(s4_buckets, dtype=np.int64))
+                            np.concatenate([dvt_table[m5], mc % D])), e4)
 
     # every shift is evaluated, so carry_failures and s4 cover each r
     identity_s4 = all([shift_stage(r) for r in range(R)])

@@ -20,6 +20,16 @@ def test_sum_ok(capsys):
     assert "17.2381" in out
 
 
+def test_sum_at_a_pole_hidden_in_a_strong_pseudoprime(capsys):
+    # q = 399165290221 * 798330580441 passes Miller-Rabin to the prime bases
+    # 2..37; n = y + 1 is its first factor, so 1/n mod q does not exist and
+    # the sum is 0
+    code = run(["sum", "--auto", "constant_one", "--f", "1/X",
+                "--q", "318665857834031151167461", "--y", "399165290220", "--x", "1"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == ["re,im,abs", "0.0,0.0,0.0"]
+
+
 def test_sum_not_well_defined(capsys):
     code = run(["sum", "--auto", "thue_morse_even", "--f", "1/(3X)",
                 "--q", "15", "--x", "10"])

@@ -132,6 +132,29 @@ def test_is_well_defined_never_factors_q(monkeypatch):
 def test_is_prime():
     assert is_prime(2) and is_prime(999983) and not is_prime(1)
     assert not is_prime(561)  # Carmichael
+    # strong pseudoprimes to base 2 fail the Lucas test, strong Lucas
+    # pseudoprimes fail the base-2 test, and squares are composite
+    for n in (2047, 3277, 4033, 4681, 8321, 3215031751, 2152302898747,
+              5459, 5777, 10877, 16109, 18971, 22499):
+        assert not is_prime(n)
+    assert not any(is_prime(p * p) for p in (53, 1009, 2 ** 61 - 1))
+
+
+# strong pseudoprimes to all twelve prime bases 2..37, and their factors
+PSP_37 = {318665857834031151167461: (399165290221, 798330580441),
+          3317044064679887385961981: (1287836182261, 2575672364521)}
+
+
+@pytest.mark.parametrize("n", sorted(PSP_37))
+def test_strong_pseudoprimes_to_the_first_twelve_primes_are_composite(n):
+    p1, p2 = PSP_37[n]
+    assert p1 * p2 == n and is_prime(p1) and is_prime(p2)
+    assert not is_prime(n)
+    assert factorize(n) == ((p1, 1), (p2, 1))
+    # at the hidden pole n = p1, 1/X has no phase mod n
+    f = parse_rational_function("1/X")
+    assert phase_numerators(f, n, [p1]).tolist() == [-1]
+    assert phase_fraction(f, n, p1) is None
 
 
 # -- inverses / CRT ---------------------------------------------------------

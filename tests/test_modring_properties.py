@@ -8,6 +8,7 @@ Z and the F_p remainder sequences run past their first step.
 """
 
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -201,3 +202,19 @@ def test_any_token_text_parses_or_is_a_value_error(text):
         except BudgetError:
             # only a term of degree past the budget may stop the parser
             assert any(int(d) >= 1000 for d in re.findall(r"\^\s*(\d+)", text))
+
+
+def test_is_prime_is_sympy_isprime():
+    # seeded odd n of 10 to 200 bits, and products of two primes of 5 to 100
+    # bits
+    from autoexp.modring import is_prime
+    rng = random.Random(26)
+    for _ in range(400):
+        n = rng.getrandbits(rng.randrange(10, 201)) | 1
+        assert is_prime(n) == sympy.isprime(n), n
+    for _ in range(200):
+        p, q = (sympy.nextprime(rng.getrandbits(rng.randrange(5, 101))) for _ in "pq")
+        assert [is_prime(v) for v in (p, q, p * q)] == [sympy.isprime(v) for v in (p, q, p * q)]
+    for n in sympy.primerange(2, 3000):
+        assert is_prime(n)
+    assert sum(map(is_prime, range(3000))) == sympy.primepi(3000)

@@ -495,22 +495,27 @@ def test_a_lost_stage_entry_fails_the_identities(monkeypatch, call, flag, mode, 
 
 
 def test_each_identity_is_one_normalisation(monkeypatch):
-    # S1 and S3 take one normal_forms call each and S4 one per shift r: an
-    # identity holds when every bucket of its one signed sum is zero.  Each
-    # shift also takes one character expansion, S4 from its S4' table.
+    # S1 and S3 take one normal_forms call each, and each shift r two: its
+    # character expansion S4 from S4', and its identity's expansion of S5 and
+    # C4.  Every call is tagged with the nested helpers between indexed_sums
+    # and decompose_weyl (False for the unbucketed S0).
     import sys
     from autoexp import exact
     from autoexp.modring import PhaseValues
     normal_forms, indexed_sums = exact.normal_forms, PhaseValues.indexed_sums
-    identity, inside = [], []
+    calls, inside = [], []
 
     def count(*args):
-        identity.extend(inside)
+        calls.extend(inside)
         return normal_forms(*args)
 
     def bucketed(self, table, index, buckets=None):
-        # the caller: balanced for an identity, shift_stage for an expansion
-        inside.append(buckets is not None and sys._getframe(1).f_code.co_name)
+        frame, chain = sys._getframe(1), []
+        while frame.f_code.co_name != "decompose_weyl":
+            if not frame.f_code.co_name.startswith("<"):    # not a comprehension
+                chain.append(frame.f_code.co_name)
+            frame = frame.f_back
+        inside.append(buckets is not None and " < ".join(chain))
         try:
             return indexed_sums(self, table, index, buckets)
         finally:
@@ -520,12 +525,98 @@ def test_each_identity_is_one_normalisation(monkeypatch):
     monkeypatch.setattr(PhaseValues, "indexed_sums", bucketed)
     g = FractionPhase(INV_X, 101)
     for tr, lam2 in ((thue_morse_transducer(), 2), (block_11_transducer(), 1)):
-        identity.clear()
+        calls.clear()
         rep = decompose_weyl(tr, tau_evil, g, 3, 4000, 1, lam2)
         assert rep.exact and rep.identities_ok
-        assert identity.count("balanced") == 2 + rep.R
-        assert identity.count("shift_stage") == rep.R
-        assert len(identity) == 2 + 2 * rep.R + identity.count(False)
+        # 2 + 2R normalisations, and no other bucketed one
+        assert calls == [False, "regroup", "regroup < expand",
+                         *["regroup < expand < shift_stage"] * (2 * rep.R)]
+
+
+def _planted_g(tr, rng, y, x, M, R):
+    """An exact g that is 0 except at n1, n1 + M, n2 = n1 + tM and n2 + M,
+    with values 1, 1, 1 and -1, where t > 2 (so n1 + 2M is not in the
+    support) and n1 and n2 have the same weight difference at shift M: at
+    r = 1 the residue n1 mod M then has the terms +1 and -1 in one S4'
+    bucket and no other, so its S4' are all zero.  Pairs with t != 0 mod RM,
+    whose S5 classes differ, are preferred."""
+    D = tr.weight_order
+    j = lambda n: oracles.value_phase(tr, n) * D
+    groups: dict = {}
+    for n in range(y + 1, y + x + 1):
+        groups.setdefault(((j(n) - j(n + M)) % D, n % M), []).append(n)
+    pairs = [(n1, n2) for members in groups.values() for n1 in members for n2 in members
+             if n2 - n1 >= 3 * M]
+    n1, n2 = rng.choice([p for p in pairs if (p[1] - p[0]) % (R * M * M)] or pairs)
+    plant = {n1: 1, n1 + M: 1, n2: 1, n2 + M: -1}
+    return lambda n: plant.get(n, 0), n1
+
+
+def test_identities_hold_on_random_transducers(monkeypatch):
+    # random synchronizing transducers (bases 2, 3, 5; up to 4 states; D up
+    # to 12), lam1, lam2 <= 1, offsets up to 2^64 + 7: every identity holds
+    # exactly and with complex g; and moving one entry of one stage table to
+    # another bucket fails them.  Planted g's give residues whose S4' are all
+    # zero, so their expansion has no bucket there while S5 and C4 have one.
+    from autoexp.modring import PhaseValues
+    rng = random.Random(26)
+    bucket_sums = PhaseValues.bucket_sums
+    tables, alter = [], []
+
+    def spy(self, *args, **kwargs):
+        table = bucket_sums(self, *args, **kwargs)
+        if alter and alter[0] == len(tables):     # move entry a to bucket b
+            _, a, b = alter
+            table[b] = table.get(b, 0) + table.pop(a)
+        tables.append(table)
+        return table
+
+    monkeypatch.setattr(PhaseValues, "bucket_sums", spy)
+    fracs = [parse_rational_function(f) for f in ("1/X", "X^2", "(X^2+1)/X")]
+    zero_classes = 0
+    for draw in range(30):
+        tr = random_transducer(rng)
+        k, D, S = tr.base, tr.weight_order, tr.dfao.n_states
+        lam1, lam2 = rng.randrange(2), rng.randrange(2)
+        M, R = k ** lam1, k ** lam2
+        x = 10 * R * M * M + rng.randrange(300)
+        y = rng.choice([0, rng.randrange(10 ** 12), 2 ** 64 + 7])
+        tau = rng.choice([tau_sign, tau_evil, tau_pick(rng.randrange(S))])
+        if R > 1 and draw % 2:
+            g, n1 = _planted_g(tr, rng, y, x, M, R)
+        else:
+            g, n1 = FractionPhase(rng.choice(fracs), rng.choice([7, 41, 101, 1009])), None
+        tables.clear()
+        rep = decompose_weyl(tr, tau, g, y, x, lam1, lam2, eta=None)
+        assert rep.exact and rep.identities_ok, draw
+        clean = list(tables)
+        if n1 is not None:
+            assert all(rep.s4[(n1 % M, c, 1)] == 0 for c in range(D))
+        # a residue whose S4 (so S4') are all zero, where S5 is not
+        zero_classes += any(all(rep.s4[(m, c, r)] == 0 for c in range(D))
+                            and any(v != 0 for (m5, r5), v in rep.s5.items()
+                                    if m5 % M == m and r5 == r)
+                            for m, _, r in rep.s4)
+        fl = decompose_weyl(tr, tau, lambda n: complex(g(n)), y, x, lam1, lam2, eta=None)
+        assert not fl.exact and fl.identities_ok
+        # calls in order: S1, S2, the sync correction, S3 per character, then
+        # per shift S5, S4' and C4.  A move within one residue mod M of an S5
+        # table can leave every regrouping unchanged, so S5 moves change it.
+        moves = {}
+        for call, table in enumerate(clean):
+            a = max(table, key=lambda c: abs(complex(table[c])), default=None)
+            s5 = call >= 3 + D and (call - 3 - D) % 3 == 0
+            targets = [b for b in table if b != a and not (s5 and (b - a) % M == 0)]
+            if targets and table[a] != 0:
+                moves[call] = a, targets
+        call = rng.choice(sorted(moves))
+        move = call, moves[call][0], rng.choice(moves[call][1])
+        alter[:] = move
+        tables.clear()
+        bad = decompose_weyl(tr, tau, g, y, x, lam1, lam2, eta=None)
+        alter.clear()
+        assert bad.exact and not bad.identities_ok, (draw, move)
+    assert zero_classes >= 1
 
 
 @pytest.mark.parametrize("eta", [float("nan"), float("inf"), -float("inf"), "abc"])
