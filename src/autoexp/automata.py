@@ -37,6 +37,14 @@ def base_digits(n: int, k: int) -> List[int]:
     return out
 
 
+def _ints(fields: Sequence[str], line: str) -> List[int]:
+    """The fields of one line of the text format as ints."""
+    try:
+        return [int(f) for f in fields]
+    except ValueError:
+        raise ValueError(f"bad number in {line!r}") from None
+
+
 class Dfao:
     """Deterministic finite automaton with an output value per state."""
 
@@ -67,7 +75,13 @@ class Dfao:
         self.transitions.flags.writeable = False
         self.initial = initial
         self.name = name
-        self.outputs = tuple(map(self._norm_output, outputs))
+        outputs = list(outputs)         # keeps each object alive while its id is a key
+        ids = list(map(id, outputs))    # one normalisation per distinct object
+        normed = {key: self._norm_output(v) for key, v in dict(zip(ids, outputs)).items()}
+        for key, v in normed.items():
+            if not (isinstance(v, Cyclotomic) or np.isfinite(v)):
+                raise ValueError(f"state {ids.index(key)} has a non-finite output {v}")
+        self.outputs = tuple(map(normed.__getitem__, ids))
 
     @staticmethod
     def _norm_output(v: OutputValue):
@@ -103,23 +117,11 @@ class Dfao:
         return self.evaluate(n % self.base ** lam)
 
     def state_table(self, limit: int, start: Optional[int] = None) -> np.ndarray:
-        """st[n] = state after reading (n)_k from start, for all n < limit."""
-        children = self.transitions
-        k = self.base
-        st = np.empty(limit, dtype=np.int32)
+        """st[n] = state after reading (n)_k from start, for all n < limit: the
+        window (-1, limit - 1] of window_states."""
         if limit == 0:
-            return st
-        st[0] = self.initial if start is None else start
-        lo = 1
-        while lo < limit:
-            hi = min(lo * k, limit)
-            # the children p*k + d of the parents p = n // k, in order of n
-            # (np.take copies whole rows, faster than fancy indexing does)
-            first = lo // k
-            kids = np.take(children, st[first:(hi - 1) // k + 1], axis=0).ravel()
-            st[lo:hi] = kids[lo - first * k:hi - first * k]
-            lo = hi
-        return st
+            return np.empty(0, dtype=np.int32)
+        return self.window_states(-1, limit, start)
 
     def padded_table(self, entries: Sequence[int], sigma: int) -> np.ndarray:
         """tab[i, m] = state after reading the sigma-digit zero-padded word of
@@ -134,20 +136,23 @@ class Dfao:
         """States after reading (n)_k from start, for every n in (y, y+x], y >= -1.
 
         By state(n) = delta(state(n // k), n % k), the window [lo, hi) is one
-        take of [lo // k, (hi - 1) // k + 1), a digit shorter: shorten while the
-        offset exceeds the length, read the dense table, climb back one take per
-        level.  About 2x states for any y, and no walk (digit 0 need not fix a
-        start)."""
+        take of its parents [lo // k, (hi - 1) // k + 1), a digit shorter.
+        Shorten down to [0, 1), the empty word, which holds start; climb back
+        one take per level.  Where a level begins at 0, entry 0 is the empty
+        word again, as digit 0 need not fix a start.  About 2x states for any y."""
         if y < -1 or x < 1:
             raise ValueError(f"need y >= -1 and x >= 1, not y = {y}, x = {x}")
         k, lo, hi = self.base, y + 1, y + x + 1
+        start = self.initial if start is None else start
         levels = []
-        while lo > hi - lo:
+        while hi > 1:
             levels.append((lo, hi))
             lo, hi = lo // k, (hi - 1) // k + 1
-        st = self.state_table(hi, start)[lo:]
+        st = np.array([start], dtype=np.int32)
         for lo, hi in reversed(levels):     # the children p*k + d start at lo - lo % k
             st = np.take(self.transitions, st, axis=0).ravel()[lo % k:lo % k + hi - lo]
+            if lo == 0:
+                st[0] = start
         return st
 
     def states_at(self, ns: np.ndarray) -> np.ndarray:
@@ -205,7 +210,7 @@ class Dfao:
         if (len(head) != 5 or head[0] != "dfao" or head[1] != "v1"
                 or set(opts) != {"base", "states", "initial"}):
             raise ValueError(f"bad header {lines[0]!r}")
-        base, n_states, initial = int(opts["base"]), int(opts["states"]), int(opts["initial"])
+        base, n_states, initial = _ints([opts["base"], opts["states"], opts["initial"]], lines[0])
         if n_states * base > len(lines):    # one line per transition at least
             raise ValueError(f"header {lines[0]!r} declares more transitions than the file has")
         outputs: List[Optional[OutputValue]] = [None] * n_states
@@ -215,24 +220,27 @@ class Dfao:
             if parts[0] == "state":
                 if len(parts) != 3 or not parts[2].startswith("out="):
                     raise ValueError(f"bad state line {ln!r}")
-                idx = int(parts[1])
+                idx, = _ints(parts[1:2], ln)
                 if not 0 <= idx < n_states:
                     raise ValueError(f"state out of range in {ln!r}")
                 if outputs[idx] is not None:
                     raise ValueError(f"second output for state {idx} in {ln!r}")
                 val = parts[2][4:]
-                if val.startswith("r:"):
-                    num, den = val[2:].split("/")
-                    outputs[idx] = Fraction(int(num), int(den))
-                elif val.startswith("c:"):
-                    re_s, im_s = val[2:].split(",")
-                    outputs[idx] = complex(float(re_s), float(im_s))
-                else:
-                    raise ValueError(f"bad output value {val!r}")
+                try:
+                    if val.startswith("r:"):
+                        num, den = val[2:].split("/")
+                        outputs[idx] = Fraction(int(num), int(den))
+                    elif val.startswith("c:"):
+                        re_s, im_s = val[2:].split(",")
+                        outputs[idx] = complex(float(re_s), float(im_s))
+                    else:
+                        raise ValueError
+                except (ValueError, ZeroDivisionError):
+                    raise ValueError(f"bad output value {val!r} in {ln!r}") from None
             elif parts[0] == "t":
                 if len(parts) != 4:
                     raise ValueError(f"bad transition line {ln!r}")
-                frm, dig, to = int(parts[1]), int(parts[2]), int(parts[3])
+                frm, dig, to = _ints(parts[1:], ln)
                 if not (0 <= dig < base and 0 <= frm < n_states):
                     raise ValueError(f"state or digit out of range in {ln!r}")
                 if trans[frm][dig] is not None:

@@ -35,8 +35,8 @@ def windows(draw, k):
     x = draw(st.integers(1, 300))
     K = k ** len(base_digits(x - 1, k))     # the least power of k >= x
     place = draw(st.sampled_from(("h=0", "straddle", "inside")))
-    if place == "h=0" and K > 1:
-        return draw(st.integers(0, K - 2)), x
+    if place == "h=0" and K > 1:        # y = -1 is the window of state_table
+        return draw(st.integers(-1, K - 2)), x
     h = draw(st.integers(1, 2 ** 70 // K))
     if place == "straddle" and x > 1:
         m0 = draw(st.integers(K - x + 1, K - 1))

@@ -643,6 +643,9 @@ def test_verify_weil_assert_exact_decides_composite_moduli(capsys):
 
 
 ONE_STATE = "dfao v1 base=2 states=1 initial=0\nstate 0 out=r:1/1\nt 0 0 0\nt 0 1 0\n"
+# lines whose int() or unpacking errors must name them
+UNREADABLE_LINES = ("dfao v1 base=abc states=1 initial=0", "state zero out=r:1/1", "t 0 1 x",
+                    "state 0 out=r:1", "state 0 out=c:1", "state 0 out=r:x/2")
 
 
 @pytest.mark.parametrize("text, auto", [
@@ -653,6 +656,15 @@ ONE_STATE = "dfao v1 base=2 states=1 initial=0\nstate 0 out=r:1/1\nt 0 0 0\nt 0 
     (ONE_STATE.replace(" initial=0", " other=0"), None),   # header without initial=
     (ONE_STATE.replace("r:1/1", "r:1/0"), None),       # zero denominator: ArithmeticError
     (ONE_STATE.replace("states=1", "states=99999999999"), None),
+    (ONE_STATE.replace("r:1/1", "c:nan,0"), None),     # non-finite outputs
+    (ONE_STATE.replace("r:1/1", "c:inf,0"), None),
+    (ONE_STATE.replace("r:1/1", "c:1e400,0"), None),
+    (ONE_STATE.replace("base=2", "base=abc"), None),   # not a number
+    (ONE_STATE.replace("state 0", "state zero"), None),
+    (ONE_STATE.replace("t 0 1 0", "t 0 1 x"), None),
+    (ONE_STATE.replace("r:1/1", "r:1"), None),         # an output missing a part
+    (ONE_STATE.replace("r:1/1", "c:1"), None),
+    (ONE_STATE.replace("r:1/1", "r:x/2"), None),
     (None, "digit_sum_mod(2)"),
     (None, "digit_sum_mod"),
     (None, "missing.dfao"),
@@ -669,6 +681,25 @@ def test_bad_automaton_is_a_one_line_error(tmp_path, capsys, text, auto):
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    for line in (text or "").splitlines():
+        if line in UNREADABLE_LINES:
+            assert repr(line) in err, err
+        elif "out=c:" in line:
+            assert err.startswith("error: state 0 has a non-finite output"), err
+
+
+@pytest.mark.parametrize("argv", [
+    ["block-decompose", "--g-one", "--x", "100", "--sigma", "2"],
+    ["sum", "--f", "1/X", "--q", "1009", "--x", "100", "--json"],
+])
+def test_a_nan_output_is_a_one_line_error_in_every_command(tmp_path, capsys, argv):
+    # NaN != NaN failed the block check with a traceback before the load refused it
+    auto = tmp_path / "nan.dfao"
+    auto.write_text(ONE_STATE.replace("r:1/1", "c:nan,0"), encoding="utf-8")
+    code = run(argv + ["--auto", str(auto)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: state 0 has a non-finite output (nan+0j)\n"
 
 
 def test_budget_checked_before_the_sum_and_count_arrays(capsys):

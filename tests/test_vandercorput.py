@@ -107,6 +107,25 @@ def test_product_tables_and_windows_match_per_n_walks():
         assert list(zip(q, j)) == [want(n) for n in range(y + 1, y + x + 1)]
 
 
+def test_product_normalises_each_base_output_once(monkeypatch):
+    # the S*D product outputs are the S base outputs, repeated D times each
+    rng = random.Random(12)
+    for _ in range(10):
+        tr = random_transducer(rng)
+        calls = []
+        real = Dfao._norm_output
+
+        def spy(v):
+            calls.append(v)
+            return real(v)
+        monkeypatch.setattr(Dfao, "_norm_output", staticmethod(spy))
+        product = tr.product
+        monkeypatch.undo()
+        S, D = tr.dfao.n_states, tr.weight_order
+        assert product.n_states == S * D and len(calls) == S
+        assert all(v is w for v, w in zip(calls, tr.dfao.outputs))
+
+
 def test_transducer_rejects_a_ragged_weight_table():
     with pytest.raises(ValueError):
         ScalarTransducer(block_11(), [[0, 0], [0], [0, 0]])
