@@ -424,9 +424,11 @@ def sync_failure_counts(dfao: Dfao, y: int, x: int, lams: Sequence[int]) -> List
     (one bit per m) once, and the window reads one row per prefix p through
     Dfao.window_states: about S*x/K states per lam, for any y."""
     k = dfao.base
+    if y < 0 or x < 1:
+        raise ValueError("need y >= 0 and x >= 1")
     for lam in lams:
-        if y < 0 or x < 1 or lam < 0:
-            raise ValueError("need y >= 0, x >= 1, lam >= 0")
+        if lam < 0:
+            raise ValueError("need lam >= 0")
         if lam >= len(base_digits(x, k)):      # k^lam > x
             raise ValueError(f"lam exceeds floor(log_k(x)): lam = {lam}, x = {x}, k = {k}")
     require_budget(dfao.n_states * x, "state reads n_states * x")

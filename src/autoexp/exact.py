@@ -20,8 +20,8 @@ its answer does not depend on how a value was built; None still means
 "undecided here", not "irrational".
 
 normal_forms() is the one normaliser: it folds, merges and reduces a whole
-table of sums (bucket -> terms) in one batched pass, and every constructor
-and ring operation is its one-bucket call.  The merge of equal keys (bucket,
+table of sums (bucket -> terms) in one batched pass; each constructor and
+ring operation is a table of one bucket.  The merge of equal keys (bucket,
 folded exponent) counts when the keys are dense -- non-negative int64 whose
 span is at most the number of terms, with numerators whose int64 sum cannot
 overflow -- and sorts otherwise; the data decide, not an option.
@@ -30,6 +30,7 @@ overflow -- and sorts otherwise; the data decide, not an option.
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
@@ -107,7 +108,7 @@ class Cyclotomic:
                 den: int = 1) -> "Cyclotomic":
         """Normal form of sum_i nums[i]/den * e(exps[i]/modulus); exponents
         may repeat and lie anywhere in Z."""
-        return normal_forms(modulus, None, exps, nums, den)[0]
+        return normal_forms(modulus, np.zeros(exps.size, np.int64), exps, nums, den).get(0, _ZERO)
 
     # -- construction -------------------------------------------------
 
@@ -296,16 +297,14 @@ class Cyclotomic:
 
 
 _EMPTY = np.zeros(0, dtype=np.int64)
-_ORIGIN = np.zeros(1, dtype=np.int64)
 _ZERO = Cyclotomic(1, _EMPTY, _EMPTY, 1)
 
 
-def _firsts(labels: Optional[np.ndarray], size: int) -> np.ndarray:
-    """Start index of each run of equal labels in a sorted array of `size`
-    labels; labels=None is one run."""
-    if labels is None or not size:
-        return _ORIGIN[:size]
-    return np.flatnonzero(np.concatenate([[True], labels[1:] != labels[:-1]]))
+def _firsts(labels: np.ndarray) -> np.ndarray:
+    """Start index of each run of equal labels in a sorted array."""
+    starts = np.ones(labels.size, dtype=bool)
+    np.not_equal(labels[1:], labels[:-1], out=starts[1:])
+    return starts.nonzero()[0]
 
 
 def _spread(per_bucket: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -325,13 +324,13 @@ def _dense(key: np.ndarray, nums: np.ndarray) -> bool:
             and _peak(nums) * nums.size < _BIG)
 
 
-def normal_forms(modulus: int, buckets: Optional[np.ndarray], exps: np.ndarray,
+def normal_forms(modulus: int, buckets: np.ndarray, exps: np.ndarray,
                  nums: np.ndarray, den: int = 1) -> Dict[int, Cyclotomic]:
     """bucket -> normal form of the sum of nums[i]/den * e(exps[i]/modulus)
     over the terms i in that bucket, for every bucket that holds a term, also
-    when its terms cancel.  buckets=None puts every term in bucket 0, which
-    then appears even with no terms.  Exponents may repeat and lie anywhere
-    in Z.
+    when its terms cancel; a bucket with no terms is absent.  Exponents may
+    repeat and lie anywhere in Z.  A single sum is the table whose buckets
+    are all 0.
 
     One merge of the key bucket * L/2 + folded exponent serves every bucket;
     each bucket is then divided by the gcd of its exponents with L and of its
@@ -341,7 +340,6 @@ def normal_forms(modulus: int, buckets: Optional[np.ndarray], exps: np.ndarray,
     and the int64 numerators cannot overflow; otherwise (object keys or
     numerators, moduli past 2^61, sparse keys) it sorts the keys and sums
     runs of equal keys.  Both give the same sorted keys and sums."""
-    one = buckets is None
     if 2 * modulus >= _BIG:
         exps = exps.astype(object)
     exps = exps % modulus
@@ -352,7 +350,7 @@ def normal_forms(modulus: int, buckets: Optional[np.ndarray], exps: np.ndarray,
     fold = exps >= half
     exps = np.where(fold, exps - half, exps)
     nums = np.where(fold, -nums, nums)
-    key = exps if one else _times(buckets, half) + exps
+    key = _times(buckets, half) + exps
     del buckets, exps   # the key carries both; free them before the merge
     if _dense(key, nums):   # sums by slot: key and nums come out sorted by key
         sums = np.zeros(int(key.max()) + 1, dtype=np.int64)
@@ -364,22 +362,18 @@ def normal_forms(modulus: int, buckets: Optional[np.ndarray], exps: np.ndarray,
         key = key[order]    # one permuted copy at a time keeps the peak low
         nums = nums[order]
         del order
-        cuts = np.flatnonzero(key[1:] != key[:-1]) + 1
-        if cuts.size + 1 < key.size:
+        starts = _firsts(key)
+        if starts.size < key.size:
             if nums.dtype != object and _peak(nums) * nums.size >= _BIG:
                 nums = nums.astype(object)
-            starts = np.concatenate([[0], cuts])
             key, nums = key[starts], np.add.reduceat(nums, starts)
-    if one:     # one bucket, which appears even with no terms
-        labels, exps, out = None, key, {0: _ZERO}
-    else:
-        labels, exps = key // half, key % half
-        out = dict.fromkeys(labels[_firsts(labels, key.size)].tolist(), _ZERO)
+    labels, exps = key // half, key % half
+    firsts = _firsts(labels)
+    out = dict.fromkeys(labels[firsts].tolist(), _ZERO)
     if not nums.all():      # cancelled terms go; a bucket left empty stays zero
         keep = nums != 0
-        exps, nums = exps[keep], nums[keep]
-        labels = None if one else labels[keep]
-    firsts = _firsts(labels, nums.size)
+        labels, exps, nums = labels[keep], exps[keep], nums[keep]
+        firsts = _firsts(labels)
     if not firsts.size:
         return out
     bounds = np.concatenate([firsts, [nums.size]])
@@ -394,18 +388,17 @@ def normal_forms(modulus: int, buckets: Optional[np.ndarray], exps: np.ndarray,
     bounds = bounds.tolist()
     # each value gets its own arrays: a view would keep the whole table's
     # arrays alive while any one of its values lives
-    for b, m, d, s, e in zip([0] if one else labels[firsts].tolist(),
+    for b, m, d, s, e in zip(labels[firsts].tolist(),
                              (modulus // g).tolist(), dens, bounds, bounds[1:]):
         out[b] = Cyclotomic(m, _narrow(exps[s:e].copy()), _narrow(nums[s:e].copy()), d)
     return out
 
 
 def indexed_phase_sums(values: Sequence[Cyclotomic], index: np.ndarray, modulus: int,
-                       phases: np.ndarray,
-                       buckets: Optional[np.ndarray] = None) -> Dict[int, Cyclotomic]:
+                       phases: np.ndarray, buckets: np.ndarray) -> Dict[int, Cyclotomic]:
     """bucket -> sum over the i in that bucket of values[index[i]] *
     e(phases[i] / modulus), skipping the pole marker phases[i] = -1, as one
-    normal_forms call; buckets=None is its one bucket 0.
+    normal_forms call; a bucket appears when it holds a term.
 
     Every value is lifted once to one modulus W and one denominator d, and
     the terms of all values are concatenated; each i gathers the terms of
@@ -425,14 +418,13 @@ def indexed_phase_sums(values: Sequence[Cyclotomic], index: np.ndarray, modulus:
     at = np.arange(ends[-1] if ends.size else 0) + np.repeat(starts[idx] - ends + counts,
                                                              counts)
     shifted = exps[at] + np.repeat(_times(phases[live], W // modulus), counts)
-    return normal_forms(W, None if buckets is None else np.repeat(buckets[live], counts),
-                        shifted, nums[at], den)
+    return normal_forms(W, np.repeat(buckets[live], counts), shifted, nums[at], den)
 
 
 def as_exact(value) -> Optional[Cyclotomic]:
-    """Coerce ints, Fractions and Cyclotomics to Cyclotomic; None for floats."""
+    """Coerce rationals (numpy integers too) and Cyclotomics to Cyclotomic; None for floats."""
     if isinstance(value, Cyclotomic):
         return value
-    if isinstance(value, (int, Fraction)):
-        return Cyclotomic.from_rational(value)
+    if isinstance(value, numbers.Rational):     # int(): numpy integers have numpy numerators
+        return Cyclotomic.from_rational(Fraction(int(value.numerator), int(value.denominator)))
     return None

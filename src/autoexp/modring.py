@@ -448,23 +448,32 @@ def is_prime(n: int) -> bool:
     return math.isqrt(n) ** 2 != n and _strong_lucas(n)
 
 
-def _pollard_rho(n: int, rng: random.Random) -> int:
+def _pollard_rho(n: int, rng: random.Random, left: int) -> Tuple[int, int]:
+    """(a proper factor of the composite n, left): Floyd's cycle search on
+    v -> v^2 + c mod n.  left is what the enumeration budget still allows, in
+    rho steps (three squarings mod n and one gcd each); BudgetError before a
+    step that would take it below zero."""
     while True:
         c = rng.randrange(1, n)
         f = lambda v: (v * v + c) % n
         x = y = rng.randrange(2, n)
         d = 1
         while d == 1:
+            left -= 1
+            if left < 0:
+                raise BudgetError(f"Pollard rho steps to factor {n} exceed the "
+                                  f"enumeration budget ({enumeration_budget()})")
             x = f(x)
             y = f(f(y))
             d = math.gcd(abs(x - y), n)
         if d != n:
-            return d
+            return d, left
 
 
 @lru_cache(maxsize=4096)
 def factorize(n: int) -> Tuple[Tuple[int, int], ...]:
-    """Prime factorization, ascending; trial division then Pollard rho."""
+    """Prime factorization, ascending; trial division then Pollard rho, whose
+    steps over the whole factorization share one enumeration budget."""
     if n <= 0:
         raise ValueError("can only factor positive integers")
     out: dict = {}
@@ -473,7 +482,7 @@ def factorize(n: int) -> Tuple[Tuple[int, int], ...]:
             out[p] = out.get(p, 0) + 1
             n //= p
     stack = [n] if n > 1 else []
-    rng = None      # seeded on first use; most inputs never reach rho
+    rng, left = None, 0     # set on first use; most inputs never reach rho
     while stack:
         m = stack.pop()
         if m == 1:
@@ -489,8 +498,9 @@ def factorize(n: int) -> Tuple[Tuple[int, int], ...]:
                 break
             d += 2
         else:
-            rng = rng or random.Random(0xA07E)
-            d = _pollard_rho(m, rng)
+            if rng is None:
+                rng, left = random.Random(0xA07E), enumeration_budget()
+            d, left = _pollard_rho(m, rng, left)
             stack += [d, m // d]
     return tuple(sorted(out.items()))
 
@@ -641,24 +651,13 @@ class PhaseValues:
     def take(self, idx) -> "PhaseValues":
         return PhaseValues(self.modulus, self.values[idx])
 
-    def times_root(self, a: np.ndarray, D: int) -> "PhaseValues":
-        """g(n) * e(a_n / D) per element."""
-        if not self.exact:
-            return PhaseValues(0, self.values * np.exp(2j * np.pi * (a % D) / D))
-        L = math.lcm(self.modulus, D)
-        v = self.values
-        if L >= 1 << 62:    # terms below L, sums below 2L: Python ints past int64
-            v, a = v.astype(object), a.astype(object)
-        shifted = (a % D * (L // D) + v * (L // self.modulus)) % L
-        return PhaseValues(L, _narrow(np.where(v >= 0, shifted, -1)))
-
     def times_conj(self, other: "PhaseValues") -> "PhaseValues":
         """g(n) * conj(h(n)) per element."""
         if not (self.exact and other.exact):
             return PhaseValues(0, self.to_complex() * np.conj(other.to_complex()))
         L = math.lcm(self.modulus, other.modulus)
         v, w = self.values, other.values
-        if L >= 1 << 62:    # as in times_root
+        if L >= 1 << 62:    # terms below L, differences above -L: Python ints past int64
             v, w = v.astype(object), w.astype(object)
         diff = (v * (L // self.modulus) - w * (L // other.modulus)) % L
         return PhaseValues(L, _narrow(np.where((v < 0) | (w < 0), -1, diff)))
@@ -679,16 +678,20 @@ class PhaseValues:
     def indexed_sums(self, table: Sequence, index: np.ndarray,
                      buckets: Optional[np.ndarray] = None) -> Dict[int, Union[Cyclotomic, complex]]:
         """bucket -> sum over its n of table[index[n]] * g(n); buckets=None
-        is one bucket 0, which appears even when empty.  Exact when g and
-        every table entry are exact (one exact.normal_forms call for the
-        whole table), otherwise complex, each bucket summed with math.fsum."""
+        is one bucket 0, which appears even when empty, as Cyclotomic(0) or
+        0j.  Exact when g and every table entry are exact (one
+        exact.normal_forms call for the whole table), otherwise complex,
+        each bucket summed with math.fsum."""
+        one = buckets is None
+        buckets = np.zeros(len(index), dtype=np.int64) if one else buckets
         exact = [as_exact(v) for v in table]
         if self.exact and all(v is not None for v in exact):
-            return indexed_phase_sums(exact, index, self.modulus, self.values, buckets)
-        terms = np.array([complex(v) for v in table])[index] * self.to_complex()
-        if buckets is None:
-            return {0: complex(math.fsum(terms.real), math.fsum(terms.imag))}
-        return _fsum_buckets(buckets, terms)
+            sums = indexed_phase_sums(exact, index, self.modulus, self.values, buckets)
+            zero = Cyclotomic.zero()
+        else:
+            terms = np.array([complex(v) for v in table])[index] * self.to_complex()
+            sums, zero = _fsum_buckets(buckets, terms), 0j
+        return {0: sums.get(0, zero)} if one else sums
 
     def indexed_sum(self, table: Sequence, index: np.ndarray) -> Union[Cyclotomic, complex]:
         """sum over n of table[index[n]] * g(n): the one-bucket indexed_sums."""

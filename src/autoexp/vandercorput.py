@@ -200,13 +200,13 @@ def carry_violation_counts(tr: ScalarTransducer, lam: int, alpha: int,
     least one of them.  For ka = 1 the window is one entry and no block is
     violated.  With steps[i] = #{j < i : dev[j] != dev[j+1]}, dev is
     constant on W iff steps agrees at its two ends."""
+    if alpha < 0 or r < 0:
+        raise ValueError("need alpha >= 0 and r >= 0")
     for rho in rhos:
         if not (0 <= rho < lam):
             raise ValueError("need 0 <= rho < lam")
     if not rhos:
         return []
-    if alpha < 0 or r < 0:
-        raise ValueError("need alpha >= 0 and r >= 0")
     k, e = tr.base, lam + 2 * alpha
     what, budget = f"k^(lam+2*alpha) = {k}^{e}", enumeration_budget()
     if e >= budget.bit_length():    # k^e >= 2^e > budget, known before k is raised to e
@@ -437,7 +437,7 @@ def decompose_weyl(tr: ScalarTransducer, tau: Callable[[Cyclotomic, int], object
 
     # ---- S_3 per (residue, character), against the character expansion of S_2
     b3 = {m * D + t: v for t in range(D)
-          for m, v in g.times_root(t * j_n, D).bucket_sums(m_n).items()}
+          for m, v in g.times_conj(PhaseValues(D, -t * j_n % D)).bucket_sums(m_n).items()}
     s3 = {divmod(b, D): v for b, v in b3.items()}
     # S_3(m, t) = sum over j of S_2(m, j) e(tj/D)
     identity_s3 = agree(expand(list(b2.values()), m2, j2), b3)

@@ -519,6 +519,12 @@ def test_text_format_exact_for_rational_outputs(tmp_path):
     d = thue_morse_even()
     d2 = Dfao.from_text(d.to_text())
     assert d2.outputs == d.outputs
+    # numpy integers are rationals; numpy bools and floats are not
+    d3 = Dfao(2, [[0, 1], [1, 0]], np.array([1, 0]))
+    assert d3.outputs == d.outputs and d3.to_text() == d.to_text()
+    assert all(type(v) is Cyclotomic for v in d3.outputs)
+    for outs in (np.array([True, False]), np.array([1.0, 0.0])):
+        assert Dfao(2, [[0, 1], [1, 0]], outs).outputs == (1 + 0j, 0j)
 
 
 def test_text_rejects_missing_transition():

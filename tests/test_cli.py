@@ -46,6 +46,17 @@ def test_budget_exit_code(capsys, monkeypatch):
     assert "budget" in capsys.readouterr().err
 
 
+def test_factoring_counts_pollard_rho_steps_against_the_budget(capsys, monkeypatch):
+    # q = nextprime(2^60 + 12345) * nextprime(3 * 2^60 + 777)
+    monkeypatch.setenv("AUTOEXP_BUDGET", "10000")
+    start = time.perf_counter()
+    assert run(["sum", "--auto", "thue_morse_even", "--f", "1/X",
+                "--q", "3987683987354791259096213559222637729", "--x", "10"]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("budget error: Pollard rho steps") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("rho_list, rhos", [("", []), ("2,9,3", [2, 9, 3]), ("3,3", [3, 3])])
 def test_carry_scan_rows_follow_the_rho_list(capsys, rho_list, rhos):
     tr = vandercorput.thue_morse_transducer()
@@ -145,6 +156,11 @@ CARRY = ["carry-scan", "--lam", "2", "--alpha", "1", "--rho-list", "1", "--trans
        "--assert-exact must be a rational such as -1 or 3/7") for value in ("abc", "1/0")],
     *[(["block-decompose", "--auto", "block_11", "--g-one", "--x", "100", "--sigma", "2",
         "--y", y], None, "need y >= 0 and x >= 1") for y in ("-2", "-1")],
+    # the scalar arguments are checked also when the list is empty
+    *[(["sync-scan", "--auto", "block_11", "--y", "-5", "--x", "0", "--lam-list", lams],
+       None, "need y >= 0 and x >= 1") for lams in (",", "2")],
+    *[(["carry-scan", "--transducer", "thue_morse", "--lam", "3", "--alpha", "-1",
+        "--rho-list", rhos], None, "need alpha >= 0 and r >= 0") for rhos in (",", "1")],
 ])
 def test_bad_input_is_a_one_line_error_naming_it(capsys, monkeypatch, argv, budget, needle):
     if budget is not None:
@@ -341,7 +357,7 @@ def test_offsets_past_int64_match_per_n_sums(capsys, y):
                          ids=["2^31+11", "3*2^61+1", "2^64+13"])
 def test_moduli_past_int64_match_per_n_sums(capsys, q):
     # Python-int residues in phase_numerators, and a common modulus L past
-    # int64 in PhaseValues.times_root and times_conj (weyl-decompose)
+    # int64 in PhaseValues.times_conj (weyl-decompose)
     y, x = 777, 600
     want = oracles.weighted_tm_inv_sum(q, y, x)
     common = ["--x", str(x), "--y", str(y), "--json"]

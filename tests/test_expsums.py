@@ -189,6 +189,16 @@ def test_weighted_sum_empty_region():
     assert s.is_zero()
 
 
+def test_an_empty_one_bucket_sum_is_its_modes_zero():
+    from autoexp.automata import Dfao
+    empty = IntervalProgression(0, 1, 3, 2)
+    assert empty.count == 0
+    s = weighted_sum(thue_morse_even(), INV_X, 7, empty)
+    assert type(s) is Cyclotomic and s == Cyclotomic.zero()
+    s = weighted_sum(Dfao(2, [[0, 1], [1, 0]], [1j, 2.0]), INV_X, 7, empty)
+    assert type(s) is complex and s == 0j
+
+
 def test_weighted_sum_float_outputs():
     from autoexp.automata import Dfao
     d = Dfao(2, [[0, 1], [1, 0]], [0.25 + 0.1j, -0.5])

@@ -237,8 +237,9 @@ def test_phase_values_match_per_n_phases():
 @pytest.mark.parametrize("m1, m2", [(12, 18), (2 ** 31 + 11, 6), (3 * 2 ** 61 + 1, 5),
                                     (2 ** 64 + 13, 2 ** 64 + 13), (2 ** 64 + 13, 7)])
 def test_phase_value_products_match_fractions(m1, m2):
-    # g * e(a/D) and g * conj(h) against Fraction arithmetic per element, on
-    # small int64 numerators whose common modulus may pass int64
+    # g * e(a/D), as g * conj(e(-a/D)), and g * conj(h) against Fraction
+    # arithmetic per element, on small int64 numerators whose common modulus
+    # may pass int64
     import numpy as np
     rng = random.Random(m1 ^ m2)
     u = [rng.choice([-1, 0, 1, 5, rng.randrange(m1)]) for _ in range(40)]
@@ -250,7 +251,7 @@ def test_phase_value_products_match_fractions(m1, m2):
     def numerators(pv, phases):
         return [-1 if t is None else int(t % 1 * pv.modulus) for t in phases]
 
-    root = g.times_root(np.array(a), m2)
+    root = g.times_conj(PhaseValues(m2, -np.array(a, dtype=h.values.dtype) % m2))
     assert root.modulus % m1 == 0 and root.modulus % m2 == 0
     assert root.values.tolist() == numerators(root, [
         None if x < 0 else Fraction(x, m1) + Fraction(y, m2) for x, y in zip(u, a)])
