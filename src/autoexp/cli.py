@@ -268,8 +268,10 @@ def cmd_carry_scan(args: Dict) -> SweepReport:
     lam = int(args["lam"])
     alpha = int(args["alpha"])
     rhos = _parse_int_list(args["rho_list"])
+    rs = _parse_int_list(args["r_list"])
+    vandercorput.check_carry_args(lam, alpha, rhos, rs)
     rows = []
-    for r in _parse_int_list(args["r_list"]):
+    for r in rs:
         counts = vandercorput.carry_violation_counts(tr, lam, alpha, rhos, r)
         rows.extend((r, rho, c) for rho, c in zip(rhos, counts))
     return SweepReport(("r", "rho", "count"), rows,

@@ -248,7 +248,8 @@ class Cyclotomic:
             return 0j
         ang = _TWO_PI * _over(self._exps, self._mod)
         w = _over(self._nums, self._den)
-        return complex(np.dot(w, np.cos(ang)), np.dot(w, np.sin(ang)))
+        # math.fsum: correctly rounded, so no BLAS thread split can move it
+        return complex(math.fsum(w * np.cos(ang)), math.fsum(w * np.sin(ang)))
 
     def __complex__(self):
         return self.to_complex()

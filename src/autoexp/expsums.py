@@ -236,15 +236,8 @@ class SweepReport:
 
 # the exponent c of the reference envelope that pv_range_scan reports
 C_DISPLAY = 1.0 / 32.0
-
-
-def _resolve_y(policy, q: int) -> int:
-    if isinstance(policy, str):
-        table = {"q": q, "10q": 10 * q}
-        if policy not in table and not policy.isdecimal():
-            raise ValueError(f"unknown y policy {policy!r}")
-        return table[policy] if policy in table else int(policy)
-    return int(policy)
+# the y policies that name a multiple of q
+_Y_TIMES_Q = {"q": 1, "10q": 10}
 
 
 def pv_range_scan(dfao: Dfao, f: RationalFunction, qs: Sequence[int], theta: float,
@@ -254,6 +247,8 @@ def pv_range_scan(dfao: Dfao, f: RationalFunction, qs: Sequence[int], theta: flo
     y is an integer, or "q", "10q" or a decimal string."""
     if not theta > 0:
         raise ValueError("--theta must be positive")
+    if isinstance(y, str) and y not in _Y_TIMES_Q and not y.isdecimal():
+        raise ValueError(f"unknown y policy {y!r}")
     rows = []
     for q in sorted(qs):
         prime_powers(q)     # rejects q < 1 before q^theta
@@ -262,7 +257,7 @@ def pv_range_scan(dfao: Dfao, f: RationalFunction, qs: Sequence[int], theta: flo
         except OverflowError:       # q^theta beyond float range
             raise BudgetError(f"x = q^theta for q = {q}, --theta {theta} "
                               "exceeds the enumeration budget") from None
-        yv = _resolve_y(y, q)
+        yv = _Y_TIMES_Q[y] * q if y in _Y_TIMES_Q else int(y)
         region = IntervalProgression(yv, x)
         s_abs = abs(weighted_sum(dfao, f, q, region))
         q1 = squarefree_cofactor(f, q, dfao.base)

@@ -450,16 +450,18 @@ def is_prime(n: int) -> bool:
 
 def _pollard_rho(n: int, rng: random.Random, left: int) -> Tuple[int, int]:
     """(a proper factor of the composite n, left): Floyd's cycle search on
-    v -> v^2 + c mod n.  left is what the enumeration budget still allows, in
-    rho steps (three squarings mod n and one gcd each); BudgetError before a
-    step that would take it below zero."""
+    v -> v^2 + c mod n.  left is what the enumeration budget still allows,
+    counted in 64-bit word products: a step (three squarings mod n and one
+    gcd) costs 4 * w^2 for n of w = 1 + n.bit_length() // 64 words.
+    BudgetError before a step that would take it below zero."""
+    cost = 4 * (1 + n.bit_length() // 64) ** 2
     while True:
         c = rng.randrange(1, n)
         f = lambda v: (v * v + c) % n
         x = y = rng.randrange(2, n)
         d = 1
         while d == 1:
-            left -= 1
+            left -= cost
             if left < 0:
                 raise BudgetError(f"Pollard rho steps to factor {n} exceed the "
                                   f"enumeration budget ({enumeration_budget()})")
@@ -472,8 +474,9 @@ def _pollard_rho(n: int, rng: random.Random, left: int) -> Tuple[int, int]:
 
 @lru_cache(maxsize=4096)
 def factorize(n: int) -> Tuple[Tuple[int, int], ...]:
-    """Prime factorization, ascending; trial division then Pollard rho, whose
-    steps over the whole factorization share one enumeration budget."""
+    """Prime factorization, ascending: trial division by the primes up to 47,
+    then Pollard rho, whose steps over the whole factorization share one
+    enumeration budget."""
     if n <= 0:
         raise ValueError("can only factor positive integers")
     out: dict = {}
@@ -485,23 +488,13 @@ def factorize(n: int) -> Tuple[Tuple[int, int], ...]:
     rng, left = None, 0     # set on first use; most inputs never reach rho
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
-        d = 49
-        # a short trial-division sweep keeps rho away from tiny factors
-        while d * d <= m and d < 10_000:
-            if m % d == 0:
-                stack += [d, m // d]
-                break
-            d += 2
-        else:
-            if rng is None:
-                rng, left = random.Random(0xA07E), enumeration_budget()
-            d, left = _pollard_rho(m, rng, left)
-            stack += [d, m // d]
+        if rng is None:
+            rng, left = random.Random(0xA07E), enumeration_budget()
+        d, left = _pollard_rho(m, rng, left)
+        stack += [d, m // d]
     return tuple(sorted(out.items()))
 
 

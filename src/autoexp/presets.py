@@ -327,7 +327,6 @@ def run_weyl_exact_grid() -> dict:
             raise AssertionError(f"stage identity failed in config {label}")
     return {
         "configs": len(results),
-        "labels": [lab for lab, _ in results],
         "reports": results,
     }
 

@@ -40,15 +40,13 @@ class ScalarTransducer:
         rows = [[Fraction(p) % 1 for p in row] for row in phases]
         if len(rows) != dfao.n_states or any(len(row) != dfao.base for row in rows):
             raise ValueError("one weight per state and digit required")
-        word = find_synchronizing_word(dfao)
-        if word is None:
+        if find_synchronizing_word(dfao) is None:
             raise ValueError("underlying automaton is not synchronizing")
         D = math.lcm(*(p.denominator for row in rows for p in row))
         self.dfao = dfao
         self.weights = np.array([[int(p * D) for p in row] for row in rows], dtype=np.int64)
         self.weights.flags.writeable = False
         self.weight_order = D
-        self.sync_word = word
 
     @property
     def base(self) -> int:
@@ -182,6 +180,16 @@ def carry_violation_count(tr: ScalarTransducer, lam: int, alpha: int, rho: int,
     return carry_violation_counts(tr, lam, alpha, [rho], r)[0]
 
 
+def check_carry_args(lam: int, alpha: int, rhos: Sequence[int], rs: Sequence[int]) -> None:
+    """ValueError unless lam, alpha and every r are >= 0 and every rho lies in [0, lam)."""
+    if lam < 0:
+        raise ValueError("need lam >= 0")
+    if alpha < 0 or any(r < 0 for r in rs):
+        raise ValueError("need alpha >= 0 and r >= 0")
+    if any(not 0 <= rho < lam for rho in rhos):
+        raise ValueError("need 0 <= rho < lam")
+
+
 def carry_violation_counts(tr: ScalarTransducer, lam: int, alpha: int,
                            rhos: Sequence[int], r: int = 0) -> List[int]:
     """[carry_violation_count(tr, lam, alpha, rho, r) for rho in rhos], from
@@ -200,11 +208,7 @@ def carry_violation_counts(tr: ScalarTransducer, lam: int, alpha: int,
     least one of them.  For ka = 1 the window is one entry and no block is
     violated.  With steps[i] = #{j < i : dev[j] != dev[j+1]}, dev is
     constant on W iff steps agrees at its two ends."""
-    if alpha < 0 or r < 0:
-        raise ValueError("need alpha >= 0 and r >= 0")
-    for rho in rhos:
-        if not (0 <= rho < lam):
-            raise ValueError("need 0 <= rho < lam")
+    check_carry_args(lam, alpha, rhos, [r])
     if not rhos:
         return []
     k, e = tr.base, lam + 2 * alpha

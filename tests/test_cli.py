@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -28,6 +32,18 @@ def test_sum_at_a_pole_hidden_in_a_strong_pseudoprime(capsys):
                 "--q", "318665857834031151167461", "--y", "399165290220", "--x", "1"])
     assert code == 0
     assert capsys.readouterr().out.splitlines() == ["re,im,abs", "0.0,0.0,0.0"]
+
+
+def test_printed_sums_do_not_depend_on_the_blas_thread_count():
+    # a value of 15,811 terms, whose dot product BLAS splits across threads
+    root = pathlib.Path(__file__).resolve().parent.parent
+    path = os.pathsep.join([str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    argv = [sys.executable, "-m", "autoexp", "sum", "--auto", "thue_morse_even", "--f", "1/X",
+            "--q", "1000003", "--x", "31623", "--y", "10000030"]
+    outs = [subprocess.run(argv, env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=t),
+                           capture_output=True, text=True, timeout=120, check=True).stdout
+            for t in ("1", "2")]
+    assert outs[0] == outs[1] and outs[0].startswith("re,im,abs\n")
 
 
 def test_sum_not_well_defined(capsys):
@@ -161,6 +177,14 @@ CARRY = ["carry-scan", "--lam", "2", "--alpha", "1", "--rho-list", "1", "--trans
        None, "need y >= 0 and x >= 1") for lams in (",", "2")],
     *[(["carry-scan", "--transducer", "thue_morse", "--lam", "3", "--alpha", "-1",
         "--rho-list", rhos], None, "need alpha >= 0 and r >= 0") for rhos in (",", "1")],
+    (["carry-scan", "--transducer", "thue_morse", "--lam", "3", "--alpha", "-1",
+      "--rho-list", "5", "--r-list", ","], None, "need alpha >= 0 and r >= 0"),
+    (["carry-scan", "--transducer", "thue_morse", "--lam", "3", "--alpha", "1",
+      "--rho-list", "5", "--r-list", ","], None, "need 0 <= rho < lam"),
+    (["carry-scan", "--transducer", "thue_morse", "--lam", "-1", "--alpha", "1",
+      "--rho-list", ",", "--r-list", ","], None, "need lam >= 0"),
+    (["scan-pv", "--auto", "thue_morse_even", "--f", "1/X", "--q-list", ",",
+      "--theta", "0.5", "--y", "foo"], None, "unknown y policy 'foo'"),
 ])
 def test_bad_input_is_a_one_line_error_naming_it(capsys, monkeypatch, argv, budget, needle):
     if budget is not None:

@@ -218,3 +218,19 @@ def test_is_prime_is_sympy_isprime():
     for n in sympy.primerange(2, 3000):
         assert is_prime(n)
     assert sum(map(is_prime, range(3000))) == sympy.primepi(3000)
+
+
+def test_factorize_is_sympy_factorint():
+    # seeded products of 1 to 5 primes from [53, 10^4), repeats allowed, times
+    # 1, 1000003 or 2^61 - 1: past 47 every composite cofactor goes to Pollard
+    # rho.  1093^2 and 3511^2 are base-2 Fermat pseudoprimes, which is_prime's
+    # square check rejects and rho splits
+    from autoexp.modring import factorize
+    rng = random.Random(29)
+    primes = list(sympy.primerange(53, 10 ** 4))
+    ns = [53 ** 3, 1093 ** 2, 3511 ** 2]
+    for _ in range(500):
+        n = math.prod(rng.choice(primes) for _ in range(rng.randrange(1, 6)))
+        ns.append(n * rng.choice((1, 1000003, 2 ** 61 - 1)))
+    for n in ns:
+        assert factorize(n) == tuple(sorted(sympy.factorint(n).items())), n
