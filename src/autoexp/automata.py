@@ -64,6 +64,7 @@ class Dfao:
         bad = (trans < 0) | (trans >= n_states)
         if bad.any():
             raise ValueError(f"transition target {trans[bad][0]} out of range")
+        outputs = list(outputs)     # one pass: a numpy array yields new scalars on each
         if len(outputs) != n_states:
             raise ValueError("one output per state required")
         if not 0 <= initial < n_states:
@@ -75,18 +76,23 @@ class Dfao:
         self.transitions.flags.writeable = False
         self.initial = initial
         self.name = name
-        outputs = list(outputs)         # keeps each object alive while its id is a key
-        ids = list(map(id, outputs))    # one normalisation per distinct object
-        normed = {key: self._norm_output(v) for key, v in dict(zip(ids, outputs)).items()}
-        for key, v in normed.items():
-            if not (isinstance(v, Cyclotomic) or np.isfinite(v)):
-                raise ValueError(f"state {ids.index(key)} has a non-finite output {v}")
-        self.outputs = tuple(map(normed.__getitem__, ids))
+        distinct = {id(v): v for v in outputs}  # by identity, in order of first use
+        slot = dict(zip(distinct, range(len(distinct))))
+        self.output_index = np.fromiter(map(slot.__getitem__, map(id, outputs)), np.int32, n_states)
+        self.output_index.flags.writeable = False
+        self.values = tuple(map(self._norm_output, distinct.values()))
+        for v, w in zip(distinct.values(), self.values):
+            if not (isinstance(w, Cyclotomic) or np.isfinite(w)):
+                raise ValueError(f"state {outputs.index(v)} has a non-finite output {w}")
 
     @staticmethod
     def _norm_output(v: OutputValue):
         exact = as_exact(v)
         return exact if exact is not None else complex(v)
+
+    @property
+    def outputs(self) -> Tuple[OutputValue, ...]:
+        return tuple(map(self.values.__getitem__, self.output_index.tolist()))
 
     @property
     def n_states(self) -> int:
@@ -106,7 +112,7 @@ class Dfao:
 
     def evaluate(self, n: int):
         """Output value at n (digits fed most-significant first; n=0 reads nothing)."""
-        return self.outputs[self.state_at(n)]
+        return self.values[self.output_index[self.state_at(n)]]
 
     def evaluate_truncated(self, n: int, lam: int):
         """Output after reading only the lowest lam digits, i.e. at n mod k^lam."""
@@ -185,16 +191,12 @@ class Dfao:
 
     def to_text(self) -> str:
         lines = [f"dfao v1 base={self.base} states={self.n_states} initial={self.initial}"]
-        for i, v in enumerate(self.outputs):
-            if isinstance(v, Cyclotomic):
-                r = v.exact_rational()
-            else:
-                r = None
-            if r is not None:
-                lines.append(f"state {i} out=r:{r.numerator}/{r.denominator}")
-            else:
-                z = complex(v)
-                lines.append(f"state {i} out=c:{z.real!r},{z.imag!r}")
+        texts = []      # one exact_rational per distinct value
+        for v in self.values:
+            r = v.exact_rational() if isinstance(v, Cyclotomic) else None
+            texts.append(f"r:{r.numerator}/{r.denominator}" if r is not None
+                         else "c:{0.real!r},{0.imag!r}".format(complex(v)))
+        lines += [f"state {i} out={texts[j]}" for i, j in enumerate(self.output_index.tolist())]
         for i, row in enumerate(self.transitions.tolist()):
             for d, t in enumerate(row):
                 lines.append(f"t {i} {d} {t}")
@@ -518,10 +520,10 @@ def block_decompose_sum(dfao: Dfao, g: Callable[[int], object], y: int, x: int,
     block_states = dfao.padded_table(entries, sigma).ravel()[m0:m0 + x]
     direct_states = dfao.digit_states(n_all)
 
-    # sum over n of outputs[states[n]] * g(n); both sides see the same terms,
-    # so a float total must match bit for bit too (fsum is order-free)
-    total = gv.indexed_sum(dfao.outputs, block_states)
-    direct = gv.indexed_sum(dfao.outputs, direct_states)
+    # sum over n of values[output_index[states[n]]] * g(n); both sides see the
+    # same terms, so a float total must match bit for bit too (fsum is order-free)
+    total = gv.indexed_sum(dfao.values, dfao.output_index[block_states])
+    direct = gv.indexed_sum(dfao.values, dfao.output_index[direct_states])
     if total != direct:
         raise AssertionError("block regrouping failed to match the direct sum")
     return BlockDecomposition(total, direct, rows, sigma)

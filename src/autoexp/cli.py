@@ -586,8 +586,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {out_path}: {exc.strerror}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     return 0

@@ -77,11 +77,11 @@ class ValueHistogram:
 
 def _indicator_values(dfao: Dfao, q: int) -> np.ndarray:
     """0/1 membership of 1..q; rejects automata with outputs outside {0, 1}."""
-    for v in dfao.outputs:
+    for v in dfao.values:
         if not isinstance(v, Cyclotomic) or v not in (_ZERO, _ONE):
             raise ValueError("set automaton must output exactly 0 or 1")
-    picks = np.array([v == _ONE for v in dfao.outputs], dtype=np.int8)
-    return picks[dfao.window_states(0, q)]
+    picks = np.array([v == _ONE for v in dfao.values], dtype=np.int8)
+    return picks[dfao.output_index][dfao.window_states(0, q)]
 
 
 def _histogram(member: np.ndarray, f: RationalFunction, q: int,

@@ -41,6 +41,7 @@ Rational = Union[int, Fraction]
 _HALF = Fraction(1, 2)
 _TWO_PI = 2.0 * math.pi
 _BIG = 1 << 62      # int64 entries stay below this, so one sum cannot overflow
+_EXACT = 1 << 53    # every integer up to this converts to float64 exactly
 
 
 def _peak(arr: np.ndarray) -> int:
@@ -74,9 +75,11 @@ def _scalar(v: int) -> np.ndarray:
     return np.array([v], dtype=np.int64 if -_BIG < v < _BIG else object)
 
 
-def _over(arr: np.ndarray, d: int) -> np.ndarray:
-    """arr / d as floats, correctly rounded for a divisor of any size."""
-    if d >= _BIG:       # Python-int division: no int64 or float conversion of d
+def _over(arr: np.ndarray, d: int, peak: int) -> np.ndarray:
+    """arr / d as floats, correctly rounded for any sizes, given |arr| <= peak.
+    numpy divides int64 by first converting both sides to float, which is
+    exact only up to 2^53; past that, Python ints divide and round once."""
+    if d > _EXACT or peak > _EXACT:
         arr = arr.astype(object)
     return (arr / d).astype(np.float64, copy=False)
 
@@ -246,8 +249,8 @@ class Cyclotomic:
     def to_complex(self) -> complex:
         if not self._nums.size:
             return 0j
-        ang = _TWO_PI * _over(self._exps, self._mod)
-        w = _over(self._nums, self._den)
+        ang = _TWO_PI * _over(self._exps, self._mod, 0)    # 0 <= exps < mod
+        w = _over(self._nums, self._den, _peak(self._nums))
         # math.fsum: correctly rounded, so no BLAS thread split can move it
         return complex(math.fsum(w * np.cos(ang)), math.fsum(w * np.sin(ang)))
 

@@ -80,7 +80,7 @@ def weighted_sum(dfao: Dfao, f: RationalFunction, q: int,
     ns = region.values()
     # term by term: a_n shifted by the phase of n, poles dropped
     phases = PhaseValues(q, phase_numerators(f, q, ns))
-    return phases.indexed_sum(dfao.outputs, dfao.states_at(ns))
+    return phases.indexed_sum(dfao.values, dfao.output_index[dfao.states_at(ns)])
 
 
 def correlation_sum(g: Callable[[int], object], x: int, y: int, h: int,

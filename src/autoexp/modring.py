@@ -632,7 +632,7 @@ class PhaseValues:
         if not self.exact:
             return self.values
         v, L = self.values, self.modulus
-        if L >= 1 << 61:    # 2v and 2L in Python ints: int64 would overflow
+        if L >= 1 << 52:    # 2v and 2L in Python ints: a double holds them exactly to 2^53
             v = v.astype(object)
         # the normal form's half-turn fold: e(t) = -e(t - 1/2) for t >= 1/2
         fold = 2 * v >= L

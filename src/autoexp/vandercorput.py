@@ -62,7 +62,8 @@ class ScalarTransducer:
         j = np.arange(D).reshape(1, D, 1)
         trans = (dfao.transitions[:, None, :].astype(np.int64) * D
                  + (j + self.weights[:, None, :]) % D)
-        return Dfao(k, trans.reshape(S * D, k), [v for v in dfao.outputs for _ in range(D)],
+        outputs = [dfao.values[i] for i in dfao.output_index.tolist() for _ in range(D)]
+        return Dfao(k, trans.reshape(S * D, k), outputs,
                     initial=dfao.initial * D, _check_initial_loop=False)
 
     def tables(self, limit: int) -> Tuple[np.ndarray, np.ndarray]:

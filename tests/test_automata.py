@@ -527,6 +527,56 @@ def test_text_format_exact_for_rational_outputs(tmp_path):
         assert Dfao(2, [[0, 1], [1, 0]], outs).outputs == (1 + 0j, 0j)
 
 
+def _assert_table(d):
+    """values are d's distinct outputs in order of first use, output_index a
+    read-only int32 array with one entry per state, and every per-state read
+    goes through the two."""
+    idx = d.output_index
+    assert idx.dtype == np.int32 and idx.shape == (d.n_states,) and not idx.flags.writeable
+    firsts = list(dict.fromkeys(idx.tolist()))
+    assert firsts == list(range(len(d.values)))
+    assert d.outputs == tuple(d.values[j] for j in idx.tolist())
+    for n in range(40):
+        assert d.evaluate(n) is d.values[idx[d.state_at(n)]]
+
+
+def test_builtin_and_loaded_automata_hold_one_output_table():
+    for d in (thue_morse_even(), rudin_shapiro(), block_11(), constant_one(),
+              digit_sum_mod(3, 3), digit_sum_mod(2, 5)):
+        _assert_table(d)
+        assert len(d.values) == d.n_states     # the builtins share no output object
+        d2 = Dfao.from_text(d.to_text())
+        _assert_table(d2)
+        assert d2.output_index.tolist() == d.output_index.tolist()
+        assert d2.to_text() == d.to_text()
+
+
+def test_output_table_stores_each_object_once_in_order_of_first_use():
+    one, zero = Fraction(1), Fraction(0)
+    trans = [[0, 1], [2, 3], [3, 0], [1, 2]]
+    d = Dfao(2, trans, [zero, one, zero, zero])
+    _assert_table(d)
+    assert d.values == (ZERO, ONE) and d.output_index.tolist() == [0, 1, 0, 0]
+    # a generator is read once, shared objects included
+    g = Dfao(2, trans, (v for v in [one, one, zero, one]))
+    _assert_table(g)
+    assert g.values == (ONE, ZERO) and g.output_index.tolist() == [0, 0, 1, 0]
+    assert Dfao(2, trans, (Fraction(s) for s in range(4))).outputs == tuple(
+        Cyclotomic.from_rational(s) for s in range(4))
+
+
+def test_numpy_array_outputs_keep_every_element():
+    # iterating an array makes a new scalar per element; an id taken from a
+    # freed scalar would be reused by the next one and merge two values
+    S = 300
+    trans = [[(2 * s) % S, (2 * s + 1) % S] for s in range(S)]
+    for outs, want in ((np.arange(S) * 0.5 - 1j, [complex(s * 0.5, -1) for s in range(S)]),
+                       (np.arange(S) % 7, [Cyclotomic.from_rational(s % 7) for s in range(S)])):
+        d = Dfao(2, trans, outs)
+        _assert_table(d)
+        assert d.outputs == tuple(want)
+
+
 def test_text_rejects_missing_transition():
     text = ("dfao v1 base=2 states=2 initial=0\n"
             "state 0 out=r:1/1\nstate 1 out=r:0/1\n"

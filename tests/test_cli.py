@@ -742,6 +742,23 @@ def test_a_nan_output_is_a_one_line_error_in_every_command(tmp_path, capsys, arg
     assert err == "error: state 0 has a non-finite output (nan+0j)\n"
 
 
+def test_exact_values_past_2_to_53_print_correctly_rounded(tmp_path, capsys):
+    n, d = 2200840530128404508, 839786367037325781
+    auto = tmp_path / "big.dfao"
+    auto.write_text(ONE_STATE.replace("r:1/1", f"r:{n}/{d}"), encoding="utf-8")
+    assert run(["eval", "--auto", str(auto), "--n", "0"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == f"0,{n / d!r},0.0" == "0,2.620714763318591,0.0"
+
+
+@pytest.mark.parametrize("where", ["missing/x.csv", "."])
+def test_out_to_an_unwritable_path_is_a_one_line_error(tmp_path, capsys, where):
+    path = tmp_path / where     # a missing directory, then a directory
+    code = run(["eval", "--auto", "thue_morse_even", "--n", "3", "--out", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+
+
 def test_budget_checked_before_the_sum_and_count_arrays(capsys):
     # 10^10 int64 entries would need 74.5 GiB; the budget stops both first
     for argv in (["sum", "--auto", "thue_morse_even", "--f", "1/X", "--q", "1009",

@@ -101,6 +101,19 @@ def test_to_complex_matches_cmath():
         assert abs(complex(z) - direct) < 1e-10
 
 
+def test_to_complex_rounds_rationals_past_2_to_53_correctly():
+    # numpy's int64 division first rounds both sides to doubles; a Python int
+    # division rounds the quotient once
+    rng = random.Random(15)
+    for _ in range(2000):
+        n, d = rng.randrange(2 ** 53, 2 ** 62), rng.randrange(2 ** 53, 2 ** 62)
+        for c in (Fraction(n, d), Fraction(-n, d), Fraction(n, 3), Fraction(3, d)):
+            assert Cyclotomic.from_rational(c).to_complex() == c.numerator / c.denominator
+            # times e(1/4) = i: sin(pi/2) is 1.0, so the imaginary part is w exactly
+            assert (Cyclotomic.from_rational(c) * Cyclotomic.from_phase(Fraction(1, 4))
+                    ).to_complex().imag == c.numerator / c.denominator
+
+
 def test_histogram_construction():
     z = Cyclotomic.from_int_histogram(6, [2, 0, 0, 1])
     # e(3/6) = -1, so the value is 2 - 1 = 1

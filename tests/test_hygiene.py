@@ -1,7 +1,7 @@
 """Source hygiene, checked with the standard library's ast module: no module
 of the package imports a name it never uses, no module-level name is left
-unread, and the package's public names are the ones README lists under
-"Public API"."""
+unread, no module reads an automaton's outputs per state, and the package's
+public names are the ones README lists under "Public API"."""
 
 import ast
 import pathlib
@@ -68,6 +68,19 @@ def test_no_module_level_name_is_unread():
               if name not in read and name not in autoexp.__all__
               and not (name.startswith("__") and name.endswith("__"))]
     assert unread == []
+
+
+def test_no_module_reads_outputs_per_state():
+    # Dfao.outputs builds one tuple entry per state from the output table;
+    # the package reads Dfao.values through Dfao.output_index instead
+    reads, defined = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "outputs":
+                reads.append((path.name, node.lineno))
+            elif isinstance(node, ast.FunctionDef) and node.name == "outputs":
+                defined.append(path.name)
+    assert reads == [] and defined == ["automata.py"]
 
 
 def _readme_api():

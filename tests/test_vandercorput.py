@@ -126,6 +126,40 @@ def test_product_normalises_each_base_output_once(monkeypatch):
         assert all(v is w for v, w in zip(calls, tr.dfao.outputs))
 
 
+def test_product_shares_the_base_output_table():
+    rng = random.Random(13)
+    for i in range(20):
+        tr = random_transducer(rng)
+        if i % 2:   # base outputs that repeat one object
+            shared = [Fraction(1), Fraction(-1)]
+            base = tr.dfao
+            dfao = Dfao(base.base, base.transitions, [shared[s % 2] for s in range(base.n_states)])
+            tr = ScalarTransducer(dfao, [[Fraction(int(w), tr.weight_order) for w in row]
+                                         for row in tr.weights])
+        base, D = tr.dfao, tr.weight_order
+        assert len(tr.product.values) == len(base.values)
+        assert all(v is w for v, w in zip(tr.product.values, base.values))
+        assert np.array_equal(tr.product.output_index, np.repeat(base.output_index, D))
+
+
+def test_product_text_reads_each_distinct_value_once(monkeypatch):
+    rng = random.Random(14)
+    for _ in range(10):
+        tr = random_transducer(rng)
+        product, S = tr.product, tr.dfao.n_states
+        calls = []
+        real = Cyclotomic.exact_rational
+
+        def spy(self):
+            calls.append(self)
+            return real(self)
+        monkeypatch.setattr(Cyclotomic, "exact_rational", spy)
+        text = product.to_text()
+        monkeypatch.undo()
+        assert len(calls) <= S
+        assert text.count("\nstate ") == product.n_states
+
+
 def test_transducer_rejects_a_ragged_weight_table():
     with pytest.raises(ValueError):
         ScalarTransducer(block_11(), [[0, 0], [0], [0, 0]])
