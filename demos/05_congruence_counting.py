@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Counting solutions of 1/n1 + 1/n2 + 1/n3 = m mod q over the evil numbers.
 
-Per-coordinate residue histograms convolve (exact big-integer arithmetic)
-into the full solution count; the count approaches |S|^3/q as q grows, and
+Per-coordinate residue histograms convolve (a float FFT whose rounding is
+certified exact, big-integer Kronecker packing where it is not) into the
+full solution count; the count approaches |S|^3/q as q grows, and
 the brute-force oracle confirms the convolution where it is feasible.
 """
 

@@ -82,7 +82,7 @@ class Dfao:
         self.output_index.flags.writeable = False
         self.values = tuple(map(self._norm_output, distinct.values()))
         for v, w in zip(distinct.values(), self.values):
-            if not (isinstance(w, Cyclotomic) or np.isfinite(w)):
+            if not (isinstance(w, Cyclotomic) or math.isfinite(w.real) and math.isfinite(w.imag)):
                 raise ValueError(f"state {outputs.index(v)} has a non-finite output {w}")
 
     @staticmethod
@@ -141,24 +141,38 @@ class Dfao:
     def window_states(self, y: int, x: int, start: Optional[int] = None) -> np.ndarray:
         """States after reading (n)_k from start, for every n in (y, y+x], y >= -1.
 
-        By state(n) = delta(state(n // k), n % k), the window [lo, hi) is one
-        take of its parents [lo // k, (hi - 1) // k + 1), a digit shorter.
-        Shorten down to [0, 1), the empty word, which holds start; climb back
-        one take per level.  Where a level begins at 0, entry 0 is the empty
-        word again, as digit 0 need not fix a start.  About 2x states for any y."""
+        With K = k^sigma, state(n) = pad[state(n // K), n % K] for the table
+        pad = padded_table(range(S), sigma), so the window [lo, hi) is one
+        take of the rows of pad at its parents [lo // K, (hi - 1) // K + 1),
+        sigma digits shorter.  Shorten down to [0, 1), the empty word, which
+        holds start; climb back one take per level.  The n below k^(sigma-1)
+        read no leading zero, as digit 0 need not fix a start: their states
+        are state_table(k^(sigma-1), start), a shorter window.  sigma is the
+        largest with S*K^2 <= x (at least 1), so pad stays small beside the
+        window: about x + 2*S*K states for any y."""
         if y < -1 or x < 1:
             raise ValueError(f"need y >= -1 and x >= 1, not y = {y}, x = {x}")
-        k, lo, hi = self.base, y + 1, y + x + 1
+        k, S = self.base, self.n_states
+        sigma = 1
+        while S * k ** (2 * sigma + 2) <= x:
+            sigma += 1
+        K, lo, hi = k ** sigma, y + 1, y + x + 1
         start = self.initial if start is None else start
         levels = []
         while hi > 1:
             levels.append((lo, hi))
-            lo, hi = lo // k, (hi - 1) // k + 1
+            lo, hi = lo // K, (hi - 1) // K + 1
         st = np.array([start], dtype=np.int32)
-        for lo, hi in reversed(levels):     # the children p*k + d start at lo - lo % k
-            st = np.take(self.transitions, st, axis=0).ravel()[lo % k:lo % k + hi - lo]
-            if lo == 0:
-                st[0] = start
+        if not levels:
+            return st
+        pad = self.padded_table(range(S), sigma)
+        # the n below k^(sigma-1) differ only where digit 0 moves start
+        low = K // k if levels[-1][0] < K // k and self.transitions[start, 0] != start else 0
+        head = self.state_table(low, start)
+        for lo, hi in reversed(levels):     # the children p*K + m start at lo - lo % K
+            st = np.take(pad, st, axis=0).ravel()[lo % K:lo % K + hi - lo]
+            if lo < low:
+                st[:low - lo] = head[lo:hi]
         return st
 
     def states_at(self, ns: np.ndarray) -> np.ndarray:
@@ -453,7 +467,7 @@ def _sync_failures_by_blocks(dfao: Dfao, y: int, x: int, lam: int) -> int:
     # (disjoint even when first == last, as lo <= hi then)
     lo, hi = max(y + 1 - first * K, 0), y + x - last * K
     edges = np.unpackbits(fails[[0, -1]], axis=1, count=K, bitorder="little")
-    return (int(np.take(_POPCOUNT, fails).sum())
+    return (int(_POPCOUNT[fails].sum(dtype=np.int64))     # np.take would copy fails to intp
             - int(edges[0, :lo].sum()) - int(edges[1, hi + 1:].sum()))
 
 

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional
@@ -563,6 +564,10 @@ def _defaults() -> Dict[str, Dict]:
             for name, p in sub.choices.items()}
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     ns = parser.parse_args(argv)
@@ -571,7 +576,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     json_out = args.pop("json", False)
     out_path = args.pop("out", None)
     try:
-        report = execute(RunConfig(command, args))
+        with warnings.catch_warnings():     # a warning is one line, not a source excerpt
+            warnings.showwarning = _warning_line
+            report = execute(RunConfig(command, args))
         # allow_nan=False: JSON has no NaN or Infinity, so a non-finite value
         # is an error here, not invalid output
         text = (json.dumps(report.to_json_obj(), sort_keys=True, default=str,

@@ -7,9 +7,10 @@ spectra (`numpy.fft`, length 2^n >= 2q - 1) and rounds, but only when
 Percival's bound on the rounding error of that FFT convolution (C. Percival,
 Math. Comp. 72 (2003), Thm. 5.1) is below 1/2, so that rounding gives the
 exact integers; otherwise it falls back to `cyclic_convolve`, big-integer
-Kronecker packing.  `solution_table` builds each distinct histogram once,
-takes its spectrum once (a histogram keeps it), and folds the histograms
-into one convolution; every target m is read from the result.
+Kronecker packing.  A histogram holds its counts once, as one integer array.
+`solution_table` builds each distinct histogram once, takes its spectrum
+once (a histogram keeps it), and folds the histograms into one convolution,
+each step in one complex buffer; every target m is read from the result.
 Arguments at poles of f_j are excluded from the effective support (strict
 mode raises instead); the main term uses the pole-adjusted support product.
 """
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +28,7 @@ import numpy as np
 
 from .automata import Dfao
 from .budget import require_budget
-from .exact import Cyclotomic
+from .exact import Cyclotomic, _fit, _peak
 from .modring import RationalFunction, phase_numerators, prime_powers
 
 _ZERO = Cyclotomic.from_rational(0)
@@ -45,34 +45,63 @@ _EPS = 2.0 ** -53
 _BETA = 2.0 ** -49
 
 
-@dataclass(frozen=True)
 class ValueHistogram:
     """counts[m] = #{n counted with f(n) = m mod q}; support_size = total mass.
 
-    |counts|_2 and the float spectrum are taken on first use and kept, so a
-    histogram repeated across a fold of convolutions is read once."""
+    The counts are held once, as the read-only integer array `array`: int64,
+    or Python ints where an entry passes int64 (exact._fit's rule); `counts`
+    is a tuple view of it.  |counts|_2 and the float spectrum are taken on
+    first use and kept, so a histogram repeated across a fold of
+    convolutions is read once."""
 
-    modulus: int
-    counts: Tuple[int, ...]
-    support_size: int
-
-    def __post_init__(self):
-        if len(self.counts) != self.modulus:
+    def __init__(self, modulus: int, counts, support_size: int):
+        array = _fit(counts)
+        if len(array) != modulus:
             raise ValueError("histogram length must equal the modulus")
-        if sum(self.counts) != self.support_size:
+        if _total(array) != support_size:
             raise ValueError("support size must equal the total count")
+        array.flags.writeable = False
+        self.modulus, self.array, self.support_size = modulus, array, support_size
+
+    @property
+    def counts(self) -> Tuple[int, ...]:
+        return tuple(self.array.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, ValueHistogram):
+            return NotImplemented
+        return (self.modulus == other.modulus and self.support_size == other.support_size
+                and np.array_equal(self.array, other.array))
 
     @functools.cached_property
     def l2(self) -> float:
-        return _norm(self.counts)
+        return _norm(self.array)
 
     @functools.cached_property
     def spectrum(self) -> np.ndarray:
         """The float FFT of the counts, zero-padded to the length 2^n >= 2q - 1
         that fft_convolve uses."""
-        from numpy import fft       # `import numpy` leaves numpy.fft unloaded
-        return fft.fft(np.array(self.counts, dtype=np.float64),
-                       1 << (2 * self.modulus - 2).bit_length())
+        return _padded_fft(self.array)
+
+
+def _padded_fft(counts: np.ndarray) -> np.ndarray:
+    """The FFT of counts zero-padded to the length 2^n >= 2q - 1, taken in
+    place in one complex buffer."""
+    from numpy import fft       # `import numpy` leaves numpy.fft unloaded
+    buf = np.zeros(1 << (2 * len(counts) - 2).bit_length(), dtype=np.complex128)
+    buf.real[:len(counts)] = counts
+    return fft.fft(buf, None, -1, None, buf)       # (n, axis, norm, out)
+
+
+def _widened(counts: np.ndarray, peak: int) -> np.ndarray:
+    """counts as int64 while a sum of len(counts) terms of size <= peak
+    cannot wrap, as Python ints past that."""
+    return counts if len(counts) * peak < 1 << 63 else counts.astype(object)
+
+
+def _total(counts: np.ndarray) -> int:
+    """The exact sum of an integer array."""
+    return int(_widened(counts, _peak(counts)).sum())
 
 
 def _indicator_values(dfao: Dfao, q: int) -> np.ndarray:
@@ -92,8 +121,7 @@ def _histogram(member: np.ndarray, f: RationalFunction, q: int,
         bad = ns[(vals < 0) & (member == 1)][:5]
         raise ValueError(f"pole of {f} mod {q} inside the set, e.g. n={bad.tolist()}")
     keep = (member == 1) & (vals >= 0)
-    counts = np.bincount(vals[keep], minlength=q)
-    return ValueHistogram(q, tuple(counts.tolist()), int(keep.sum()))
+    return ValueHistogram(q, np.bincount(vals[keep], minlength=q), int(keep.sum()))
 
 
 def value_histogram(dfao: Dfao, f: RationalFunction, q: int,
@@ -107,20 +135,18 @@ def cyclic_convolve(h1: ValueHistogram, h2: ValueHistogram) -> ValueHistogram:
     if h1.modulus != h2.modulus:
         raise ValueError("histograms must share a modulus")
     q = h1.modulus
-    bound = max(1, min(h1.support_size * max(h2.counts, default=0),
-                       h2.support_size * max(h1.counts, default=0))) + 1
+    # every cyclic entry is below bound <= 2^(8 slot), so no slot carries
+    bound = max(1, min(h1.support_size * _peak(h2.array),
+                       h2.support_size * _peak(h1.array))) + 1
     slot = max(2, (bound.bit_length() + 7) // 8)
-    a = int.from_bytes(b"".join(int(c).to_bytes(slot, "little") for c in h1.counts),
-                       "little")
-    b = int.from_bytes(b"".join(int(c).to_bytes(slot, "little") for c in h2.counts),
-                       "little")
-    prod = (a * b).to_bytes(2 * q * slot, "little")
-    lin = [int.from_bytes(prod[i * slot:(i + 1) * slot], "little")
-           for i in range(2 * q - 1)]
-    counts = lin[:q]
-    for i, c in enumerate(lin[q:]):
-        counts[i] += c
-    return ValueHistogram(q, tuple(counts), h1.support_size * h2.support_size)
+    a, b = (int.from_bytes(b"".join(c.to_bytes(slot, "little") for c in h.array.tolist()),
+                           "little") for h in (h1, h2))
+    # the linear product's slots q.. added onto slots 0.. fold it cyclically
+    bits = 8 * slot * q
+    prod = a * b
+    folded = ((prod & ((1 << bits) - 1)) + (prod >> bits)).to_bytes(q * slot, "little")
+    counts = [int.from_bytes(folded[i * slot:(i + 1) * slot], "little") for i in range(q)]
+    return ValueHistogram(q, counts, h1.support_size * h2.support_size)
 
 
 def fft_error_bound(norm_x: float, norm_y: float, n: int) -> float:
@@ -134,10 +160,11 @@ def fft_error_bound(norm_x: float, norm_y: float, n: int) -> float:
     return norm_x * norm_y * growth * (1 + 2.0 ** -40)
 
 
-def _norm(counts: Sequence[int]) -> float:
+def _norm(counts: np.ndarray) -> float:
     """Euclidean norm, from the exact integer sum of squares."""
+    squares = _widened(counts, _peak(counts) ** 2)
     try:
-        return math.sqrt(sum(map(operator.mul, counts, counts)))
+        return math.sqrt(int(squares @ squares))
     except OverflowError:       # beyond float range: no FFT can be certified
         return math.inf
 
@@ -153,17 +180,21 @@ def fft_convolve(h1: ValueHistogram, h2: ValueHistogram) -> Optional[ValueHistog
         return None
     # every |entry| <= |x|_2 |y|_2 < 2^53 now, so the floats hold exact integers
     from numpy import fft
-    prod = h1.spectrum * h2.spectrum    # inverted and rounded in place
-    re = fft.ifft(prod, None, -1, None, prod).real[:2 * q - 1]     # (n, axis, norm, out)
-    lin = np.rint(re, out=re).astype(np.int64)
-    folded = lin[:q]
-    folded[:q - 1] += lin[q:]
-    counts = folded.tolist()
+    if h1 is h2:
+        prod = h1.spectrum * h1.spectrum
+    else:       # h1 may be a fold intermediate: its spectrum is used once, not kept
+        prod = _padded_fft(h1.array)
+        prod *= h2.spectrum
+    # inverted, rounded and folded in place; the folded sums stay exact
+    re = fft.ifft(prod, None, -1, None, prod).real[:2 * q - 1]
+    np.rint(re, out=re)
+    re[:q - 1] += re[q:]
+    counts = re[:q].astype(np.int64)
     mass = h1.support_size * h2.support_size
-    if sum(counts) != mass:
-        raise ArithmeticError(f"FFT convolution mod {q} has mass {sum(counts)}, "
+    if _total(counts) != mass:
+        raise ArithmeticError(f"FFT convolution mod {q} has mass {_total(counts)}, "
                               f"not {mass}, inside Percival's bound")
-    return ValueHistogram(q, tuple(counts), mass)
+    return ValueHistogram(q, counts, mass)
 
 
 def convolve(h1: ValueHistogram, h2: ValueHistogram) -> ValueHistogram:
@@ -194,7 +225,7 @@ class SolutionTable:
 
     def count(self, m: int) -> CongruenceCount:
         q = self.conv.modulus
-        n_sol = self.conv.counts[m % q]
+        n_sol = int(self.conv.array[m % q])
         main = Fraction(math.prod(self.support_sizes), q)
         rel = float(n_sol / main - 1) if main else None
         return CongruenceCount(n_sol, q, m % q, self.support_sizes, main,

@@ -67,9 +67,8 @@ class ScalarTransducer:
                     initial=dfao.initial * D, _check_initial_loop=False)
 
     def tables(self, limit: int) -> Tuple[np.ndarray, np.ndarray]:
-        """(state, phase-index) tables over [0, limit) read from the start."""
-        # int64, so t * j cannot wrap
-        return divmod(self.product.state_table(limit).astype(np.int64), self.weight_order)
+        """(state, phase-index) int32 tables over [0, limit) read from the start."""
+        return divmod(self.product.state_table(limit), self.weight_order)
 
     def __repr__(self):
         return (f"<ScalarTransducer states={self.dfao.n_states} "
@@ -221,7 +220,7 @@ def carry_violation_counts(tr: ScalarTransducer, lam: int, alpha: int,
     # the last window ends at top - 1; top >= k^(alpha+rho), as rho < lam
     top = (L + 1) * ka - 1 + r
     require_budget(top, "weight table length k^(lam+alpha) + r")
-    _, val = tr.tables(top)
+    val = tr.tables(top)[1]
     lo = np.arange(L) * ka + r
     steps = np.zeros(top, dtype=np.int32)   # may wrap; a window's two ends differ by < 2ka
 

@@ -156,10 +156,13 @@ def test_digit_states_match_walks():
         d.digit_states(np.array([3, -1]))
 
 
-# (k, y, x): windows just below and past powers of k, far out, and past 2^64
+# (k, y, x): windows just below and past powers of k, far out, and past 2^64;
+# every one is long enough for the climb to take sigma >= 2 digits per level,
+# and the last ones reach down to levels that start between 0 and k^(sigma-1)
 WINDOWS = [(2, 2 ** 20 - 2, 2 ** 20), (2, 3 * 2 ** 20 + 5, 2 ** 20 + 1),
            (2, 10 ** 12, 200000), (5, 5 ** 9 - 2, 5 ** 8 + 1), (5, 3 * 5 ** 9, 5 ** 8 + 1),
-           *[(k, y, 3000) for k in (2, 3, 5) for y in (-1, 0, k ** 12 - 3, 2 ** 64 + 7)]]
+           *[(k, y, 3000) for k in (2, 3, 5) for y in (-1, 0, k ** 12 - 3, 2 ** 64 + 7)],
+           *[(k, y, 50000) for k in (2, 3, 5) for y in (-1, 5, 12345, 2 ** 64 + 7)]]
 
 
 @pytest.mark.parametrize("k, y, x", WINDOWS)

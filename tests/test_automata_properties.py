@@ -4,7 +4,8 @@ text format round trip.
 Random automata in bases 2, 3 and 5 (digit 0 need not fix a state), windows
 of up to 300 terms at offsets up to 2^70, placed against K, the least power
 of k >= x: below K, straddling a multiple of K, where the digits above the
-lowest log_k(K) change inside the window, and between two multiples.
+lowest log_k(K) change inside the window, and between two multiples; and
+windows of S*k^4 terms and more against Dfao.digit_states.
 """
 
 import numpy as np
@@ -55,6 +56,20 @@ def test_window_states_match_walks_from_every_start(data):
         assert got.shape == (x,)
         assert got.tolist() == [d.walk(s, w) for w in words]
     assert d.window_states(y, x).tolist() == [d.walk(d.initial, w) for w in words]
+
+
+@given(st.data())
+def test_long_windows_match_digit_columns_from_every_start(data):
+    # x >= S*k^4, so window_states climbs sigma >= 2 digits per level; small
+    # y put the lowest levels between 0 and k^(sigma-1)
+    d = data.draw(automata())
+    k, S = d.base, d.n_states
+    x = data.draw(st.integers(S * k ** 4, S * k ** 4 + 3000))
+    y = data.draw(st.integers(-1, 3 * x) | st.integers(-1, 2 ** 62 - x))
+    ns = np.arange(y + 1, y + x + 1, dtype=np.int64)
+    for s in range(S):
+        from_s = Dfao(k, d.transitions, [0] * S, s, _check_initial_loop=False)
+        assert np.array_equal(d.window_states(y, x, s), from_s.digit_states(ns))
 
 
 @given(st.data())

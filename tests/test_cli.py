@@ -759,6 +759,20 @@ def test_out_to_an_unwritable_path_is_a_one_line_error(tmp_path, capsys, where):
     assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("q_opt", [["--q", "7"], ["--q-list", "7,11"]])
+def test_a_library_warning_is_one_stderr_line(q_opt):
+    # a fresh interpreter, whose default filters show the UserWarning
+    root = pathlib.Path(__file__).resolve().parent.parent
+    path = os.pathsep.join([str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-m", "autoexp", *COUNT[:-1], "X", *q_opt],
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ("warning: f=X is a linear or constant polynomial; "
+                           "the equidistribution heuristic does not apply\n")
+    assert proc.stdout.startswith("q,m,N,")
+
+
 def test_budget_checked_before_the_sum_and_count_arrays(capsys):
     # 10^10 int64 entries would need 74.5 GiB; the budget stops both first
     for argv in (["sum", "--auto", "thue_morse_even", "--f", "1/X", "--q", "1009",

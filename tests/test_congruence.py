@@ -9,7 +9,7 @@ import oracles
 from autoexp import congruence
 from autoexp.automata import Dfao, constant_one, thue_morse_even
 from autoexp.budget import BudgetError
-from autoexp.congruence import (ValueHistogram, brute_force_count, convolve,
+from autoexp.congruence import (SolutionTable, ValueHistogram, brute_force_count, convolve,
                                 count_solutions, cyclic_convolve, fft_convolve,
                                 fft_error_bound, solution_table,
                                 value_histogram)
@@ -93,6 +93,44 @@ def test_convolution_handles_large_exact_counts():
     out = cyclic_convolve(h, h)
     assert out.counts[0] == big * big
     assert out.counts[1] == 2 * big
+
+
+def test_kronecker_results_past_int64_stay_exact_through_the_table():
+    # entries near 10^24 pass int64: the result holds Python ints, and the
+    # table reads them back as Python ints
+    big = 10 ** 12
+    h = _hist([big + 3, 7, 0, 5, big])
+    c = h.counts
+    want = [sum(c[j] * c[(m - j) % 5] for j in range(5)) for m in range(5)]
+    assert max(want) > 2 ** 63
+    out = convolve(h, h)
+    assert out.array.dtype == object and list(out.counts) == want
+    table = SolutionTable(out, (h.support_size,) * 2, 5)
+    for m in range(5):
+        n = table.count(m).n_solutions
+        assert type(n) is int and n == want[m]
+
+
+def test_mass_and_norm_past_int64_stay_exact():
+    # int64 entries whose sum, and whose sum of squares, pass int64
+    top = 2 ** 62 - 1
+    h = ValueHistogram(4, (top,) * 4, 4 * top)
+    assert h.array.dtype == np.int64 and h.l2 == math.sqrt(4 * top * top)
+    with pytest.raises(ValueError, match="support size"):
+        ValueHistogram(4, (top,) * 4, 4 * top - 2 ** 64)
+    out = cyclic_convolve(h, h)
+    assert out.array.dtype == object and out.counts == (4 * top * top,) * 4
+    assert out.l2 == math.sqrt(4 * (4 * top * top) ** 2)
+
+
+def test_histograms_hold_one_read_only_int64_array():
+    h = value_histogram(thue_morse_even(), INV_X, 101)
+    assert h.array.dtype == np.int64 and not h.array.flags.writeable
+    assert h.counts == tuple(h.array.tolist()) and all(type(c) is int for c in h.counts)
+    assert h == _hist(list(h.counts)) and h != _hist([1] + [0] * 100)
+    table = solution_table([INV_X] * 2, thue_morse_even(), 101)
+    assert table.conv.array.dtype == np.int64
+    assert type(table.count(0).n_solutions) is int
 
 
 def test_convolution_modulus_mismatch():

@@ -1,7 +1,8 @@
 """Source hygiene, checked with the standard library's ast module: no module
 of the package imports a name it never uses, no module-level name is left
-unread, no module reads an automaton's outputs per state, and the package's
-public names are the ones README lists under "Public API"."""
+unread, no module reads an automaton's outputs per state or a histogram's
+counts as a tuple, and the package's public names are the ones README lists
+under "Public API"."""
 
 import ast
 import pathlib
@@ -70,17 +71,29 @@ def test_no_module_level_name_is_unread():
     assert unread == []
 
 
-def test_no_module_reads_outputs_per_state():
-    # Dfao.outputs builds one tuple entry per state from the output table;
-    # the package reads Dfao.values through Dfao.output_index instead
+def _reads_and_definitions(attr):
+    """Where src/autoexp reads an attribute named attr, and the modules that
+    define a function of that name."""
     reads, defined = [], []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Attribute) and node.attr == "outputs":
+            if isinstance(node, ast.Attribute) and node.attr == attr:
                 reads.append((path.name, node.lineno))
-            elif isinstance(node, ast.FunctionDef) and node.name == "outputs":
+            elif isinstance(node, ast.FunctionDef) and node.name == attr:
                 defined.append(path.name)
-    assert reads == [] and defined == ["automata.py"]
+    return reads, defined
+
+
+def test_no_module_reads_outputs_per_state():
+    # Dfao.outputs builds one tuple entry per state from the output table;
+    # the package reads Dfao.values through Dfao.output_index instead
+    assert _reads_and_definitions("outputs") == ([], ["automata.py"])
+
+
+def test_no_module_reads_histogram_counts_as_a_tuple():
+    # ValueHistogram.counts builds a tuple of Python ints from the count
+    # array; the package reads ValueHistogram.array instead
+    assert _reads_and_definitions("counts") == ([], ["congruence.py"])
 
 
 def _readme_api():

@@ -63,7 +63,7 @@ def test_transducer_tables_match_walks():
                ScalarTransducer(Dfao(2, [[0, 0]], [Fraction(1)]),
                                 [[Fraction(1, 3), Fraction(1, 2)]])):
         st, val = tr.tables(200)
-        assert val.dtype == np.int64
+        assert st.dtype == val.dtype == np.int32     # no int64 copy of the state table
         assert tr.product.n_states == tr.dfao.n_states * tr.weight_order
         for n in range(200):
             assert Fraction(int(val[n]), tr.weight_order) % 1 == oracles.value_phase(tr, n)
