@@ -462,7 +462,9 @@ def _sync_failures_by_blocks(dfao: Dfao, y: int, x: int, lam: int) -> int:
     fails = np.zeros((last - first + 1, (K + 7) // 8), dtype=np.uint8)
     for s in range(dfao.n_states):
         miss = np.packbits(pad != dfao.state_table(K, s), axis=1, bitorder="little")
-        fails |= np.take(miss, dfao.window_states(first - 1, last - first + 1, s), axis=0)
+        states = dfao.window_states(first - 1, last - first + 1, s)
+        for i in range(0, states.size, 1 << 16):   # np.take copies its indices to intp
+            fails[i:i + (1 << 16)] |= np.take(miss, states[i:i + (1 << 16)], axis=0)
     # less the columns of the first and last block that lie outside (y, y+x]
     # (disjoint even when first == last, as lo <= hi then)
     lo, hi = max(y + 1 - first * K, 0), y + x - last * K

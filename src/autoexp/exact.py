@@ -45,8 +45,8 @@ _EXACT = 1 << 53    # every integer up to this converts to float64 exactly
 
 
 def _peak(arr: np.ndarray) -> int:
-    """Largest magnitude in an integer array (0 when empty)."""
-    return int(np.abs(arr).max()) if arr.size else 0
+    """Largest magnitude in an integer array (0 when empty), without a temporary."""
+    return max(int(arr.max()), -int(arr.min())) if arr.size else 0
 
 
 def _fit(values) -> np.ndarray:
@@ -328,6 +328,27 @@ def _dense(key: np.ndarray, nums: np.ndarray) -> bool:
             and _peak(nums) * nums.size < _BIG)
 
 
+def merge_keys(key: np.ndarray, nums: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(the distinct keys, ascending; the sum of each key's integer nums, kept
+    where they cancel): by slot when _dense, else by sorting the keys."""
+    if _dense(key, nums):   # sums by slot: key and nums come out sorted by key
+        sums = np.zeros(int(key.max()) + 1, dtype=np.int64)
+        np.add.at(sums, key, nums)
+        key = np.flatnonzero(np.bincount(key))  # occupied slots, cancelled ones too
+        return key, sums[key]
+    if key.size > 1:    # equal keys are summed, so their order does not matter
+        order = key.argsort()
+        key = key[order]    # one permuted copy at a time keeps the peak low
+        nums = nums[order]
+        del order
+        starts = _firsts(key)
+        if starts.size < key.size:
+            if nums.dtype != object and _peak(nums) * nums.size >= _BIG:
+                nums = nums.astype(object)
+            return key[starts], np.add.reduceat(nums, starts)
+    return key, nums
+
+
 def normal_forms(modulus: int, buckets: np.ndarray, exps: np.ndarray,
                  nums: np.ndarray, den: int = 1) -> Dict[int, Cyclotomic]:
     """bucket -> normal form of the sum of nums[i]/den * e(exps[i]/modulus)
@@ -338,11 +359,10 @@ def normal_forms(modulus: int, buckets: np.ndarray, exps: np.ndarray,
 
     One merge of the key bucket * L/2 + folded exponent serves every bucket;
     each bucket is then divided by the gcd of its exponents with L and of its
-    numerators with the denominator.  The merge sums by slot (one bincount
-    marks the occupied keys, one np.add.at sums their numerators) when the
-    keys are non-negative int64 that span no more slots than there are terms
-    and the int64 numerators cannot overflow; otherwise (object keys or
-    numerators, moduli past 2^61, sparse keys) it sorts the keys and sums
+    numerators with the denominator.  The merge (merge_keys) sums by slot
+    when the keys are non-negative int64 that span no more slots than there
+    are terms and the int64 numerators cannot overflow; otherwise (object keys
+    or numerators, moduli past 2^61, sparse keys) it sorts the keys and sums
     runs of equal keys.  Both give the same sorted keys and sums."""
     if 2 * modulus >= _BIG:
         exps = exps.astype(object)
@@ -356,21 +376,7 @@ def normal_forms(modulus: int, buckets: np.ndarray, exps: np.ndarray,
     nums = np.where(fold, -nums, nums)
     key = _times(buckets, half) + exps
     del buckets, exps   # the key carries both; free them before the merge
-    if _dense(key, nums):   # sums by slot: key and nums come out sorted by key
-        sums = np.zeros(int(key.max()) + 1, dtype=np.int64)
-        np.add.at(sums, key, nums)
-        key = np.flatnonzero(np.bincount(key))  # occupied slots, cancelled ones too
-        nums = sums[key]
-    elif key.size > 1:  # equal keys are summed, so their order does not matter
-        order = key.argsort()
-        key = key[order]    # one permuted copy at a time keeps the peak low
-        nums = nums[order]
-        del order
-        starts = _firsts(key)
-        if starts.size < key.size:
-            if nums.dtype != object and _peak(nums) * nums.size >= _BIG:
-                nums = nums.astype(object)
-            key, nums = key[starts], np.add.reduceat(nums, starts)
+    key, nums = merge_keys(key, nums)
     labels, exps = key // half, key % half
     firsts = _firsts(labels)
     out = dict.fromkeys(labels[firsts].tolist(), _ZERO)
@@ -399,10 +405,11 @@ def normal_forms(modulus: int, buckets: np.ndarray, exps: np.ndarray,
 
 
 def indexed_phase_sums(values: Sequence[Cyclotomic], index: np.ndarray, modulus: int,
-                       phases: np.ndarray, buckets: np.ndarray) -> Dict[int, Cyclotomic]:
-    """bucket -> sum over the i in that bucket of values[index[i]] *
-    e(phases[i] / modulus), skipping the pole marker phases[i] = -1, as one
-    normal_forms call; a bucket appears when it holds a term.
+                       phases: np.ndarray, buckets: np.ndarray,
+                       counts: np.ndarray) -> Dict[int, Cyclotomic]:
+    """bucket -> sum over the i in that bucket of counts[i] * values[index[i]]
+    * e(phases[i] / modulus), for integer counts, as one normal_forms call; a
+    bucket appears when it holds a term.
 
     Every value is lifted once to one modulus W and one denominator d, and
     the terms of all values are concatenated; each i gathers the terms of
@@ -413,16 +420,17 @@ def indexed_phase_sums(values: Sequence[Cyclotomic], index: np.ndarray, modulus:
     exps = np.concatenate([_EMPTY] + [a for a, _ in lifted])
     nums = np.concatenate([_EMPTY] + [c for _, c in lifted])
     sizes = np.array([v._nums.size for v in values], dtype=np.int64)
-    live = phases >= 0
-    idx = index[live]
-    counts = sizes[idx]
-    ends = np.cumsum(counts)
+    n = sizes[index]
+    ends = np.cumsum(n)
     # term t of element i sits at starts[index[i]] + t in the concatenation
     starts = np.cumsum(sizes) - sizes
-    at = np.arange(ends[-1] if ends.size else 0) + np.repeat(starts[idx] - ends + counts,
-                                                             counts)
-    shifted = exps[at] + np.repeat(_times(phases[live], W // modulus), counts)
-    return normal_forms(W, np.repeat(buckets[live], counts), shifted, nums[at], den)
+    at = np.arange(ends[-1] if ends.size else 0) + np.repeat(starts[index] - ends + n, n)
+    shifted = exps[at] + np.repeat(_times(phases, W // modulus), n)
+    nums, counts = nums[at], np.repeat(counts, n)
+    if nums.dtype != object and (counts.dtype == object or _peak(nums) * _peak(counts) >= _BIG):
+        nums = nums.astype(object)
+    nums *= counts
+    return normal_forms(W, np.repeat(buckets, n), shifted, nums, den)
 
 
 def as_exact(value) -> Optional[Cyclotomic]:

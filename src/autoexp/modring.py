@@ -22,7 +22,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .budget import BudgetError, enumeration_budget, require_budget
-from .exact import Cyclotomic, _fit, _narrow, as_exact, indexed_phase_sums, normal_forms
+from .exact import (Cyclotomic, _fit, _narrow, _times, as_exact, indexed_phase_sums,
+                    merge_keys)
 
 
 # ---------------------------------------------------------------------------
@@ -578,23 +579,27 @@ def phase_numerators(f: RationalFunction, q: int, ns) -> np.ndarray:
     vectorized pass mod q, Q(n) inverted as Q(n)^(phi(q) - 1); -1 marks the
     poles, where some p | q divides Q(n).  Residues are int64 below 2^31,
     where every product fits, and Python ints from there on; the result is
-    int64 where it fits."""
+    int64 where it fits.  More than q values take the pass over [0, q) and
+    gather it by n mod q."""
     pps = _checked_prime_powers(f, q)
     # from a list, numpy would turn ints in [2^63, 2^64) into floats
     ns = ns if isinstance(ns, np.ndarray) else _fit(ns)
+    residues = slice(None)
+    if ns.size > q:     # f(n) mod q reads n mod q: each residue once
+        residues, ns = (ns % q).astype(np.intp, copy=False), np.arange(q)
     if ns.dtype.kind in "Ou":   # ints that may pass int64: f(n) mod q reads n mod q
         ns = ns.astype(object) % q
     ns = ns.astype(np.int64 if q < 1 << 31 else object, copy=False)
     if f.den.degree == 0:
         # a constant Q is a unit mod q, as f is well-defined: one inverse, no poles
-        return _narrow(f.num.eval_mod_vec(ns, q) * pow(f.den.leading, -1, q) % q)
+        return _narrow(f.num.eval_mod_vec(ns, q) * pow(f.den.leading, -1, q) % q)[residues]
     qn = f.den.eval_mod_vec(ns, q)
     pole = np.zeros(ns.shape, dtype=bool)
     for p, _e, _m in pps:
         pole |= qn % p == 0
     phi = math.prod(m // p * (p - 1) for p, _e, m in pps)
     inv = _pow_mod_vec(np.where(pole, 1, qn), phi - 1, q)
-    return _narrow(np.where(pole, -1, f.num.eval_mod_vec(ns, q) * inv % q))
+    return _narrow(np.where(pole, -1, f.num.eval_mod_vec(ns, q) * inv % q))[residues]
 
 
 class FractionPhase:
@@ -632,6 +637,8 @@ class PhaseValues:
         if not self.exact:
             return self.values
         v, L = self.values, self.modulus
+        if v.size > L:  # each phase once, then a gather; the pole marker -1 reads 0j
+            return np.append(PhaseValues(L, np.arange(L)).to_complex(), 0j)[v]
         if L >= 1 << 52:    # 2v and 2L in Python ints: a double holds them exactly to 2^53
             v = v.astype(object)
         # the normal form's half-turn fold: e(t) = -e(t - 1/2) for t >= 1/2
@@ -653,38 +660,56 @@ class PhaseValues:
         if L >= 1 << 62:    # terms below L, differences above -L: Python ints past int64
             v, w = v.astype(object), w.astype(object)
         diff = (v * (L // self.modulus) - w * (L // other.modulus)) % L
-        return PhaseValues(L, _narrow(np.where((v < 0) | (w < 0), -1, diff)))
+        diff[(v < 0) | (w < 0)] = -1
+        return PhaseValues(L, _narrow(diff))
 
     def bucket_sums(self, buckets: np.ndarray,
                     weights: Optional[np.ndarray] = None) -> Dict[int, Union[Cyclotomic, complex]]:
         """bucket -> sum of weight * g(n) over its elements (integer weights,
         default 1); a bucket appears when it holds an element with g(n) != 0.
-        Exact sums of the whole table are normalised in one batch
-        (exact.normal_forms: one merge); float sums are math.fsum per bucket."""
-        live = self.values >= 0 if self.exact else self.values != 0
-        size = int(np.count_nonzero(live))
-        w = np.broadcast_to(np.int64(1), size) if weights is None else _fit(weights[live])
-        if self.exact:      # the normaliser holds the only copies and frees them early
-            return normal_forms(self.modulus, buckets[live], self.values[live], w)
+        Exact sums count their distinct (bucket, phase) keys (_counted_sums);
+        float sums are math.fsum per bucket."""
+        if self.exact:
+            return self._counted_sums([Cyclotomic.from_rational(1)], None, buckets, weights)
+        live = self.values != 0
+        w = 1 if weights is None else _fit(weights[live])
         return _fsum_buckets(buckets[live], self.values[live] * w)
 
     def indexed_sums(self, table: Sequence, index: np.ndarray,
                      buckets: Optional[np.ndarray] = None) -> Dict[int, Union[Cyclotomic, complex]]:
         """bucket -> sum over its n of table[index[n]] * g(n); buckets=None
         is one bucket 0, which appears even when empty, as Cyclotomic(0) or
-        0j.  Exact when g and every table entry are exact (one
-        exact.normal_forms call for the whole table), otherwise complex,
-        each bucket summed with math.fsum."""
+        0j.  Exact when g and every table entry are exact (_counted_sums),
+        otherwise complex, each bucket summed with math.fsum."""
         one = buckets is None
-        buckets = np.zeros(len(index), dtype=np.int64) if one else buckets
+        buckets = np.zeros(len(index), dtype=np.int8) if one else buckets
         exact = [as_exact(v) for v in table]
         if self.exact and all(v is not None for v in exact):
-            sums = indexed_phase_sums(exact, index, self.modulus, self.values, buckets)
+            sums = self._counted_sums(exact, index, buckets, None)
             zero = Cyclotomic.zero()
         else:
             terms = np.array([complex(v) for v in table])[index] * self.to_complex()
             sums, zero = _fsum_buckets(buckets, terms), 0j
         return {0: sums.get(0, zero)} if one else sums
+
+    def _counted_sums(self, table: Sequence[Cyclotomic], index: Optional[np.ndarray],
+                      buckets: np.ndarray,
+                      weights: Optional[np.ndarray]) -> Dict[int, Cyclotomic]:
+        """bucket -> exact sum of weights[n] (default 1) * table[index[n]]
+        (index None: table[0]) * g(n).  Equal keys (bucket, index, phase) are
+        merged first, so only the distinct keys are expanded by their terms."""
+        live = self.values >= 0
+        T, L = len(table), self.modulus
+        key = _fit(buckets[live])   # int64 before any product, or Python ints
+        if index is not None:
+            key = _times(key, T) + index[live]
+        key = _times(key, L)
+        key += self.values[live]
+        key, counts = merge_keys(key, np.broadcast_to(np.int64(1), key.size)
+                                 if weights is None else _fit(weights[live]))
+        key, phases = key // L, key % L     # np.divmod has no loop for Python ints
+        index = (key % T).astype(np.intp, copy=False)
+        return indexed_phase_sums(table, index, L, phases, key // T, counts)
 
     def indexed_sum(self, table: Sequence, index: np.ndarray) -> Union[Cyclotomic, complex]:
         """sum over n of table[index[n]] * g(n): the one-bucket indexed_sums."""

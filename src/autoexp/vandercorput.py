@@ -339,12 +339,12 @@ def decompose_weyl(tr: ScalarTransducer, tau: Callable[[Cyclotomic, int], object
     [0, 1/2).  (That == does not decide equality in Q(zeta_L) is a separate
     matter.)  In float mode each bucket is summed by math.fsum and compared
     with 1e-9 relative.
-    The van der Corput inequality is checked on each S_3 sequence, and the
-    comparator x M^-eta + sum_m sqrt((x/(RM)) sum |S_5|) is reported next
-    to |S_0|; eta is "fit" (eta_fit), None (no M^-eta term) or a finite
-    number, and anything else raises ValueError.  lam1 = lam2 = 0
-    (M = R = 1) is a valid decomposition: each regrouping has a single
-    class, and every identity still holds.
+    Van der Corput is checked on each class n = m mod M of each S_3 sum,
+    and the comparator x M^-eta + sum_m sqrt((x/(RM)) sum |S_5|) is
+    reported next to |S_0|; eta is "fit" (eta_fit), None (no M^-eta term)
+    or a finite number, and anything else raises ValueError.
+    lam1 = lam2 = 0 (M = R = 1) is a valid decomposition: each regrouping
+    has a single class, and every identity still holds.
     """
     if lam1 < 0 or lam2 < 0:
         raise ValueError("need lam1 >= 0 and lam2 >= 0")
@@ -366,7 +366,7 @@ def decompose_weyl(tr: ScalarTransducer, tau: Callable[[Cyclotomic, int], object
     require_budget(span + RM2, "window x + (R-1)M plus table RM^2")
     # (end state, weight index) over the window (y, y + span], n at index
     # n - (y + 1), and over [0, RM^2), where ns % RM^2 and ns % M index
-    q_all, j_all = divmod(tr.product.window_states(y, span).astype(np.int64), D)
+    q_all, j_all = np.divmod(tr.product.window_states(y, span), D)     # int32
     st, val = tr.tables(RM2)
 
     g_all = phase_values(g, int_range(y + 1, y + span + 1))
@@ -408,7 +408,8 @@ def decompose_weyl(tr: ScalarTransducer, tau: Callable[[Cyclotomic, int], object
 
     j_n = j_all[:x]
     q_n = q_all[:x]
-    mprime_n = (np.arange(x) + (y + 1) % RM2) % RM2     # ns % RM^2
+    # int32 ns % RM^2 and ns % M (y may pass int64); buckets m*D widen to int64 first
+    mprime_n = np.resize(np.roll(np.arange(RM2, dtype=np.int32), -((y + 1) % RM2)), x)
     m_n = mprime_n % M
     trunc_q = st[m_n]
     sync_mask = q_n != trunc_q
@@ -423,7 +424,7 @@ def decompose_weyl(tr: ScalarTransducer, tau: Callable[[Cyclotomic, int], object
     identity_s0 = same(s0, s0_rec)
 
     # ---- S_2 per (residue mod M, weight value); S_1 from S_2 + sync failures
-    b2 = g.bucket_sums(m_n * D + j_n)
+    b2 = g.bucket_sums(np.multiply(m_n, D, dtype=np.int64) + j_n)
     s2 = {divmod(b, D): v for b, v in b2.items()}
     # each failing n moves g(n) from (j, truncated end state) to (j, q_n)
     bad = np.flatnonzero(sync_mask)
@@ -441,7 +442,8 @@ def decompose_weyl(tr: ScalarTransducer, tau: Callable[[Cyclotomic, int], object
 
     # ---- S_3 per (residue, character), against the character expansion of S_2
     b3 = {m * D + t: v for t in range(D)
-          for m, v in g.times_conj(PhaseValues(D, -t * j_n % D)).bucket_sums(m_n).items()}
+          for m, v in g.times_conj(PhaseValues(D, np.multiply(j_n, -t, dtype=np.int64) % D))
+          .bucket_sums(m_n).items()}
     s3 = {divmod(b, D): v for b, v in b3.items()}
     # S_3(m, t) = sum over j of S_2(m, j) e(tj/D)
     identity_s3 = agree(expand(list(b2.values()), m2, j2), b3)
@@ -467,7 +469,7 @@ def decompose_weyl(tr: ScalarTransducer, tau: Callable[[Cyclotomic, int], object
             s5[(b, r)] = v
         # S_4'(m, j) sums gc over the n of residue m with dval = j, and
         # S_4(m, t, r) = sum over j of S_4'(m, j) e(tj/D): one expansion
-        b4 = gc.bucket_sums(m_n * D + dval)
+        b4 = gc.bucket_sums(np.multiply(m_n, D, dtype=np.int64) + dval)
         m4, j4 = np.divmod(keys(b4), D)
         e4 = expand(list(b4.values()), m4, j4)
         # S_4 at (m, c, r) for every c of each residue of S_4' (an exact
@@ -477,7 +479,8 @@ def decompose_weyl(tr: ScalarTransducer, tau: Callable[[Cyclotomic, int], object
         # C_4(m, j): each carry failure moves gc(n) from weight vt to dval
         bad = np.flatnonzero(fail_mask)
         c4 = gc.take(np.tile(bad, 2)).bucket_sums(
-            np.tile(m_n[bad], 2) * D + np.concatenate([dval[bad], vt[bad]]),
+            np.multiply(np.tile(m_n[bad], 2), D, dtype=np.int64)
+            + np.concatenate([dval[bad], vt[bad]]),
             np.repeat(np.array([1, -1]), bad.size))
         # S_4(m, t, r) = sum over m' = m mod M of S_5(m', r) e(t dvt(m')/D),
         # plus sum over j of C_4(m, j) e(tj/D)
@@ -488,16 +491,17 @@ def decompose_weyl(tr: ScalarTransducer, tau: Callable[[Cyclotomic, int], object
 
     # every shift is evaluated, so carry_failures and s4 cover each r
     identity_s4 = all([shift_stage(r) for r in range(R)])
-    del mprime_n    # read by the shifts only
+    del mprime_n, m_n   # read by the shifts only
 
-    # ---- van der Corput on each S_3 sequence (shift unit M, window R)
+    # ---- van der Corput on each S_3 sequence, the class n = m mod M as its own sequence
     vdc_rows: List[Tuple[int, int, float, float, float]] = []
     z_n = g.to_complex()
+    roots = np.exp(2j * np.pi * np.arange(D) / D)
     for t in range(D):
-        zt = z_n * np.exp(2j * np.pi * (t * j_n % D) / D)
         for m in range(M):
-            Z = np.where(m_n == m, zt, 0j)
-            chk = vdc_inequality_check(Z, R=float(R), k=M)
+            s = (m - y - 1) % M     # the first index of the class
+            z = z_n[s::M] * roots[np.multiply(j_n[s::M], t, dtype=np.int64) % D]
+            chk = vdc_inequality_check(z, R=float(R))
             vdc_rows.append((m, t, chk.lhs, chk.rhs, chk.slack))
 
     eta_used = eta_fit(tr.dfao) if eta == "fit" else eta

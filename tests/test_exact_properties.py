@@ -251,11 +251,78 @@ def test_one_exact_bucket_sums_call_normalises_once(monkeypatch):
         calls.append(buckets is None)
         return normal_forms(modulus, buckets, *args)
 
+    # bucket_sums reaches the normaliser through exact.indexed_phase_sums
     monkeypatch.setattr(exact, "normal_forms", spy)
-    monkeypatch.setattr(modring, "normal_forms", spy)
     g = modring.PhaseValues(1009, np.arange(-1, 2000, dtype=np.int64) % 1010 - 1)
     sums = g.bucket_sums(np.arange(2001) % 37)
     assert calls == [False]
     assert len(sums) == 37
     assert sums[5] == sum((Cyclotomic.root_of_unity(int(v), 1009)
                            for v in g.values[5::37] if v >= 0), Cyclotomic.zero())
+
+
+# odd and even moduli, 1, past 2^31 (where an int32 key bucket * L would
+# wrap) and past 2^62 (phases and keys held as Python ints)
+sum_moduli = st.sampled_from([1, 2, 9, 1009, 2 ** 31 + 11, 2 ** 32, 3 * 2 ** 61 + 1,
+                              2 ** 64 + 13])
+phases_of_values = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
+
+
+@st.composite
+def counted_tables(draw):
+    """(L, phases, buckets, weights, table, index) for PhaseValues sums: a
+    few distinct phases (the pole marker -1 among them) and buckets, so equal
+    keys repeat, with buckets in [0, 3] (dense keys at small L) or up to 10^6
+    (sparse keys); int32 or int64 buckets and indices; weights None or in
+    {-1, 0, 1, 2}; a table of up to three exact values, zero among them."""
+    L = draw(sum_moduli)
+    pool = draw(st.lists(st.integers(-1, L - 1), min_size=1, max_size=4))
+    size = draw(st.integers(0, 40))
+    column = lambda values: st.lists(values, min_size=size, max_size=size)
+    phases = np.array(draw(column(st.sampled_from(pool))),
+                      dtype=np.int64 if L < 2 ** 62 else object)
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    top = draw(st.sampled_from([3, 10 ** 6]))
+    buckets = np.array(draw(column(st.integers(0, top))), dtype=dtype)
+    weights = draw(st.none() | column(st.sampled_from([-1, 0, 1, 2])).map(np.array))
+    table = draw(st.lists(st.lists(st.tuples(phases_of_values, coeffs), max_size=3)
+                          .map(Cyclotomic.from_terms), min_size=1, max_size=3))
+    index = np.array(draw(column(st.integers(0, len(table) - 1))), dtype=dtype)
+    return L, phases, buckets, weights, table, index
+
+
+
+def _term_by_term(L, phases, buckets, weights, table, index):
+    """bucket -> folded terms of sum weight * table[index] * e(phase / L),
+    one term at a time in Fractions, over the buckets that hold a term"""
+    weights = [1] * len(phases) if weights is None else weights
+    out = {}
+    for p, b, w, i in zip(phases.tolist(), buckets.tolist(), list(weights), index.tolist()):
+        if p >= 0 and table[i]:
+            out.setdefault(b, []).extend((t + Fraction(p, L), c * int(w))
+                                         for t, c in table[i].iter_terms())
+    return {b: oracles.folded_terms(pairs) for b, pairs in out.items()}
+
+
+def test_counted_sums_match_term_by_term_sums(monkeypatch):
+    # bucket_sums and indexed_sums merge equal (bucket, index, phase) keys
+    # before expanding them; the Fraction sums of every term do not
+    merges = _spy_merges(monkeypatch)
+
+    @given(counted_tables())
+    def check(drawn):
+        L, phases, buckets, weights, table, index = drawn
+        g = modring.PhaseValues(L, phases)
+        forms = lambda sums: {b: dict(z.iter_terms()) for b, z in sums.items()}
+        one = [Cyclotomic.from_rational(1)]
+        assert forms(g.bucket_sums(buckets, weights)) == _term_by_term(
+            L, phases, buckets, weights, one, np.zeros(len(phases), dtype=np.int64))
+        assert forms(g.indexed_sums(table, index, buckets)) == _term_by_term(
+            L, phases, buckets, None, table, index)
+        whole = g.indexed_sum(table, index)
+        assert dict(whole.iter_terms()) == oracles.folded_terms(
+            pair for pairs in _term_by_term(L, phases, 0 * index, None, table, index).values()
+            for pair in pairs.items())
+
+    check()
+    assert True in merges and False in merges

@@ -1,13 +1,15 @@
-"""Memory fences on the large-input kernels, measured with tracemalloc: each
-holds little beyond its result.  Every kernel runs once untraced first, so
+"""Memory fences on the large-input kernels and the exact Weyl stages,
+measured with tracemalloc: each holds little beyond its result.  Every kernel runs once untraced first, so
 imports and caches do not count."""
 
 import tracemalloc
 
-from autoexp.automata import block_11, thue_morse_even
+from autoexp.automata import block_11, sync_failure_counts, thue_morse_even
 from autoexp.congruence import solution_table
 from autoexp.modring import parse_rational_function
-from autoexp.vandercorput import carry_violation_counts, thue_morse_transducer
+from autoexp.presets import weyl_grid_configs
+from autoexp.vandercorput import (carry_violation_counts, decompose_weyl,
+                                  thue_morse_transducer)
 
 MIB = 1 << 20
 
@@ -42,3 +44,21 @@ def test_carry_counts_read_int32_tables():
         lambda: carry_violation_counts(thue_morse_transducer(), 16, 3, [2, 3, 4, 5, 6], 0))
     assert counts == [10923, 5461, 2731, 1365, 683]
     assert peak <= 12 * MIB, peak / MIB
+
+
+def test_sync_counts_gather_a_bounded_block_of_rows():
+    # one packed mismatch row per prefix state, gathered 2^16 prefixes at a
+    # time: no intp copy of the 2^20 prefix states of lam = 2
+    counts, peak = _traced_peak(
+        lambda: sync_failure_counts(block_11(), 0, 4194304, range(2, 11)))
+    assert counts[:3] == [3117071, 2586018, 2057549]
+    assert peak <= 10 * MIB, peak / MIB
+
+
+def test_weyl_stages_cost_their_distinct_keys():
+    # x = 100,000: every stage sum counts its (bucket, phase) keys before
+    # normalising, and the window is int32
+    kw = dict(weyl_grid_configs())["tm-evil-eq1009-big"]
+    rep, peak = _traced_peak(lambda: decompose_weyl(**kw))
+    assert rep.exact and rep.identities_ok
+    assert peak <= 8 * MIB, peak / MIB

@@ -505,6 +505,29 @@ def test_decompose_comparator_and_rows(pins):
         assert slack >= -1e-9 * max(1.0, rhs)
 
 
+@pytest.mark.parametrize("label", ["tm-evil-eq101-c", "ds33-sign-eq41"])
+def test_vdc_rows_check_each_class_sequence(label):
+    # row (m, t) checks van der Corput on the class n = m mod M of
+    # g(n) e(t j(n)/D), read as a sequence of its own: its lhs is
+    # |S3(m, t)|^2, and its rhs is (N_m + R)/R * sum_{|r|<R} (1 - |r|/R) c_r
+    # with brute-force correlations c_r of the class sequence
+    # (oracles.vdc_sides at k = 1), built here from per-n digit walks
+    kw = dict(weyl_grid_configs())[label]
+    rep = decompose_weyl(**kw)
+    assert rep.exact and rep.M > 1 and rep.R > 1
+    M, R, D = rep.M, rep.R, rep.weight_order
+    ns = range(kw["y"] + 1, kw["y"] + kw["x"] + 1)
+    assert [row[:2] for row in rep.vdc_rows] == [(m, t) for t in range(D) for m in range(M)]
+    for m, t, lhs, rhs, slack in rep.vdc_rows:
+        seq = [complex(kw["g"](n)) * cmath.exp(2j * cmath.pi * float(t * oracles.value_phase(
+            kw["tr"], n))) for n in ns if n % M == m]
+        assert lhs == pytest.approx(abs(complex(rep.s3[(m, t)])) ** 2, rel=1e-9, abs=1e-9)
+        ref_lhs, ref_rhs = oracles.vdc_sides(seq, R, 1)
+        assert lhs == pytest.approx(ref_lhs, rel=1e-9, abs=1e-9)
+        assert rhs == pytest.approx(ref_rhs, rel=1e-9)
+        assert slack == rhs - lhs
+
+
 # bucket_sums calls of decompose_weyl for thue_morse (D = 2) at M = R = 2, in
 # order: S1, S2, sync correction, S3 (t = 0, 1), then per r: S5, S4' by
 # (m, weight difference) and its carry correction C4.  At r = 0 every weight
